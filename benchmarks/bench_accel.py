@@ -14,13 +14,13 @@ import subprocess
 import sys
 import time
 
-WORKLOADS = ("bp_train", "svr_fit", "lssvm_fit", "rbf_fit")
+WORKLOADS = ("svr_fit", "lssvm_fit", "rbf_fit")
 
 
 def build_workloads():
     import numpy as np
 
-    from fivecast import bpnn, lssvm, rbfnn, svr
+    from fivecast import lssvm, rbfnn, svr
     from fivecast.kernels import KernelSpec
 
     rng = np.random.default_rng(0)
@@ -29,11 +29,6 @@ def build_workloads():
     x_mid = rng.uniform(-2.0, 2.0, (150, 3))
     y_mid = rng.uniform(-1.0, 1.0, 150)
     rbf_spec = KernelSpec.rbf(1.0)
-    config = bpnn.SgdConfig(eta=0.05, batch_size=16, epochs=50)
-
-    def bp_train():
-        net = bpnn.new_network((3, 7, 1), seed=1)
-        bpnn.train(net, x_small, y_small, config)
 
     def svr_fit():
         svr.fit(x_mid[:120], y_mid[:120], rbf_spec, max_passes=200)
@@ -45,7 +40,6 @@ def build_workloads():
         rbfnn.fit(x_small, y_small, n_centers=20, seed=1)
 
     return {
-        "bp_train": bp_train,
         "svr_fit": svr_fit,
         "lssvm_fit": lssvm_fit,
         "rbf_fit": rbf_fit,

@@ -8,8 +8,9 @@ and gated by the sigmoid slope.
 
 Training shuffles the sample order every epoch with a seeded generator,
 walks the batches, and subtracts the batch-mean gradient scaled by the
-learning rate.  The epoch update for the usual one-hidden-layer shape is
-a single-source kernel that numba compiles when acceleration is on.
+learning rate.  :func:`train` runs a list of networks, each with its own
+shuffle seed, as one stacked network of any depth; each ends bit for bit
+as it would if trained alone.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import njit
 from .errors import DivergenceError, DomainError, ShapeError
 
 
@@ -126,24 +126,32 @@ def predict(net: BpNetwork, x) -> float:
     return float(out[0]) if out.shape[0] == 1 else out
 
 
-def _forward_batch(net: BpNetwork, inputs) -> np.ndarray:
-    arr = np.asarray(inputs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != net.layer_sizes[0]:
-        raise ShapeError(f"inputs must be (n, {net.layer_sizes[0]}), got {arr.shape}")
-    a = arr
-    last = len(net.weights) - 1
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T + b
+def _stack(nets) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    # networks of one shape side by side: weights (S, out, in), biases (S, 1, out)
+    weights = [np.stack(ws) for ws in zip(*(net.weights for net in nets))]
+    biases = [np.stack(bs)[:, None, :] for bs in zip(*(net.biases for net in nets))]
+    return weights, biases
+
+
+def _forward_batch(nets: list[BpNetwork], inputs) -> np.ndarray:
+    """Outputs of networks of one shape on the rows of inputs, (S, n, out)."""
+    a = np.asarray(inputs, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != nets[0].layer_sizes[0]:
+        raise ShapeError(f"inputs must be (n, {nets[0].layer_sizes[0]}), got {a.shape}")
+    weights, biases = _stack(nets)
+    last = len(weights) - 1
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        z = np.matmul(a, w.transpose(0, 2, 1)) + b
         a = z if l == last else sigmoid(z)
     return a
 
 
 def predict_batch(net: BpNetwork, inputs) -> np.ndarray:
     """Vectorized forward pass over rows of inputs (one-unit output)."""
-    out = _forward_batch(net, inputs)
-    if out.shape[1] != 1:
+    out = _forward_batch([net], inputs)
+    if out.shape[2] != 1:
         raise ShapeError("predict_batch expects a single output unit")
-    return out[:, 0]
+    return out[0, :, 0]
 
 
 def backprop(net: BpNetwork, x, y) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -170,52 +178,8 @@ def backprop(net: BpNetwork, x, y) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return grad_w, grad_b
 
 
-def training_cost(net: BpNetwork, inputs, targets) -> float:
-    """Mean half squared error over the sample block."""
-    out = _forward_batch(net, inputs)
-    t = np.asarray(targets, dtype=np.float64)
-    if t.ndim == 1:
-        t = t[:, None]
-    if t.shape != out.shape:
-        raise ShapeError(f"targets shape {t.shape} does not match outputs {out.shape}")
-    return float(0.5 * np.mean(np.sum((t - out) ** 2, axis=1)))
-
-
-def _sgd_epoch(wh, bh, wo, bo, x, y, order, batch_size, eta):
-    # One shuffled pass of mini-batch SGD for input->hidden->output nets.
-    # Batched matrix form of the per-sample update; last batch may be
-    # smaller and each batch divides by its own size.
-    n = x.shape[0]
-    for start in range(0, n, batch_size):
-        idx = order[start : start + batch_size]
-        xb = x[idx]
-        yb = y[idx]
-        m = xb.shape[0]
-        z1 = np.dot(xb, np.ascontiguousarray(wh.T))
-        for j in range(z1.shape[1]):
-            z1[:, j] += bh[j]
-        a1 = 1.0 / (1.0 + np.exp(-z1))
-        z2 = np.dot(a1, np.ascontiguousarray(wo.T))
-        for j in range(z2.shape[1]):
-            z2[:, j] += bo[j]
-        d2 = z2 - yb
-        gwo = np.dot(np.ascontiguousarray(d2.T), a1)
-        gbo = np.sum(d2, axis=0)
-        d1 = np.dot(d2, wo) * (a1 * (1.0 - a1))
-        gwh = np.dot(np.ascontiguousarray(d1.T), xb)
-        gbh = np.sum(d1, axis=0)
-        s = eta / m
-        wo -= s * gwo
-        bo -= s * gbo
-        wh -= s * gwh
-        bh -= s * gbh
-
-
-_sgd_epoch_compiled = njit(cache=True)(_sgd_epoch)
-
-
-def _train_samples(net: BpNetwork, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
-    x = np.ascontiguousarray(np.asarray(inputs, dtype=np.float64))
+def _samples(net: BpNetwork, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(inputs, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if t.ndim == 1:
         t = t[:, None]
@@ -223,51 +187,85 @@ def _train_samples(net: BpNetwork, inputs, targets) -> tuple[np.ndarray, np.ndar
         raise ShapeError(f"inputs must be (n, {net.layer_sizes[0]}), got {x.shape}")
     if t.shape != (x.shape[0], net.layer_sizes[-1]):
         raise ShapeError(f"targets must be (n, {net.layer_sizes[-1]}), got {t.shape}")
+    return x, t
+
+
+def training_cost(nets, inputs, targets):
+    """Mean half squared error over the sample block: a float for one
+    network, an array of costs for a list of networks of one shape."""
+    group = [nets] if isinstance(nets, BpNetwork) else list(nets)
+    x, t = _samples(group[0], inputs, targets)
+    costs = 0.5 * np.mean(np.sum((t - _forward_batch(group, x)) ** 2, axis=2), axis=1)
+    return float(costs[0]) if isinstance(nets, BpNetwork) else costs
+
+
+def _transposed(a: np.ndarray) -> np.ndarray:
+    # A copy, not a view: BLAS may round a transposed product differently.
+    return np.ascontiguousarray(a.transpose(0, 2, 1))
+
+
+def _stacked_epoch(weights, biases, xs, ts, batch_size, eta):
+    # One SGD pass over stacked parameters; xs and ts hold each network's
+    # samples in its own order.  Each batch (the last may be smaller) divides
+    # by its own size.  The caller silences exp's overflow: it saturates.
+    last = len(weights) - 1
+    for start in range(0, xs.shape[1], batch_size):
+        acts = [xs[:, start : start + batch_size]]
+        for l, (w, b) in enumerate(zip(weights, biases)):
+            z = np.matmul(acts[-1], _transposed(w))
+            z += b
+            acts.append(z if l == last else 1.0 / (1.0 + np.exp(-z)))
+        delta = acts[-1] - ts[:, start : start + batch_size]
+        grads = []
+        for l in range(last, -1, -1):
+            gw = np.matmul(_transposed(delta), acts[l])
+            grads.append((gw, np.add.reduce(delta, axis=1, keepdims=True)))
+            if l > 0:
+                delta = np.matmul(delta, weights[l]) * (acts[l] * (1.0 - acts[l]))
+        s = eta / acts[0].shape[1]
+        for (gw, gb), w, b in zip(grads, weights[::-1], biases[::-1]):
+            w -= s * gw
+            b -= s * gb
+
+
+def train(nets, inputs, targets, cfg: SgdConfig, seeds=None):
+    """Mini-batch SGD in place on one network, or on a list of networks of
+    one shape trained as one stack with a shuffle seed each (default
+    ``cfg.seed``); returns what it was given.  When an epoch-end cost is
+    not finite, DivergenceError reports the lowest-index network that ever
+    diverges, as training one by one would, and no network is changed.
+    """
+    group = [nets] if isinstance(nets, BpNetwork) else list(nets)
+    seeds = [cfg.seed] * len(group) if seeds is None else [int(s) for s in seeds]
+    if not group or len(seeds) != len(group) or len({net.layer_sizes for net in group}) > 1:
+        raise ShapeError(f"need networks of one shape, one seed each: {len(group)}, {len(seeds)}")
+    x, t = _samples(group[0], inputs, targets)
     if x.shape[0] == 0:
         raise DomainError("no training samples")
-    return x, np.ascontiguousarray(t)
-
-
-def train(net: BpNetwork, inputs, targets, cfg: SgdConfig) -> BpNetwork:
-    """Mini-batch SGD in place; returns the same network.
-
-    Raises DivergenceError as soon as the epoch-end training cost stops
-    being finite.
-    """
-    x, t = _train_samples(net, inputs, targets)
-    rng = np.random.default_rng(cfg.seed)
-    n = x.shape[0]
-    if len(net.layer_sizes) == 3:
-        step = _sgd_epoch_compiled
-        args = (net.weights[0], net.biases[0], net.weights[1], net.biases[1])
-    else:
-        step = None
-        args = ()
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        if step is not None:
-            step(*args, x, t, order, cfg.batch_size, cfg.eta)
-        else:
-            _generic_epoch(net, x, t, order, cfg.batch_size, cfg.eta)
-        with np.errstate(over="ignore", invalid="ignore"):
-            cost = training_cost(net, x, t)
-        if not math.isfinite(cost):
-            raise DivergenceError(f"training cost became non-finite ({cost})")
-    return net
-
-
-def _generic_epoch(net, x, t, order, batch_size, eta):
-    # Arbitrary-depth fallback: mean of per-sample gradients, batch by batch.
-    for start in range(0, x.shape[0], batch_size):
-        idx = order[start : start + batch_size]
-        acc_w = [np.zeros_like(w) for w in net.weights]
-        acc_b = [np.zeros_like(b) for b in net.biases]
-        for i in idx:
-            gw, gb = backprop(net, x[i], t[i])
-            for l in range(len(acc_w)):
-                acc_w[l] += gw[l]
-                acc_b[l] += gb[l]
-        s = eta / idx.shape[0]
-        for l in range(len(acc_w)):
-            net.weights[l] -= s * acc_w[l]
-            net.biases[l] -= s * acc_b[l]
+    weights, biases = _stack(group)
+    views = [
+        BpNetwork(net.layer_sizes, [w[k] for w in weights], [b[k, 0] for b in biases])
+        for k, net in enumerate(group)
+    ]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    live, failure = len(group), None  # only networks below a diverged one still matter
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            order = np.stack([rng.permutation(x.shape[0]) for rng in rngs[:live]])
+            _stacked_epoch(
+                [w[:live] for w in weights], [b[:live] for b in biases],
+                x[order], t[order], cfg.batch_size, cfg.eta,
+            )
+            costs = training_cost(views[:live], x, t)
+            bad = np.flatnonzero(~np.isfinite(costs))
+            if bad.size:
+                live = int(bad[0])
+                failure = DivergenceError(f"training cost became non-finite ({costs[live]})")
+            if live == 0:
+                break
+    if failure is not None:
+        raise failure
+    for net, view in zip(group, views):
+        for mine, trained in zip(net.weights + net.biases, view.weights + view.biases):
+            mine[...] = trained
+    return nets

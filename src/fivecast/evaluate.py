@@ -16,7 +16,7 @@ each realized test value after predicting it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,21 +130,33 @@ def _resolved_kernel(cfg: HarnessConfig, scaled_inputs: np.ndarray) -> KernelSpe
     return KernelSpec.rbf(median_pairwise_distance(scaled_inputs))
 
 
+def _bp_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfig, seeds) -> list[np.ndarray]:
+    """Raw-unit test-block predictions of one backprop network per seed.
+
+    Each seed draws its network's initial weights and its shuffle order;
+    the networks train together as one stacked network.
+    """
+    n_in = ds.inputs.shape[1]
+    hidden = cfg.bp_hidden
+    if hidden is None:
+        hidden = bpnn.hidden_size_rule(1, n_in)
+    nets = [bpnn.new_network((n_in, hidden, 1), seed=seed) for seed in seeds]
+    sgd = bpnn.SgdConfig(
+        eta=cfg.bp_eta, batch_size=cfg.bp_batch, epochs=cfg.bp_epochs, seed=cfg.seed
+    )
+    xs_tr, ys_tr = scaler.transform(ds.train_inputs), scaler.transform(ds.train_targets)
+    bpnn.train(nets, xs_tr, ys_tr, sgd, seeds)
+    xs_te = scaler.transform(ds.test_inputs)
+    return [scaler.inverse(bpnn.predict_batch(net, xs_te)) for net in nets]
+
+
 def _test_predictions(ds: WindowedDataset, scaler: MinMaxScaler, name: str, cfg: HarnessConfig) -> np.ndarray:
     """Raw-unit predictions for the test block of one model."""
+    if name == "bp":
+        return _bp_predictions(ds, scaler, cfg, [cfg.seed])[0]
     xs_tr = scaler.transform(ds.train_inputs)
     ys_tr = scaler.transform(ds.train_targets)
     xs_te = scaler.transform(ds.test_inputs)
-    if name == "bp":
-        hidden = cfg.bp_hidden
-        if hidden is None:
-            hidden = bpnn.hidden_size_rule(1, ds.inputs.shape[1])
-        net = bpnn.new_network((ds.inputs.shape[1], hidden, 1), seed=cfg.seed)
-        sgd = bpnn.SgdConfig(
-            eta=cfg.bp_eta, batch_size=cfg.bp_batch, epochs=cfg.bp_epochs, seed=cfg.seed
-        )
-        bpnn.train(net, xs_tr, ys_tr, sgd)
-        return scaler.inverse(bpnn.predict_batch(net, xs_te))
     if name == "rbf":
         model = rbfnn.fit(xs_tr, ys_tr, cfg.rbf_centers, seed=cfg.seed)
         return scaler.inverse(rbfnn.predict_batch(model, xs_te))
@@ -232,7 +244,9 @@ def stability(
     """Retrain the backprop model across seeds and summarize the spread.
 
     Seeds default to base_seed .. base_seed + runs - 1; an explicit
-    sequence overrides them.  Spreads are sample standard deviations.
+    sequence overrides them.  All seeds train together as one stacked
+    network, each exactly as it would alone.  Spreads are sample standard
+    deviations.
     """
     cfg = cfg or HarnessConfig()
     if seeds is None:
@@ -244,13 +258,9 @@ def stability(
         raise DomainError(f"need at least 2 runs, got {len(seeds)}")
     scaler = _train_scaler(ds)
     y_test = ds.test_targets
-    mses = np.empty(len(seeds))
-    mapes = np.empty(len(seeds))
-    for k, seed in enumerate(seeds):
-        run_cfg = _with_seed(cfg, seed)
-        preds = _test_predictions(ds, scaler, "bp", run_cfg)
-        mses[k] = mse(y_test, preds)
-        mapes[k] = mape(y_test, preds)
+    preds = _bp_predictions(ds, scaler, cfg, seeds)
+    mses = np.array([mse(y_test, p) for p in preds])
+    mapes = np.array([mape(y_test, p) for p in preds])
     return StabilityReport(
         runs=len(seeds),
         mse_mean=float(mses.mean()),
@@ -258,10 +268,6 @@ def stability(
         mape_mean=float(mapes.mean()),
         mape_std=float(mapes.std(ddof=1)),
     )
-
-
-def _with_seed(cfg: HarnessConfig, seed: int) -> HarnessConfig:
-    return replace(cfg, seed=seed)
 
 
 def lag_one_analysis(actual, predicted) -> LagOneReport:

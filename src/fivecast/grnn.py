@@ -14,6 +14,8 @@ pick beta for the units the inputs actually carry.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError, ShapeError
@@ -92,11 +94,17 @@ def default_smoothing(inputs) -> float:
         raise ShapeError(f"inputs must be 2-D, got ndim={x.ndim}")
     if x.shape[0] < 2:
         raise DomainError("need at least two samples")
-    sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.fill_diagonal(d2, np.inf)
-    nn = np.maximum(d2.min(axis=1), 0.0)
-    mean_nn = float(nn.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.sum(x * x, axis=1)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+        np.fill_diagonal(d2, np.inf)
+        nn = np.maximum(d2.min(axis=1), 0.0)
+        mean_nn = float(nn.mean())
+    if not math.isfinite(mean_nn):
+        raise DomainError(
+            "inputs are too large to compute a smoothing width: "
+            "their squared distances overflow"
+        )
     if mean_nn <= 0.0:
         return 1.0  # all points coincide; any beta gives the same answer
     return 1.0 / (2.0 * mean_nn)

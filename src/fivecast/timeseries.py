@@ -170,6 +170,8 @@ def load_csv(path: str | Path, ticker: str | None = None) -> PriceSeries:
                 closes.append(close)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not dates:
         raise DomainError(f"{path}: no data rows")
     name = ticker if ticker is not None else path.stem

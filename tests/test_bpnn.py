@@ -1,6 +1,7 @@
 """Feed-forward network: forward pass, gradients, and SGD training."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -66,6 +67,51 @@ def scaled_ar_dataset():
     ds = timeseries.split(timeseries.make_windows(make_ar_series(11), lags=3))
     sc = timeseries.fit_scaler(ds.train_targets)
     return sc.transform(ds.train_inputs), sc.transform(ds.train_targets)
+
+
+def full_batch_backprop_step(net, xs, ys, eta):
+    """Weights and biases after one mean-gradient step built from backprop."""
+    acc_w = [np.zeros_like(w) for w in net.weights]
+    acc_b = [np.zeros_like(b) for b in net.biases]
+    for x, y in zip(xs, ys):
+        gw, gb = backprop(net, x, y)
+        for l in range(len(acc_w)):
+            acc_w[l] += gw[l]
+            acc_b[l] += gb[l]
+    n = len(xs)
+    return (
+        [w - eta * g / n for w, g in zip(net.weights, acc_w)],
+        [b - eta * g / n for b, g in zip(net.biases, acc_b)],
+    )
+
+
+def one_hidden_layer_reference(net, xs, ys, cfg):
+    """Per-network mini-batch SGD for input->hidden->output nets, written
+    as plain 2-D products batch by batch; training must equal it exactly."""
+    wh, wo = (w.copy() for w in net.weights)
+    bh, bo = (b.copy() for b in net.biases)
+    x = np.ascontiguousarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64).reshape(x.shape[0], -1)
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(x.shape[0])
+        for start in range(0, x.shape[0], cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            xb, yb = x[idx], y[idx]
+            a1 = 1.0 / (1.0 + np.exp(-(np.dot(xb, np.ascontiguousarray(wh.T)) + bh)))
+            d2 = np.dot(a1, np.ascontiguousarray(wo.T)) + bo - yb
+            d1 = np.dot(d2, wo) * (a1 * (1.0 - a1))
+            s = cfg.eta / idx.shape[0]
+            wo -= s * np.dot(np.ascontiguousarray(d2.T), a1)
+            bo -= s * np.sum(d2, axis=0)
+            wh -= s * np.dot(np.ascontiguousarray(d1.T), xb)
+            bh -= s * np.sum(d1, axis=0)
+    return [wh, wo], [bh, bo]
+
+
+def assert_same_params(a, b):
+    for pa, pb in zip(a.weights + a.biases, b.weights + b.biases):
+        assert np.array_equal(pa, pb)
 
 
 class TestSigmoid:
@@ -292,40 +338,21 @@ class TestTrain:
         rng = np.random.default_rng(5)
         xs = rng.uniform(-1, 1, (8, 3))
         ys = rng.uniform(-1, 1, 8)
-        eta = 0.5
         net = new_network((3, 4, 1), seed=11)
-        acc_w = [np.zeros_like(w) for w in net.weights]
-        acc_b = [np.zeros_like(b) for b in net.biases]
-        for i in range(8):
-            gw, gb = backprop(net, xs[i], ys[i])
-            for l in range(len(acc_w)):
-                acc_w[l] += gw[l]
-                acc_b[l] += gb[l]
-        expected_w = [w - eta * g / 8.0 for w, g in zip(net.weights, acc_w)]
-        expected_b = [b - eta * g / 8.0 for b, g in zip(net.biases, acc_b)]
-        train(net, xs, ys, SgdConfig(eta=eta, batch_size=8, epochs=1, seed=0))
-        for got, exp in zip(net.weights, expected_w):
-            npt.assert_allclose(got, exp, atol=1e-12)
-        for got, exp in zip(net.biases, expected_b):
+        expected_w, expected_b = full_batch_backprop_step(net, xs, ys, 0.5)
+        train(net, xs, ys, SgdConfig(eta=0.5, batch_size=8, epochs=1, seed=0))
+        for got, exp in zip(net.weights + net.biases, expected_w + expected_b):
             npt.assert_allclose(got, exp, atol=1e-12)
 
     def test_deep_net_full_batch_step(self):
-        # four-layer nets take the per-sample fallback path
+        # the batched update against the per-sample gradient oracle
         rng = np.random.default_rng(6)
         xs = rng.uniform(-1, 1, (5, 2))
         ys = rng.uniform(-1, 1, 5)
-        eta = 0.2
         net = new_network((2, 3, 3, 1), seed=12)
-        acc_w = [np.zeros_like(w) for w in net.weights]
-        acc_b = [np.zeros_like(b) for b in net.biases]
-        for i in range(5):
-            gw, gb = backprop(net, xs[i], ys[i])
-            for l in range(len(acc_w)):
-                acc_w[l] += gw[l]
-                acc_b[l] += gb[l]
-        expected_w = [w - eta * g / 5.0 for w, g in zip(net.weights, acc_w)]
-        train(net, xs, ys, SgdConfig(eta=eta, batch_size=5, epochs=1, seed=0))
-        for got, exp in zip(net.weights, expected_w):
+        expected_w, expected_b = full_batch_backprop_step(net, xs, ys, 0.2)
+        train(net, xs, ys, SgdConfig(eta=0.2, batch_size=5, epochs=1, seed=0))
+        for got, exp in zip(net.weights + net.biases, expected_w + expected_b):
             npt.assert_allclose(got, exp, atol=1e-12)
 
     def test_cost_decreases_on_scaled_data(self):
@@ -352,6 +379,109 @@ class TestTrain:
             train(net, np.ones((4, 2)), np.ones(4), cfg)
         with pytest.raises(ShapeError):
             train(net, np.ones((4, 3)), np.ones(5), cfg)
+
+
+class TestStackedTrain:
+    def test_seven_seeds_equal_seven_single_trainings(self):
+        xs, ys = scaled_ar_dataset()
+        seeds = [3, 7, 7, 0, 11, 2, 5]  # a duplicate pair trains identically
+        cfg = SgdConfig(eta=0.05, batch_size=16, epochs=40, seed=0)
+        stacked = [new_network((3, 3, 1), seed=s) for s in seeds]
+        assert train(stacked, xs, ys, cfg, seeds=seeds) is stacked
+        for seed, net in zip(seeds, stacked):
+            alone = train(
+                new_network((3, 3, 1), seed=seed), xs, ys, replace(cfg, seed=seed)
+            )
+            assert_same_params(net, alone)
+        assert_same_params(stacked[1], stacked[2])
+
+    @pytest.mark.parametrize(
+        "sizes, n, batch",
+        [((3, 3, 1), 93, 16), ((3, 1, 1), 17, 8), ((1, 3, 1), 9, 4), ((3, 4, 2), 33, 7), ((2, 5, 3), 5, 2)],
+    )
+    def test_stack_equals_plain_2d_reference(self, sizes, n, batch):
+        rng = np.random.default_rng(n)
+        xs = rng.uniform(0, 1, (n, sizes[0]))
+        ys = rng.uniform(0, 1, (n, sizes[-1]))
+        seeds = [0, 5]
+        cfg = SgdConfig(eta=0.3, batch_size=batch, epochs=4)
+        nets = train([new_network(sizes, seed=s) for s in seeds], xs, ys, cfg, seeds)
+        for seed, net in zip(seeds, nets):
+            exp_w, exp_b = one_hidden_layer_reference(
+                new_network(sizes, seed=seed), xs, ys, replace(cfg, seed=seed)
+            )
+            for got, exp in zip(net.weights + net.biases, exp_w + exp_b):
+                assert np.array_equal(got, exp)
+
+    def test_four_layer_stack_equals_single_and_backprop(self):
+        rng = np.random.default_rng(6)
+        xs = rng.uniform(-1, 1, (11, 2))
+        ys = rng.uniform(-1, 1, 11)
+        seeds = [12, 4, 9]
+        cfg = SgdConfig(eta=0.2, batch_size=4, epochs=6, seed=0)
+        stacked = train([new_network((2, 3, 3, 1), seed=s) for s in seeds], xs, ys, cfg, seeds)
+        for seed, net in zip(seeds, stacked):
+            alone = train(new_network((2, 3, 3, 1), seed=seed), xs, ys, replace(cfg, seed=seed))
+            assert_same_params(net, alone)
+        # one full-batch epoch of the stack is each net's backprop mean step
+        nets = [new_network((2, 3, 3, 1), seed=s) for s in seeds]
+        expected = [full_batch_backprop_step(net, xs, ys, 0.2) for net in nets]
+        train(nets, xs, ys, SgdConfig(eta=0.2, batch_size=11, epochs=1), seeds)
+        for net, (exp_w, exp_b) in zip(nets, expected):
+            for got, exp in zip(net.weights + net.biases, exp_w + exp_b):
+                npt.assert_allclose(got, exp, atol=1e-12)
+
+    def test_default_seeds_come_from_the_config(self):
+        xs, ys = scaled_ar_dataset()
+        cfg = SgdConfig(eta=0.05, batch_size=16, epochs=5, seed=4)
+        pair = train([new_network((3, 3, 1), seed=1), new_network((3, 3, 1), seed=2)], xs, ys, cfg)
+        assert_same_params(pair[0], train(new_network((3, 3, 1), seed=1), xs, ys, cfg))
+        assert_same_params(pair[1], train(new_network((3, 3, 1), seed=2), xs, ys, cfg))
+
+    def divergence_case(self, seed):
+        """Data and config near the divergence threshold: at eta 4 seeds 3
+        and 5 train, seed 11 diverges with an infinite cost by epoch 21
+        and seed 2 with a NaN cost at epoch 36."""
+        rng = np.random.default_rng(0)
+        xs = rng.uniform(0, 1, (30, 3))
+        ys = rng.uniform(0, 1, 30)
+        return xs, ys, SgdConfig(eta=4.0, batch_size=4, epochs=40, seed=seed)
+
+    def divergence_message(self, seeds):
+        xs, ys, cfg = self.divergence_case(0)
+        with pytest.raises(DivergenceError) as info:
+            train([new_network((3, 3, 1), seed=s) for s in seeds], xs, ys, cfg, seeds)
+        return str(info.value)
+
+    def test_divergence_of_a_later_seed_raises(self):
+        for seed in (3, 5):
+            xs, ys, cfg = self.divergence_case(seed)
+            train(new_network((3, 3, 1), seed=seed), xs, ys, cfg)  # trains alone
+        assert self.divergence_message([11]) == "training cost became non-finite (inf)"
+        assert self.divergence_message([3, 5, 11]) == "training cost became non-finite (inf)"
+
+    def test_lowest_diverging_seed_raises_even_if_a_later_one_diverges_first(self):
+        assert self.divergence_message([2]) == "training cost became non-finite (nan)"
+        assert self.divergence_message([3, 2, 11]) == "training cost became non-finite (nan)"
+        assert self.divergence_message([3, 11, 2]) == "training cost became non-finite (inf)"
+
+    def test_networks_unchanged_after_divergence(self):
+        xs, ys, cfg = self.divergence_case(0)
+        nets = [new_network((3, 3, 1), seed=s) for s in (3, 11)]
+        with pytest.raises(DivergenceError):
+            train(nets, xs, ys, cfg, seeds=[3, 11])
+        for seed, net in zip((3, 11), nets):
+            assert_same_params(net, new_network((3, 3, 1), seed=seed))
+
+    def test_stack_validation(self):
+        xs, ys = np.ones((4, 3)), np.ones(4)
+        cfg = SgdConfig(epochs=1)
+        with pytest.raises(ShapeError):
+            train([], xs, ys, cfg)
+        with pytest.raises(ShapeError):
+            train([new_network((3, 3, 1)), new_network((3, 3, 1))], xs, ys, cfg, seeds=[1])
+        with pytest.raises(ShapeError):
+            train([new_network((3, 3, 1)), new_network((3, 2, 1))], xs, ys, cfg, seeds=[1, 2])
 
 
 class TestSgdConfig:

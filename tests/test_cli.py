@@ -89,6 +89,15 @@ class TestBenchmark:
         bad.write_text("date,close\n2020-01-03,1.0\n2020-01-10,-2.0\n", encoding="utf-8")
         assert run(["benchmark", "--data", str(bad), "--out", str(tmp_path)]) == 2
 
+    def test_invalid_utf8_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin.csv"
+        bad.write_bytes(b"date,close\n2020-01-03,1.0\n2020-01-10,\xff2.0\n")
+        assert run(["benchmark", "--data", str(bad), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "latin.csv" in err and "UTF-8" in err
+        assert "Traceback" not in err
+
     def test_too_short_series_is_data_error(self, tmp_path):
         short = write_price_csv(tmp_path / "short.csv", weekly_series([1.0, 2.0, 3.0]))
         assert run(["benchmark", "--data", str(short), "--out", str(tmp_path)]) == 2

@@ -1,6 +1,7 @@
 """Kernel-weighted-mean regression and its walk-forward growth."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -154,6 +155,15 @@ class TestDefaultSmoothing:
     def test_single_sample(self):
         with pytest.raises(DomainError):
             default_smoothing(np.ones((1, 2)))
+
+    def test_overflowing_inputs_are_a_clear_domain_error(self):
+        # closes near 5e307: squared distances overflow, which used to
+        # surface as "beta must be > 0, got nan" after a RuntimeWarning
+        x = 5e307 * (1.0 + 0.01 * np.arange(60.0).reshape(20, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="too large to compute a smoothing width"):
+                default_smoothing(x)
 
 
 class TestValidation:
