@@ -1,49 +1,8 @@
-"""Optional numba acceleration for the hot numeric kernels.
+"""Which numeric backend ran.
 
-Kernels are written in nopython-compatible numpy style so a single source
-serves two execution paths: compiled via ``numba.njit`` (the default when
-numba imports), or plain numpy when the ``FIVECAST_NO_NUMBA`` environment
-variable is set to 1/true/yes/on or numba is unavailable.  Both paths run
-the same statements in the same order, so results are identical bit for
-bit; the flag only trades speed for easier debugging.
-
-``benchmarks/bench_accel.py`` times the two paths against each other.
+fivecast has one backend, plain numpy.  ``NUMBA_ENABLED`` is the
+constant run reports record; the benchmark's environment probe
+(``perfbench/run.py``) imports this module to read it.
 """
 
-from __future__ import annotations
-
-import os
-
-_FLAG = "FIVECAST_NO_NUMBA"
-
-
-def _disabled_by_env() -> bool:
-    return os.environ.get(_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
 NUMBA_ENABLED = False
-
-if not _disabled_by_env():
-    try:
-        from numba import njit as _numba_njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - depends on the environment
-        pass
-
-if NUMBA_ENABLED:
-
-    def njit(*args, **kwargs):
-        return _numba_njit(*args, **kwargs)
-
-else:
-
-    def njit(*args, **kwargs):
-        # Mirror numba's decorator shapes: bare @njit and @njit(cache=...).
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap

@@ -31,9 +31,17 @@ KERNEL_ROW_ORDER = ("linear", "poly", "mlp", "rbf")
 
 
 def mse(actual, predicted) -> float:
-    """Mean squared error."""
+    """Mean squared error.
+
+    Raises DomainError when finite inputs give a mean square too large
+    for float64.
+    """
     a, p = _paired(actual, predicted)
-    return float(np.mean((a - p) ** 2))
+    with np.errstate(over="ignore"):
+        value = float(np.mean((a - p) ** 2))
+    if not np.isfinite(value) and np.all(np.isfinite(a)) and np.all(np.isfinite(p)):
+        raise DomainError("mean squared error overflows float64")
+    return value
 
 
 def mape(actual, predicted) -> float:

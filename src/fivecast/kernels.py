@@ -105,17 +105,21 @@ def gram(spec: KernelSpec, rows: np.ndarray) -> np.ndarray:
     """The n x n kernel matrix over the rows.
 
     Each unordered pair is evaluated once and mirrored, so the result is
-    symmetric by construction.
+    symmetric by construction.  Raises DomainError, naming the kernel,
+    when an entry overflows or is otherwise not finite.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2:
         raise ShapeError(f"rows must be 2-D, got ndim={rows.ndim}")
     n = rows.shape[0]
     out = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        col = kernel_column(spec, rows[i:], rows[i])
-        out[i, i:] = col
-        out[i:, i] = col
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            col = kernel_column(spec, rows[i:], rows[i])
+            out[i, i:] = col
+            out[i:, i] = col
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"{spec.kind} kernel matrix has non-finite entries")
     return out
 
 

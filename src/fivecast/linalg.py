@@ -1,21 +1,21 @@
-"""Dense linear algebra used by the model fitters.
+"""Dense linear solve used by the model fitters.
 
-``solve`` is Gaussian elimination with partial pivoting, written as a
-single-source kernel that numba compiles when acceleration is on.  The
-remaining operations are shape-checked wrappers over numpy arithmetic.
+``solve`` is Gaussian elimination with partial pivoting.  Each step
+subtracts multiples of the pivot row from the trailing rows in blocks of
+``_ROW_BLOCK`` rows, which bounds the temporary the update needs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._accel import njit
 from .errors import DomainError, ShapeError, SingularError
 
 PIVOT_TOL = 1e-12
+_ROW_BLOCK = 64
 
 
-def _solve_kernel(a: np.ndarray, b: np.ndarray) -> int:
+def _eliminate(a: np.ndarray, b: np.ndarray) -> int:
     # In-place elimination on copies owned by the caller. Returns 0 on
     # success, k+1 when column k has no pivot above PIVOT_TOL.
     n = b.shape[0]
@@ -24,23 +24,22 @@ def _solve_kernel(a: np.ndarray, b: np.ndarray) -> int:
         if abs(a[p, k]) < PIVOT_TOL:
             return k + 1
         if p != k:
-            tmp = a[k].copy()
-            a[k] = a[p]
-            a[p] = tmp
-            tb = b[k]
-            b[k] = b[p]
-            b[p] = tb
-        for i in range(k + 1, n):
-            lam = a[i, k] / a[k, k]
-            if lam != 0.0:
-                a[i, k:] -= lam * a[k, k:]
-                b[i] -= lam * b[k]
+            a[[k, p]] = a[[p, k]]
+            b[[k, p]] = b[[p, k]]
+        for start in range(k + 1, n, _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            lam = a[rows, k] / a[k, k]
+            if not lam.all():
+                # rows with a zero multiplier stay untouched, so no signed
+                # zero or non-finite pivot-row entry reaches them
+                keep = np.flatnonzero(lam)
+                rows = start + keep
+                lam = lam[keep]
+            a[rows, k:] -= lam[:, None] * a[k, k:]
+            b[rows] -= lam * b[k]
     for k in range(n - 1, -1, -1):
         b[k] = (b[k] - np.dot(a[k, k + 1 :], b[k + 1 :])) / a[k, k]
     return 0
-
-
-_solve_compiled = njit(cache=True)(_solve_kernel)
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -73,37 +72,9 @@ def solve(a, b) -> np.ndarray:
         raise ShapeError("system is empty")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DomainError("system entries must be finite")
-    work_a = np.ascontiguousarray(a.copy())
-    work_b = np.ascontiguousarray(b.copy())
-    status = _solve_compiled(work_a, work_b)
+    work_a = a.copy()
+    work_b = b.copy()
+    status = _eliminate(work_a, work_b)
     if status != 0:
         raise SingularError(f"no usable pivot in column {status - 1}")
     return work_b
-
-
-def matvec(a, v) -> np.ndarray:
-    a = _as_matrix(a)
-    v = _as_vector(v)
-    if a.shape[1] != v.shape[0]:
-        raise ShapeError(f"matrix is {a.shape} but vector has length {v.shape[0]}")
-    return a @ v
-
-
-def matmul(a, b) -> np.ndarray:
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def transpose(a) -> np.ndarray:
-    return np.ascontiguousarray(_as_matrix(a).T)
-
-
-def dot(u, v) -> float:
-    u = _as_vector(u)
-    v = _as_vector(v)
-    if u.shape[0] != v.shape[0]:
-        raise ShapeError(f"vectors have lengths {u.shape[0]} and {v.shape[0]}")
-    return float(np.dot(u, v))

@@ -33,36 +33,59 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import njit
 from .errors import ConvergenceWarning, DomainError, ShapeError
 from .kernels import KernelSpec, gram, kernel_column
 
 _PROGRESS_TOL = 1e-12
 
 
-def _smo_bias(beta, y, f, eps, c):
+def _smo_rates(beta, r, eps, c):
+    # One-sided ascent rates of the dual at residuals r = y - f: up[k]
+    # for raising beta[k], dn[k] for lowering it, -inf where the box
+    # forbids the move.
+    hi_thr = c * (1.0 - 1e-10)
+    up = np.where(beta >= 0.0, r - eps, r + eps)
+    up[beta >= hi_thr] = -np.inf
+    dn = np.where(beta > 0.0, eps - r, -eps - r)
+    dn[beta <= -hi_thr] = -np.inf
+    return up, dn
+
+
+def _smo_gap(up, dn):
+    # Largest feasible pair ascent rate, -inf when no pair can move.
+    # When it is positive the two argmax indices are necessarily distinct
+    # (one coefficient's up and down rates sum to at most zero), so this
+    # is the true pair gap.
+    return up.max() + dn.max()
+
+
+def _smo_partner(kmat, diag, dn, i, up_i):
+    # Down-partner for an up-move at i: among coefficients that can
+    # decrease and give the pair a positive ascent rate, the one with the
+    # largest single-step gain estimate rate^2 / curvature; -1 when none.
+    # argmax takes the first of tied estimates.  i never partners itself:
+    # its own up and down rates sum to at most zero.
+    rate = up_i + dn
+    kappa = np.maximum(kmat[i, i] + diag - 2.0 * kmat[i], 1e-12)
+    est = np.where(rate > 0.0, rate * rate / kappa, -np.inf)
+    j = int(np.argmax(est))
+    return j if est[j] > -np.inf else -1
+
+
+def _smo_bias(beta, r, eps, c):
     # Interior samples pin the bias exactly; otherwise take the midpoint
     # of the interval the inequality conditions allow.
     lo_thr = 1e-10 * c
     hi_thr = c * (1.0 - 1e-10)
-    r = y - f
-    interior = (np.abs(beta) > lo_thr) & (np.abs(beta) < hi_thr)
+    mag = np.abs(beta)
+    interior = (mag > lo_thr) & (mag < hi_thr)
     if np.any(interior):
         return float(np.mean((r - np.sign(beta) * eps)[interior]))
-    lo = -np.inf
-    hi = np.inf
-    for i in range(beta.shape[0]):
-        if abs(beta[i]) <= lo_thr:
-            if r[i] - eps > lo:
-                lo = r[i] - eps
-            if r[i] + eps < hi:
-                hi = r[i] + eps
-        elif beta[i] >= hi_thr:
-            if r[i] - eps < hi:
-                hi = r[i] - eps
-        else:
-            if r[i] + eps > lo:
-                lo = r[i] + eps
+    zero = mag <= lo_thr
+    top = ~zero & (beta >= hi_thr)
+    bottom = ~zero & ~top
+    lo = np.max(np.concatenate([r[zero] - eps, r[bottom] + eps]), initial=-np.inf)
+    hi = np.min(np.concatenate([r[zero] + eps, r[top] - eps]), initial=np.inf)
     if lo > -np.inf and hi < np.inf:
         return 0.5 * (lo + hi)
     if lo > -np.inf:
@@ -70,65 +93,6 @@ def _smo_bias(beta, y, f, eps, c):
     if hi < np.inf:
         return hi
     return 0.0
-
-
-def _smo_best_up(beta, y, f, eps, c):
-    # Steepest one-sided ascent rate of the dual among coefficients that
-    # can still increase; returns (rate, index), index -1 when none can.
-    hi_thr = c * (1.0 - 1e-10)
-    best = -np.inf
-    best_k = -1
-    for k in range(beta.shape[0]):
-        if beta[k] >= hi_thr:
-            continue
-        r = y[k] - f[k]
-        rate = r - eps if beta[k] >= 0.0 else r + eps
-        if rate > best:
-            best = rate
-            best_k = k
-    return best, best_k
-
-
-def _smo_best_down(beta, y, f, eps, c):
-    # Same for coefficients that can still decrease.
-    hi_thr = c * (1.0 - 1e-10)
-    best = -np.inf
-    best_k = -1
-    for k in range(beta.shape[0]):
-        if beta[k] <= -hi_thr:
-            continue
-        r = y[k] - f[k]
-        rate = eps - r if beta[k] > 0.0 else -eps - r
-        if rate > best:
-            best = rate
-            best_k = k
-    return best, best_k
-
-
-def _smo_partner(kmat, beta, y, f, eps, c, i, up_i):
-    # Down-partner for an up-move at i: among coefficients that can
-    # decrease and give the pair a positive ascent rate, pick the one
-    # with the largest single-step gain estimate rate^2 / curvature.
-    hi_thr = c * (1.0 - 1e-10)
-    kii = kmat[i, i]
-    best_est = -np.inf
-    best_j = -1
-    for j in range(beta.shape[0]):
-        if j == i or beta[j] <= -hi_thr:
-            continue
-        r = y[j] - f[j]
-        dn_j = eps - r if beta[j] > 0.0 else -eps - r
-        rate = up_i + dn_j
-        if rate <= 0.0:
-            continue
-        kappa = kii + kmat[j, j] - 2.0 * kmat[i, j]
-        if kappa < 1e-12:
-            kappa = 1e-12
-        est = rate * rate / kappa
-        if est > best_est:
-            best_est = est
-            best_j = j
-    return best_j
 
 
 def _smo_gain(t, g, kappa, bi, bj, eps):
@@ -143,124 +107,76 @@ def _smo_gain(t, g, kappa, bi, bj, eps):
 def _smo_step(kmat, y, beta, f, i, j, eps, c):
     # Best feasible two-coordinate move; returns the objective gain
     # (0.0 when no move helps).
-    bi = beta[i]
-    bj = beta[j]
+    bi = float(beta[i])
+    bj = float(beta[j])
     lo = max(-c - bi, bj - c)
     hi = min(c - bi, bj + c)
     if hi - lo < 1e-14:
         return 0.0
-    kappa = kmat[i, i] + kmat[j, j] - 2.0 * kmat[i, j]
-    g = (y[i] - f[i]) - (y[j] - f[j])
-    cand = np.empty(7)
-    cand[0] = lo
-    cand[1] = hi
-    cand[2] = -bi
-    cand[3] = bj
-    m = 4
+    kappa = float(kmat[i, i] + kmat[j, j] - 2.0 * kmat[i, j])
+    g = float((y[i] - f[i]) - (y[j] - f[j]))
+    cand = [lo, hi, -bi, bj]
     if kappa > 1e-14:
-        cand[4] = g / kappa
-        cand[5] = (g - 2.0 * eps) / kappa
-        cand[6] = (g + 2.0 * eps) / kappa
-        m = 7
+        cand += [g / kappa, (g - 2.0 * eps) / kappa, (g + 2.0 * eps) / kappa]
     best_t = 0.0
     best_gain = 0.0
-    for idx in range(m):
-        t = cand[idx]
-        if t < lo:
-            t = lo
-        elif t > hi:
-            t = hi
-        gain = _smo_gain_c(t, g, kappa, bi, bj, eps)
+    for t in cand:
+        t = min(max(t, lo), hi)
+        gain = _smo_gain(t, g, kappa, bi, bj, eps)
         if gain > best_gain:
             best_gain = gain
             best_t = t
     if best_gain <= _PROGRESS_TOL:
         return 0.0
-    new_bi = bi + best_t
-    new_bj = bj - best_t
-    if new_bi > c:
-        new_bi = c
-    elif new_bi < -c:
-        new_bi = -c
-    if new_bj > c:
-        new_bj = c
-    elif new_bj < -c:
-        new_bj = -c
-    dbi = new_bi - bi
-    dbj = new_bj - bj
+    new_bi = min(max(bi + best_t, -c), c)
+    new_bj = min(max(bj - best_t, -c), c)
     beta[i] = new_bi
     beta[j] = new_bj
-    f += dbi * kmat[:, i] + dbj * kmat[:, j]
+    # kmat is symmetric (gram mirrors every pair), so rows stand in for
+    # the columns of i and j
+    f += (new_bi - bi) * kmat[i] + (new_bj - bj) * kmat[j]
     return best_gain
-
-
-_smo_bias_c = njit(cache=True)(_smo_bias)
-_smo_best_up_c = njit(cache=True)(_smo_best_up)
-_smo_best_down_c = njit(cache=True)(_smo_best_down)
-_smo_partner_c = njit(cache=True)(_smo_partner)
-_smo_gain_c = njit(cache=True)(_smo_gain)
-_smo_step_c = njit(cache=True)(_smo_step)
-
-
-def _smo_gap(beta, y, f, eps, c):
-    # Largest feasible pair ascent rate.  When it is positive the two
-    # argmax indices are necessarily distinct (one coefficient's up and
-    # down rates sum to at most zero), so this is the true pair gap.
-    up, iu = _smo_best_up_c(beta, y, f, eps, c)
-    dn, idn = _smo_best_down_c(beta, y, f, eps, c)
-    if iu < 0 or idn < 0:
-        return -np.inf
-    return up + dn
-
-
-_smo_gap_c = njit(cache=True)(_smo_gap)
 
 
 def _smo_solve(kmat, y, eps, c, tol, max_passes):
     n = y.shape[0]
+    diag = kmat.diagonal()
     beta = np.zeros(n)
     f = np.zeros(n)
     passes = 0
-    converged = 0
-    gap = _smo_gap_c(beta, y, f, eps, c)
+    converged = False
+    gap = _smo_gap(*_smo_rates(beta, y - f, eps, c))
     if gap <= tol:
-        converged = 1
+        converged = True
     else:
         for p in range(max_passes):
             stepped_any = False
             for _ in range(n):
-                up, iu = _smo_best_up_c(beta, y, f, eps, c)
-                dn, idn = _smo_best_down_c(beta, y, f, eps, c)
-                if iu < 0 or idn < 0:
-                    gap = -np.inf
-                    break
-                gap = up + dn
+                up, dn = _smo_rates(beta, y - f, eps, c)
+                iu = int(np.argmax(up))
+                idn = int(np.argmax(dn))
+                gap = up[iu] + dn[idn]
                 if gap <= tol:
                     break
-                j = _smo_partner_c(kmat, beta, y, f, eps, c, iu, up)
+                j = _smo_partner(kmat, diag, dn, iu, up[iu])
                 gain = 0.0
                 if j >= 0:
-                    gain = _smo_step_c(kmat, y, beta, f, iu, j, eps, c)
+                    gain = _smo_step(kmat, y, beta, f, iu, j, eps, c)
                 if gain <= 0.0 and j != idn:
-                    gain = _smo_step_c(kmat, y, beta, f, iu, idn, eps, c)
+                    gain = _smo_step(kmat, y, beta, f, iu, idn, eps, c)
                 if gain <= 0.0:
                     # the best pair cannot make numeric progress
                     break
                 stepped_any = True
             passes = p + 1
-            gap = _smo_gap_c(beta, y, f, eps, c)
+            gap = _smo_gap(*_smo_rates(beta, y - f, eps, c))
             if gap <= tol:
-                converged = 1
+                converged = True
                 break
             if not stepped_any:
                 break
-    bias = _smo_bias_c(beta, y, f, eps, c)
-    if gap < 0.0:
-        gap = 0.0
-    return beta, bias, passes, converged, gap
-
-
-_smo_solve_c = njit(cache=True)(_smo_solve)
+    bias = _smo_bias(beta, y - f, eps, c)
+    return beta, bias, passes, converged, max(gap, 0.0)
 
 
 @dataclass(frozen=True)
@@ -319,13 +235,8 @@ def fit(
     if max_passes < 1:
         raise DomainError(f"max_passes must be >= 1, got {max_passes}")
     kmat = gram(kernel, x)
-    beta, bias, passes, converged, viol = _smo_solve_c(
-        np.ascontiguousarray(kmat),
-        np.ascontiguousarray(y),
-        float(epsilon),
-        float(c_reg),
-        float(tol),
-        int(max_passes),
+    beta, bias, passes, converged, viol = _smo_solve(
+        kmat, y, float(epsilon), float(c_reg), float(tol), int(max_passes)
     )
     if not converged:
         warnings.warn(

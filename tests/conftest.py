@@ -1,10 +1,22 @@
 """Shared builders for the test suite."""
 
+import os
 from datetime import date, timedelta
 
 import numpy as np
 
 from fivecast.timeseries import PriceSeries
+
+
+def pytest_configure(config):
+    # Hypothesis caches constants it reads from the package source even
+    # with database=None; keep that cache inside pytest's own cache
+    # directory rather than in a .hypothesis/ directory in the tree.
+    cache = getattr(config, "cache", None)
+    if cache is not None:
+        os.environ.setdefault(
+            "HYPOTHESIS_STORAGE_DIRECTORY", str(cache.mkdir("hypothesis"))
+        )
 
 
 def weekly_series(prices, start=date(2014, 1, 3), ticker="t"):

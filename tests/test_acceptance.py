@@ -21,7 +21,6 @@ both the property and the runtime budget.  Numbered criteria:
 import math
 import os
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,30 +28,13 @@ import pytest
 from conftest import make_ar_series, weekly_series, write_price_csv
 from test_svr import oracle_dual_opt, oracle_gram
 
-from fivecast import bpnn, evaluate, grnn, linalg, lssvm, rbfnn, svr, timeseries
+from fivecast import bpnn, evaluate, grnn, lssvm, rbfnn, svr, timeseries
 from fivecast.cli import main as cli_main
 from fivecast.kernels import KernelSpec, evaluate as kernel_eval
 
 
 def report(num, ok, elapsed, detail):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} ({elapsed:.2f}s) {detail}")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_compiled_kernels():
-    """Trigger every jitted code path once so compilation time does not
-    count against any criterion's runtime budget."""
-    rng = np.random.default_rng(0)
-    x = rng.uniform(0.0, 1.0, (8, 3))
-    y = rng.uniform(0.0, 1.0, 8)
-    net = bpnn.new_network((3, 2, 1), seed=0)
-    bpnn.train(net, x, y, bpnn.SgdConfig(epochs=1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # truncated on purpose
-        svr.fit(x, y, KernelSpec.rbf(1.0), max_passes=5)
-    lssvm.fit(x, y, KernelSpec.rbf(1.0))
-    rbfnn.fit(x, y, n_centers=3)
-    linalg.solve(np.eye(3), np.ones(3))
 
 
 def ar_dataset():

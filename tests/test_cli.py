@@ -1,9 +1,15 @@
 """Command line behavior: outputs, headers, and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import make_ar_series, weekly_series, write_price_csv
 
+import fivecast
 from fivecast.cli import main
 
 
@@ -14,6 +20,13 @@ def price_csv(tmp_path):
 
 def run(argv):
     return main(argv)
+
+
+@pytest.fixture()
+def huge_csv(tmp_path):
+    # closes near 5e307: every model's squared test error overflows
+    prices = make_ar_series(11, n=40).prices * 5e306
+    return write_price_csv(tmp_path / "huge.csv", weekly_series(prices))
 
 
 class TestBenchmark:
@@ -102,8 +115,37 @@ class TestBenchmark:
         short = write_price_csv(tmp_path / "short.csv", weekly_series([1.0, 2.0, 3.0]))
         assert run(["benchmark", "--data", str(short), "--out", str(tmp_path)]) == 2
 
+    def test_overflowing_mse_is_an_error_row(self, huge_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["benchmark", "--data", str(huge_csv), "--out", str(out)]
+        assert run(argv + ["--models", "rbf,svr", "--epochs", "20"]) == 0
+        table = capsys.readouterr().out
+        assert table.count("DomainError: mean squared error overflows float64") == 2
+        rows = (out / "results.csv").read_text().splitlines()[2:]
+        assert rows == ["rbf,nan,nan", "svr,nan,nan"]
+
 
 class TestKernels:
+    def test_overflowing_kernel_is_an_error_row(self, tmp_path):
+        # a separate process, so stderr shows every warning the run emits
+        data = write_price_csv(tmp_path / "prices.csv", make_ar_series(11, n=120))
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(Path(fivecast.__file__).parents[1]))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "fivecast.cli", "kernels", "--data", str(data),
+                "--out", str(out), "--poly-d", "600",
+            ],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert "RuntimeWarning" not in proc.stderr
+        assert "DomainError: poly kernel" in proc.stdout
+        rows = (out / "kernels.csv").read_text().splitlines()[2:]
+        assert rows[1] == "poly,nan,nan"
+        for row in (rows[0], rows[2], rows[3]):
+            assert "nan" not in row
+
     def test_fixed_row_order(self, price_csv, tmp_path):
         out = tmp_path / "out"
         assert run(["kernels", "--data", str(price_csv), "--out", str(out)]) == 0
@@ -121,6 +163,13 @@ class TestKernels:
 
 
 class TestStability:
+    def test_overflowing_mse_is_data_error(self, huge_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["stability", "--data", str(huge_csv), "--out", str(out)]
+        assert run(argv + ["--runs", "2", "--epochs", "20"]) == 2
+        assert "data error: mean squared error overflows float64" in capsys.readouterr().err
+        assert not (out / "stability.csv").exists()
+
     def test_two_runs(self, price_csv, tmp_path):
         out = tmp_path / "out"
         code = run(

@@ -1,5 +1,7 @@
 """Metrics, the benchmark harness, and the follow-up experiments."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -63,6 +65,13 @@ class TestMetrics:
                 continue
             assert mse(y, p) > 0.0
             assert mape(y, p) > 0.0
+
+    def test_mse_overflow_is_a_domain_error(self):
+        # every input is finite, but the squared error of 1e308 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows float64"):
+                mse([5e307, 1.0], [-5e307, 1.0])
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):

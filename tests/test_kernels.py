@@ -1,6 +1,7 @@
 """Kernel evaluation, gram matrices, and the width heuristic."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -135,6 +136,14 @@ class TestGram:
     def test_non_matrix(self):
         with pytest.raises(ShapeError):
             gram(KernelSpec.linear(), np.ones(3))
+
+    def test_overflow_is_a_domain_error_naming_the_kernel(self):
+        # (1 + 10 * 20)^600 is far beyond float64
+        rows = np.array([[10.0], [20.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="poly kernel"):
+                gram(KernelSpec.polynomial(600), rows)
 
 
 class TestKernelSpec:

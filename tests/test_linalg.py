@@ -1,11 +1,16 @@
-"""Dense solve and the small matrix helpers."""
+"""Dense solve."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fivecast.errors import DomainError, ShapeError, SingularError
-from fivecast.linalg import dot, matmul, matvec, solve, transpose
+from fivecast.linalg import PIVOT_TOL, solve
+
+REFERENCE_SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
 
 def textbook_solve(a, b):
@@ -27,6 +32,103 @@ def textbook_solve(a, b):
             if i != k:
                 aug[i] = aug[i] - aug[i, k] * aug[k]
     return aug[:, n]
+
+
+def row_loop_solve(a, b):
+    """The elimination one row at a time.
+
+    ``solve`` does the same arithmetic on blocks of rows; every entry sees
+    the same operations, so results must agree bit for bit.  Returns the
+    solution, or the column with no pivot.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    n = b.shape[0]
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        if abs(a[p, k]) < PIVOT_TOL:
+            return k
+        if p != k:
+            tmp = a[k].copy()
+            a[k] = a[p]
+            a[p] = tmp
+            tb = b[k]
+            b[k] = b[p]
+            b[p] = tb
+        for i in range(k + 1, n):
+            lam = a[i, k] / a[k, k]
+            if lam != 0.0:
+                a[i, k:] -= lam * a[k, k:]
+                b[i] -= lam * b[k]
+    for k in range(n - 1, -1, -1):
+        b[k] = (b[k] - np.dot(a[k, k + 1 :], b[k + 1 :])) / a[k, k]
+    return b
+
+
+def assert_same_as_row_loop(a, b):
+    want = row_loop_solve(a, b)
+    if isinstance(want, int):
+        with pytest.raises(SingularError, match=f"column {want}$"):
+            solve(a, b)
+    else:
+        # byte equality also pins the sign of every zero
+        assert solve(a, b).tobytes() == want.tobytes()
+
+
+# Small integers and zeros make ties, zero multipliers and exact
+# cancellations common; the odd fractions keep rounding in play.
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 3.0]),
+    st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def small_systems(draw):
+    n = draw(st.integers(1, 7))
+    a = draw(arrays(np.float64, (n, n), elements=_ENTRIES))
+    b = draw(arrays(np.float64, n, elements=_ENTRIES))
+    if n > 1 and draw(st.booleans()):
+        a[draw(st.integers(1, n - 1))] = a[0]  # duplicate row
+    if draw(st.booleans()):
+        a[:, draw(st.integers(0, n - 1))] = 0.0  # a column with no pivot
+    return a, b
+
+
+class TestRowLoopReference:
+    @REFERENCE_SETTINGS
+    @given(small_systems())
+    def test_small_systems(self, system):
+        assert_same_as_row_loop(*system)
+
+    @REFERENCE_SETTINGS
+    @given(
+        n=st.sampled_from([63, 64, 65, 66, 128, 129, 150]),
+        zero_frac=st.sampled_from([0.0, 0.5, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+        dead_col=st.booleans(),
+    )
+    def test_systems_spanning_row_blocks(self, n, zero_frac, seed, dead_col):
+        # sizes on both sides of the 64-row update block
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        a[rng.random((n, n)) < zero_frac] = 0.0
+        a += np.diag(rng.choice([0.0, n], size=n))
+        if dead_col:
+            a[:, rng.integers(n)] = 0.0
+        b = rng.standard_normal(n)
+        b[rng.random(n) < zero_frac] = -0.0
+        assert_same_as_row_loop(a, b)
+
+    def test_zero_multipliers_keep_signed_zeros(self):
+        # row 1 has a zero multiplier, so it is skipped and its -0.0
+        # right-hand side survives into the solution; subtracting
+        # 0 * -1.0 from it would turn it into +0.0
+        a = np.array([[2.0, 1.0], [0.0, 1.0]])
+        b = np.array([-1.0, -0.0])
+        x = solve(a, b)
+        assert np.signbit(x[1])
+        assert_same_as_row_loop(a, b)
 
 
 class TestSolve:
@@ -111,42 +213,3 @@ class TestSolve:
         solve(a, b)
         npt.assert_array_equal(a, [[0.0, 1.0], [1.0, 0.0]])
         npt.assert_array_equal(b, [5.0, 7.0])
-
-
-class TestHelpers:
-    def test_matvec(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        npt.assert_array_equal(matvec(a, np.array([1.0, 1.0])), [3.0, 7.0])
-
-    def test_matvec_shape(self):
-        with pytest.raises(ShapeError):
-            matvec(np.ones((2, 3)), np.ones(2))
-
-    def test_matmul(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0, 1.0], [1.0, 0.0]])
-        npt.assert_array_equal(matmul(a, b), [[2.0, 1.0], [4.0, 3.0]])
-
-    def test_matmul_shape(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_transpose(self):
-        a = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        npt.assert_array_equal(transpose(a), [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
-
-    def test_transpose_of_product(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 2))
-        npt.assert_allclose(
-            transpose(matmul(a, b)), matmul(transpose(b), transpose(a))
-        )
-
-    def test_dot(self):
-        assert dot(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-        assert isinstance(dot(np.ones(2), np.ones(2)), float)
-
-    def test_dot_shape(self):
-        with pytest.raises(ShapeError):
-            dot(np.ones(2), np.ones(3))

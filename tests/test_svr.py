@@ -6,10 +6,16 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from fivecast import svr
 from fivecast.errors import ConvergenceWarning, DomainError, ShapeError
-from fivecast.kernels import KernelSpec
+from fivecast.kernels import KernelSpec, gram
 from fivecast.svr import SvrModel, dual_objective, fit, predict, predict_batch
+
+REFERENCE_SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
 # Everything in this block is an independent oracle: it shares no code
 # with the solver under test.
@@ -79,6 +85,206 @@ def oracle_dual_opt(kmat, y, eps, c, iters=30000):
             if stale > 500:
                 break
     return best
+
+
+# Loop references for the solver's array scans: one coefficient at a
+# time, strict ">" so the first of tied candidates wins.  The solver must
+# pick the same indices and compute the same values bit for bit.
+
+
+def loop_best_up(beta, y, f, eps, c):
+    hi_thr = c * (1.0 - 1e-10)
+    best = -np.inf
+    best_k = -1
+    for k in range(beta.shape[0]):
+        if beta[k] >= hi_thr:
+            continue
+        r = y[k] - f[k]
+        rate = r - eps if beta[k] >= 0.0 else r + eps
+        if rate > best:
+            best = rate
+            best_k = k
+    return best, best_k
+
+
+def loop_best_down(beta, y, f, eps, c):
+    hi_thr = c * (1.0 - 1e-10)
+    best = -np.inf
+    best_k = -1
+    for k in range(beta.shape[0]):
+        if beta[k] <= -hi_thr:
+            continue
+        r = y[k] - f[k]
+        rate = eps - r if beta[k] > 0.0 else -eps - r
+        if rate > best:
+            best = rate
+            best_k = k
+    return best, best_k
+
+
+def loop_partner(kmat, beta, y, f, eps, c, i, up_i):
+    hi_thr = c * (1.0 - 1e-10)
+    kii = kmat[i, i]
+    best_est = -np.inf
+    best_j = -1
+    for j in range(beta.shape[0]):
+        if j == i or beta[j] <= -hi_thr:
+            continue
+        r = y[j] - f[j]
+        dn_j = eps - r if beta[j] > 0.0 else -eps - r
+        rate = up_i + dn_j
+        if rate <= 0.0:
+            continue
+        kappa = kii + kmat[j, j] - 2.0 * kmat[i, j]
+        if kappa < 1e-12:
+            kappa = 1e-12
+        est = rate * rate / kappa
+        if est > best_est:
+            best_est = est
+            best_j = j
+    return best_j
+
+
+def loop_bias(beta, y, f, eps, c):
+    lo_thr = 1e-10 * c
+    hi_thr = c * (1.0 - 1e-10)
+    r = y - f
+    interior = (np.abs(beta) > lo_thr) & (np.abs(beta) < hi_thr)
+    if np.any(interior):
+        return float(np.mean((r - np.sign(beta) * eps)[interior]))
+    lo = -np.inf
+    hi = np.inf
+    for i in range(beta.shape[0]):
+        if abs(beta[i]) <= lo_thr:
+            if r[i] - eps > lo:
+                lo = r[i] - eps
+            if r[i] + eps < hi:
+                hi = r[i] + eps
+        elif beta[i] >= hi_thr:
+            if r[i] - eps < hi:
+                hi = r[i] - eps
+        else:
+            if r[i] + eps > lo:
+                lo = r[i] + eps
+    if lo > -np.inf and hi < np.inf:
+        return 0.5 * (lo + hi)
+    if lo > -np.inf:
+        return lo
+    if hi < np.inf:
+        return hi
+    return 0.0
+
+
+_SPECS = (
+    KernelSpec.linear(),
+    KernelSpec.polynomial(2),
+    KernelSpec.rbf(1.0),
+    KernelSpec.mlp(1.0, 0.0),
+)
+
+
+@st.composite
+def solver_states(draw):
+    """A solver state: coefficients, targets, fitted values, gram.
+
+    Coefficients sit at +-C, at +-0, exactly on the solver's at-bound
+    and at-zero thresholds, between those and the box edges, and inside
+    the box; targets and fitted values come from a few round numbers so
+    rates tie often, and input rows repeat.
+    """
+    n = draw(st.integers(1, 9))
+    c = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    eps = draw(st.sampled_from([0.0, 0.01, 0.1]))
+    hi_thr = c * (1.0 - 1e-10)
+    lo_thr = 1e-10 * c
+    edges = [c, hi_thr, c * (1.0 - 1e-11), lo_thr, 1e-11 * c, 0.0]
+    coef = st.one_of(
+        st.sampled_from(edges + [-e for e in edges] + [0.5 * c]),
+        st.floats(-c, c),
+    )
+    value = st.one_of(
+        st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-2.0, 2.0)
+    )
+    beta = draw(arrays(np.float64, n, elements=coef))
+    y = draw(arrays(np.float64, n, elements=value))
+    f = draw(arrays(np.float64, n, elements=value))
+    rows = draw(arrays(np.float64, (n, 2), elements=st.sampled_from([-1.0, 0.0, 0.5, 1.0])))
+    kmat = gram(draw(st.sampled_from(_SPECS)), rows)
+    return beta, y, f, eps, c, kmat
+
+
+class TestLoopReferences:
+    @REFERENCE_SETTINGS
+    @given(solver_states())
+    def test_up_down_and_gap(self, state):
+        beta, y, f, eps, c, _ = state
+        up, dn = svr._smo_rates(beta, y - f, eps, c)
+        for rates, loop in ((up, loop_best_up), (dn, loop_best_down)):
+            best, k = loop(beta, y, f, eps, c)
+            if k < 0:
+                assert rates.max() == -np.inf
+            else:
+                assert int(np.argmax(rates)) == k
+                assert rates[k] == best
+        (u, iu), (d, idn) = loop_best_up(beta, y, f, eps, c), loop_best_down(beta, y, f, eps, c)
+        want = -np.inf if iu < 0 or idn < 0 else u + d
+        assert svr._smo_gap(up, dn) == want
+
+    @REFERENCE_SETTINGS
+    @given(solver_states())
+    def test_partner(self, state):
+        beta, y, f, eps, c, kmat = state
+        up, dn = svr._smo_rates(beta, y - f, eps, c)
+        for i in range(beta.shape[0]):
+            if up[i] == -np.inf:
+                continue
+            got = svr._smo_partner(kmat, kmat.diagonal(), dn, i, up[i])
+            assert got == loop_partner(kmat, beta, y, f, eps, c, i, up[i])
+
+    @REFERENCE_SETTINGS
+    @given(solver_states())
+    def test_bias(self, state):
+        beta, y, f, eps, c, _ = state
+        assert svr._smo_bias(beta, y - f, eps, c) == loop_bias(beta, y, f, eps, c)
+
+    def test_tied_rates_pick_the_first(self):
+        beta = np.zeros(4)
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        f = np.zeros(4)
+        up, dn = svr._smo_rates(beta, y - f, 0.01, 10.0)
+        assert loop_best_up(beta, y, f, 0.01, 10.0) == (up[0], 0)
+        assert int(np.argmax(up)) == 0
+        assert loop_best_down(beta, y, f, 0.01, 10.0) == (dn[2], 2)
+        assert int(np.argmax(dn)) == 2
+        # duplicate rows: every pair curvature is 0, so partners 2 and 3
+        # tie on the gain estimate
+        kmat = gram(KernelSpec.linear(), np.ones((4, 1)))
+        got = svr._smo_partner(kmat, kmat.diagonal(), dn, 0, up[0])
+        assert got == loop_partner(kmat, beta, y, f, 0.01, 10.0, 0, up[0]) == 2
+
+    def test_coefficients_on_the_thresholds(self):
+        # exactly at 1e-10 * C a coefficient counts as zero, exactly at
+        # C * (1 - 1e-10) as at the bound
+        c, eps = 1.0, 0.1
+        beta = np.array([1e-10 * c, c * (1.0 - 1e-10)])
+        y = np.zeros(2)
+        f = np.zeros(2)
+        assert loop_bias(beta, y, f, eps, c) == -0.1
+        assert svr._smo_bias(beta, y - f, eps, c) == -0.1
+        up, _ = svr._smo_rates(beta, y - f, eps, c)
+        assert up[1] == -np.inf
+
+    def test_all_coefficients_at_the_box(self):
+        # every move is forbidden on one side: no index, gap -inf, and
+        # the bias falls back to the edge of the feasible interval
+        beta = np.full(3, 1.0)
+        y = np.array([0.3, -0.2, 0.1])
+        f = np.zeros(3)
+        up, dn = svr._smo_rates(beta, y - f, 0.1, 1.0)
+        assert loop_best_up(beta, y, f, 0.1, 1.0)[1] == -1
+        assert up.max() == -np.inf
+        assert svr._smo_gap(up, dn) == -np.inf
+        assert svr._smo_bias(beta, y - f, 0.1, 1.0) == loop_bias(beta, y, f, 0.1, 1.0)
 
 
 class TestOracleSelfChecks:
