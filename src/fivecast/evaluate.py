@@ -158,45 +158,65 @@ def _bp_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfi
     return [scaler.inverse(bpnn.predict_batch(net, xs_te)) for net in nets]
 
 
-def _test_predictions(ds: WindowedDataset, scaler: MinMaxScaler, name: str, cfg: HarnessConfig) -> np.ndarray:
-    """Raw-unit predictions for the test block of one model."""
-    if name == "bp":
-        return _bp_predictions(ds, scaler, cfg, [cfg.seed])[0]
-    xs_tr = scaler.transform(ds.train_inputs)
-    ys_tr = scaler.transform(ds.train_targets)
-    xs_te = scaler.transform(ds.test_inputs)
-    if name == "rbf":
-        model = rbfnn.fit(xs_tr, ys_tr, cfg.rbf_centers, seed=cfg.seed)
-        return scaler.inverse(rbfnn.predict_batch(model, xs_te))
-    if name == "grnn":
-        beta = cfg.grnn_beta
-        if beta is None:
-            beta = grnn.default_smoothing(ds.train_inputs)
-        model = grnn.fit(ds.train_inputs, ds.train_targets, beta)
-        if not cfg.grnn_dynamic:
-            return grnn.predict_batch(model, ds.test_inputs)
-        preds = np.empty(ds.test_inputs.shape[0])
-        for t in range(ds.test_inputs.shape[0]):
-            preds[t] = grnn.predict(model, ds.test_inputs[t])
-            # absorb the realized value only after predicting it
-            grnn.observe(model, ds.test_inputs[t], ds.test_targets[t])
-        return preds
-    if name == "svr":
-        model = svr.fit(
-            xs_tr,
-            ys_tr,
-            _resolved_kernel(cfg, xs_tr),
-            epsilon=cfg.svr_epsilon,
-            c_reg=cfg.svr_c,
-            tol=cfg.svr_tol,
-            max_passes=cfg.svr_max_passes,
-            seed=cfg.seed,
-        )
-        return scaler.inverse(svr.predict_batch(model, xs_te))
-    if name == "lssvm":
-        model = lssvm.fit(xs_tr, ys_tr, _resolved_kernel(cfg, xs_tr), gamma=cfg.lssvm_gamma)
-        return scaler.inverse(lssvm.predict_batch(model, xs_te))
-    raise DomainError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
+def _scaled_blocks(ds: WindowedDataset, scaler: MinMaxScaler):
+    """Scaled train inputs, train targets and test inputs."""
+    return (
+        scaler.transform(ds.train_inputs),
+        scaler.transform(ds.train_targets),
+        scaler.transform(ds.test_inputs),
+    )
+
+
+def _rbf_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfig) -> np.ndarray:
+    xs_tr, ys_tr, xs_te = _scaled_blocks(ds, scaler)
+    model = rbfnn.fit(xs_tr, ys_tr, cfg.rbf_centers, seed=cfg.seed)
+    return scaler.inverse(rbfnn.predict_batch(model, xs_te))
+
+
+def _grnn_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfig) -> np.ndarray:
+    beta = cfg.grnn_beta
+    if beta is None:
+        beta = grnn.default_smoothing(ds.train_inputs)
+    model = grnn.fit(ds.train_inputs, ds.train_targets, beta)
+    if not cfg.grnn_dynamic:
+        return grnn.predict_batch(model, ds.test_inputs)
+    preds = np.empty(ds.test_inputs.shape[0])
+    for t in range(ds.test_inputs.shape[0]):
+        preds[t] = grnn.predict(model, ds.test_inputs[t])
+        # absorb the realized value only after predicting it
+        grnn.observe(model, ds.test_inputs[t], ds.test_targets[t])
+    return preds
+
+
+def _svr_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfig) -> np.ndarray:
+    xs_tr, ys_tr, xs_te = _scaled_blocks(ds, scaler)
+    model = svr.fit(
+        xs_tr,
+        ys_tr,
+        _resolved_kernel(cfg, xs_tr),
+        epsilon=cfg.svr_epsilon,
+        c_reg=cfg.svr_c,
+        tol=cfg.svr_tol,
+        max_passes=cfg.svr_max_passes,
+        seed=cfg.seed,
+    )
+    return scaler.inverse(svr.predict_batch(model, xs_te))
+
+
+def _lssvm_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfig) -> np.ndarray:
+    xs_tr, ys_tr, xs_te = _scaled_blocks(ds, scaler)
+    model = lssvm.fit(xs_tr, ys_tr, _resolved_kernel(cfg, xs_tr), gamma=cfg.lssvm_gamma)
+    return scaler.inverse(lssvm.predict_batch(model, xs_te))
+
+
+# Raw-unit test-block predictions of each model in MODEL_NAMES, by name.
+_TEST_PREDICTIONS = {
+    "bp": lambda ds, scaler, cfg: _bp_predictions(ds, scaler, cfg, [cfg.seed])[0],
+    "rbf": _rbf_predictions,
+    "grnn": _grnn_predictions,
+    "svr": _svr_predictions,
+    "lssvm": _lssvm_predictions,
+}
 
 
 def model_predictions(ds: WindowedDataset, name: str, cfg: HarnessConfig | None = None) -> np.ndarray:
@@ -204,7 +224,7 @@ def model_predictions(ds: WindowedDataset, name: str, cfg: HarnessConfig | None 
     cfg = cfg or HarnessConfig()
     if name not in MODEL_NAMES:
         raise DomainError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
-    return _test_predictions(ds, _train_scaler(ds), name, cfg)
+    return _TEST_PREDICTIONS[name](ds, _train_scaler(ds), cfg)
 
 
 def benchmark(ds: WindowedDataset, models, cfg: HarnessConfig | None = None) -> list[EvalReport]:
@@ -225,7 +245,7 @@ def benchmark(ds: WindowedDataset, models, cfg: HarnessConfig | None = None) -> 
     reports = []
     for name in names:
         try:
-            preds = _test_predictions(ds, scaler, name, cfg)
+            preds = _TEST_PREDICTIONS[name](ds, scaler, cfg)
             reports.append(
                 EvalReport(name, mse(y_test, preds), mape(y_test, preds), y_test.shape[0])
             )

@@ -8,6 +8,7 @@ accept it treat it as-is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,22 @@ def kernel_column(spec: KernelSpec, rows: np.ndarray, x) -> np.ndarray:
         diff = rows - x
         return np.exp(-np.sum(diff * diff, axis=1) / (spec.sigma * spec.sigma))
     return np.tanh(spec.mlp_k * (rows @ x) + spec.mlp_theta)
+
+
+def expansion(spec: KernelSpec, rows: np.ndarray, coefs: np.ndarray, bias: float, x) -> float:
+    """The kernel expansion sum_i coefs[i] K(rows[i], x) plus the bias.
+
+    Raises DomainError, naming the kernel, when a column entry or the
+    sum overflows or is otherwise not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        col = kernel_column(spec, rows, x)
+        if not np.all(np.isfinite(col)):
+            raise DomainError(f"{spec.kind} kernel column has non-finite entries")
+        value = float(coefs @ col + bias)
+    if not math.isfinite(value):
+        raise DomainError(f"{spec.kind} kernel expansion overflows float64")
+    return value
 
 
 def gram(spec: KernelSpec, rows: np.ndarray) -> np.ndarray:

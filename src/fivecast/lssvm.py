@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, ShapeError
-from .kernels import KernelSpec, gram, kernel_column
+from .kernels import KernelSpec, expansion, gram
 
 _REFINE_ROUNDS = 2
 
@@ -73,8 +73,7 @@ def fit(inputs, targets, kernel: KernelSpec, gamma: float = 100.0) -> LssvmModel
 
 
 def predict(model: LssvmModel, x) -> float:
-    col = kernel_column(model.kernel, model.inputs, x)
-    return float(model.coefs @ col + model.bias)
+    return expansion(model.kernel, model.inputs, model.coefs, model.bias, x)
 
 
 def predict_batch(model: LssvmModel, inputs) -> np.ndarray:

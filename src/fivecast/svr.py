@@ -34,21 +34,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceWarning, DomainError, ShapeError
-from .kernels import KernelSpec, gram, kernel_column
+from .kernels import KernelSpec, expansion, gram
 
 _PROGRESS_TOL = 1e-12
 
 
-def _smo_rates(beta, r, eps, c):
-    # One-sided ascent rates of the dual at residuals r = y - f: up[k]
-    # for raising beta[k], dn[k] for lowering it, -inf where the box
-    # forbids the move.
+def _smo_offsets(beta, eps, c):
+    # Per-coefficient offsets from the residuals r = y - f to the
+    # one-sided ascent rates of the dual: up = r + up_off for raising
+    # beta[k], dn = dn_off - r for lowering it, -inf where the box
+    # forbids the move.  r + (-eps) is r - eps bit for bit.
     hi_thr = c * (1.0 - 1e-10)
-    up = np.where(beta >= 0.0, r - eps, r + eps)
-    up[beta >= hi_thr] = -np.inf
-    dn = np.where(beta > 0.0, eps - r, -eps - r)
-    dn[beta <= -hi_thr] = -np.inf
-    return up, dn
+    up_off = np.where(beta >= 0.0, -eps, eps)
+    up_off[beta >= hi_thr] = -np.inf
+    dn_off = np.where(beta > 0.0, eps, -eps)
+    dn_off[beta <= -hi_thr] = -np.inf
+    return up_off, dn_off
 
 
 def _smo_gap(up, dn):
@@ -59,16 +60,22 @@ def _smo_gap(up, dn):
     return up.max() + dn.max()
 
 
-def _smo_partner(kmat, diag, dn, i, up_i):
-    # Down-partner for an up-move at i: among coefficients that can
-    # decrease and give the pair a positive ascent rate, the one with the
-    # largest single-step gain estimate rate^2 / curvature; -1 when none.
-    # argmax takes the first of tied estimates.  i never partners itself:
-    # its own up and down rates sum to at most zero.
+def _smo_curvatures(kmat):
+    # Pair curvatures K[i,i] + K[j,j] - 2 K[i,j], floored at 1e-12.
+    diag = kmat.diagonal()
+    return np.maximum(diag[:, None] + diag - 2.0 * kmat, 1e-12)
+
+
+def _smo_partner(kappa_i, dn, up_i):
+    # Down-partner for an up-move at i, given row i of the pair
+    # curvatures: among coefficients that can decrease and give the pair
+    # a positive ascent rate, the one with the largest single-step gain
+    # estimate rate^2 / curvature; -1 when none.  argmax takes the first
+    # of tied estimates.  i never partners itself: its own up and down
+    # rates sum to at most zero.
     rate = up_i + dn
-    kappa = np.maximum(kmat[i, i] + diag - 2.0 * kmat[i], 1e-12)
-    est = np.where(rate > 0.0, rate * rate / kappa, -np.inf)
-    j = int(np.argmax(est))
+    est = np.where(rate > 0.0, rate * rate / kappa_i, -np.inf)
+    j = int(est.argmax())
     return j if est[j] > -np.inf else -1
 
 
@@ -95,86 +102,97 @@ def _smo_bias(beta, r, eps, c):
     return 0.0
 
 
-def _smo_gain(t, g, kappa, bi, bj, eps):
-    # Exact change in the dual objective for the move (bi+t, bj-t).
-    return (
-        g * t
-        - 0.5 * kappa * t * t
-        - eps * (abs(bi + t) - abs(bi) + abs(bj - t) - abs(bj))
-    )
-
-
-def _smo_step(kmat, y, beta, f, i, j, eps, c):
-    # Best feasible two-coordinate move; returns the objective gain
-    # (0.0 when no move helps).
-    bi = float(beta[i])
-    bj = float(beta[j])
+def _smo_step(krows, beta, g, i, j, eps, c):
+    # Best feasible two-coordinate move (beta[i] + t, beta[j] - t) at pair
+    # rate g = r[i] - r[j], on Python floats: the exact objective gain
+    # of each of up to 7 candidate steps, clipped to the box.  Returns
+    # the new (beta[i], beta[j]), or None when no move helps.
+    bi = beta[i]
+    bj = beta[j]
     lo = max(-c - bi, bj - c)
     hi = min(c - bi, bj + c)
     if hi - lo < 1e-14:
-        return 0.0
-    kappa = float(kmat[i, i] + kmat[j, j] - 2.0 * kmat[i, j])
-    g = float((y[i] - f[i]) - (y[j] - f[j]))
+        return None
+    ki = krows[i]
+    kappa = ki[i] + krows[j][j] - 2.0 * ki[j]
     cand = [lo, hi, -bi, bj]
     if kappa > 1e-14:
         cand += [g / kappa, (g - 2.0 * eps) / kappa, (g + 2.0 * eps) / kappa]
+    half_kappa = 0.5 * kappa
+    abs_bi = abs(bi)
+    abs_bj = abs(bj)
     best_t = 0.0
     best_gain = 0.0
     for t in cand:
-        t = min(max(t, lo), hi)
-        gain = _smo_gain(t, g, kappa, bi, bj, eps)
+        # min(max(t, lo), hi), without the calls
+        if lo > t:
+            t = lo
+        if hi < t:
+            t = hi
+        gain = g * t - half_kappa * t * t - eps * (abs(bi + t) - abs_bi + abs(bj - t) - abs_bj)
         if gain > best_gain:
             best_gain = gain
             best_t = t
     if best_gain <= _PROGRESS_TOL:
-        return 0.0
-    new_bi = min(max(bi + best_t, -c), c)
-    new_bj = min(max(bj - best_t, -c), c)
-    beta[i] = new_bi
-    beta[j] = new_bj
-    # kmat is symmetric (gram mirrors every pair), so rows stand in for
-    # the columns of i and j
-    f += (new_bi - bi) * kmat[i] + (new_bj - bj) * kmat[j]
-    return best_gain
+        return None
+    return min(max(bi + best_t, -c), c), min(max(bj - best_t, -c), c)
 
 
 def _smo_solve(kmat, y, eps, c, tol, max_passes):
     n = y.shape[0]
-    diag = kmat.diagonal()
-    beta = np.zeros(n)
+    kappa = _smo_curvatures(kmat)
+    krows = kmat.tolist()
+    hi_thr = c * (1.0 - 1e-10)
+    beta = [0.0] * n
     f = np.zeros(n)
+    up_off, dn_off = _smo_offsets(np.zeros(n), eps, c)
     passes = 0
     converged = False
-    gap = _smo_gap(*_smo_rates(beta, y - f, eps, c))
+    r = y - f
+    gap = _smo_gap(r + up_off, dn_off - r)
     if gap <= tol:
         converged = True
     else:
         for p in range(max_passes):
             stepped_any = False
             for _ in range(n):
-                up, dn = _smo_rates(beta, y - f, eps, c)
-                iu = int(np.argmax(up))
-                idn = int(np.argmax(dn))
-                gap = up[iu] + dn[idn]
+                r = y - f
+                up = r + up_off
+                dn = dn_off - r
+                i = int(up.argmax())
+                idn = int(dn.argmax())
+                gap = up[i] + dn[idn]
                 if gap <= tol:
                     break
-                j = _smo_partner(kmat, diag, dn, iu, up[iu])
-                gain = 0.0
+                j = _smo_partner(kappa[i], dn, up[i])
+                move = None
                 if j >= 0:
-                    gain = _smo_step(kmat, y, beta, f, iu, j, eps, c)
-                if gain <= 0.0 and j != idn:
-                    gain = _smo_step(kmat, y, beta, f, iu, idn, eps, c)
-                if gain <= 0.0:
+                    move = _smo_step(krows, beta, r.item(i) - r.item(j), i, j, eps, c)
+                if move is None and j != idn:
+                    j = idn
+                    move = _smo_step(krows, beta, r.item(i) - r.item(j), i, j, eps, c)
+                if move is None:
                     # the best pair cannot make numeric progress
                     break
                 stepped_any = True
+                new_bi, new_bj = move
+                # kmat is symmetric (gram mirrors every pair), so rows
+                # stand in for the columns of i and j
+                f += (new_bi - beta[i]) * kmat[i] + (new_bj - beta[j]) * kmat[j]
+                beta[i] = new_bi
+                beta[j] = new_bj
+                for k, b in ((i, new_bi), (j, new_bj)):
+                    up_off[k] = -np.inf if b >= hi_thr else (-eps if b >= 0.0 else eps)
+                    dn_off[k] = -np.inf if b <= -hi_thr else (eps if b > 0.0 else -eps)
             passes = p + 1
-            gap = _smo_gap(*_smo_rates(beta, y - f, eps, c))
+            r = y - f
+            gap = _smo_gap(r + up_off, dn_off - r)
             if gap <= tol:
                 converged = True
                 break
             if not stepped_any:
                 break
+    beta = np.array(beta)
     bias = _smo_bias(beta, y - f, eps, c)
     return beta, bias, passes, converged, max(gap, 0.0)
 
@@ -260,8 +278,7 @@ def fit(
 
 def predict(model: SvrModel, x) -> float:
     """Kernel expansion over the training rows plus the bias."""
-    col = kernel_column(model.kernel, model.inputs, x)
-    return float(model.coefs @ col + model.bias)
+    return expansion(model.kernel, model.inputs, model.coefs, model.bias, x)
 
 
 def predict_batch(model: SvrModel, inputs) -> np.ndarray:

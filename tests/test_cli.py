@@ -125,6 +125,30 @@ class TestBenchmark:
         assert rows == ["rbf,nan,nan", "svr,nan,nan"]
 
 
+    def test_overflowing_prediction_kernel_is_an_error_row(self, tmp_path):
+        # the gram over the training block is finite, but the test block
+        # climbs above it and its kernel columns overflow; a separate
+        # process, so stderr shows every warning the run emits
+        prices = make_ar_series(11, n=100).prices.copy()
+        prices[-20:] = np.linspace(10.0, 16.0, 20)
+        data = write_price_csv(tmp_path / "climb.csv", weekly_series(prices))
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(Path(fivecast.__file__).parents[1]))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "fivecast.cli", "benchmark", "--data", str(data),
+                "--out", str(out), "--models", "svr,lssvm", "--kernel", "poly",
+                "--poly-d", "400",
+            ],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stdout.count("DomainError: poly kernel column has non-finite entries") == 2
+        rows = (out / "results.csv").read_text().splitlines()[2:]
+        assert rows == ["svr,nan,nan", "lssvm,nan,nan"]
+
+
 class TestKernels:
     def test_overflowing_kernel_is_an_error_row(self, tmp_path):
         # a separate process, so stderr shows every warning the run emits

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 from conftest import make_ar_series, weekly_series
 
-from fivecast import grnn, timeseries
+from fivecast import evaluate, grnn, timeseries
 from fivecast.errors import DomainError, ShapeError
 from fivecast.evaluate import (
     MODEL_NAMES,
@@ -135,6 +135,9 @@ class TestModelPredictions:
     def test_unknown_model(self):
         with pytest.raises(DomainError):
             model_predictions(constant_dataset(), "arima")
+
+    def test_every_model_has_one_entry(self):
+        assert tuple(evaluate._TEST_PREDICTIONS) == MODEL_NAMES
 
     def test_grnn_consumes_raw_prices(self):
         # fixed smoothing plus a static run must equal a direct fit on the

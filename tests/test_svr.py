@@ -175,6 +175,132 @@ def loop_bias(beta, y, f, eps, c):
     return 0.0
 
 
+# Reference solver: the solver's earlier form, which rebuilds both rate
+# arrays from beta every step and steps on numpy entries, kept verbatim
+# but for the names and the bias, which comes from loop_bias above.
+# _smo_solve must return the same coefficients, bias and violation bit
+# for bit, and the same passes and convergence flag.
+
+REFERENCE_PROGRESS_TOL = 1e-12
+
+
+def reference_smo_rates(beta, r, eps, c):
+    # One-sided ascent rates of the dual at residuals r = y - f: up[k]
+    # for raising beta[k], dn[k] for lowering it, -inf where the box
+    # forbids the move.
+    hi_thr = c * (1.0 - 1e-10)
+    up = np.where(beta >= 0.0, r - eps, r + eps)
+    up[beta >= hi_thr] = -np.inf
+    dn = np.where(beta > 0.0, eps - r, -eps - r)
+    dn[beta <= -hi_thr] = -np.inf
+    return up, dn
+
+
+def reference_smo_gap(up, dn):
+    # Largest feasible pair ascent rate, -inf when no pair can move.
+    # When it is positive the two argmax indices are necessarily distinct
+    # (one coefficient's up and down rates sum to at most zero), so this
+    # is the true pair gap.
+    return up.max() + dn.max()
+
+
+def reference_smo_partner(kmat, diag, dn, i, up_i):
+    # Down-partner for an up-move at i: among coefficients that can
+    # decrease and give the pair a positive ascent rate, the one with the
+    # largest single-step gain estimate rate^2 / curvature; -1 when none.
+    # argmax takes the first of tied estimates.  i never partners itself:
+    # its own up and down rates sum to at most zero.
+    rate = up_i + dn
+    kappa = np.maximum(kmat[i, i] + diag - 2.0 * kmat[i], 1e-12)
+    est = np.where(rate > 0.0, rate * rate / kappa, -np.inf)
+    j = int(np.argmax(est))
+    return j if est[j] > -np.inf else -1
+
+
+def reference_smo_gain(t, g, kappa, bi, bj, eps):
+    # Exact change in the dual objective for the move (bi+t, bj-t).
+    return (
+        g * t
+        - 0.5 * kappa * t * t
+        - eps * (abs(bi + t) - abs(bi) + abs(bj - t) - abs(bj))
+    )
+
+
+def reference_smo_step(kmat, y, beta, f, i, j, eps, c):
+    # Best feasible two-coordinate move; returns the objective gain
+    # (0.0 when no move helps).
+    bi = float(beta[i])
+    bj = float(beta[j])
+    lo = max(-c - bi, bj - c)
+    hi = min(c - bi, bj + c)
+    if hi - lo < 1e-14:
+        return 0.0
+    kappa = float(kmat[i, i] + kmat[j, j] - 2.0 * kmat[i, j])
+    g = float((y[i] - f[i]) - (y[j] - f[j]))
+    cand = [lo, hi, -bi, bj]
+    if kappa > 1e-14:
+        cand += [g / kappa, (g - 2.0 * eps) / kappa, (g + 2.0 * eps) / kappa]
+    best_t = 0.0
+    best_gain = 0.0
+    for t in cand:
+        t = min(max(t, lo), hi)
+        gain = reference_smo_gain(t, g, kappa, bi, bj, eps)
+        if gain > best_gain:
+            best_gain = gain
+            best_t = t
+    if best_gain <= REFERENCE_PROGRESS_TOL:
+        return 0.0
+    new_bi = min(max(bi + best_t, -c), c)
+    new_bj = min(max(bj - best_t, -c), c)
+    beta[i] = new_bi
+    beta[j] = new_bj
+    # kmat is symmetric (gram mirrors every pair), so rows stand in for
+    # the columns of i and j
+    f += (new_bi - bi) * kmat[i] + (new_bj - bj) * kmat[j]
+    return best_gain
+
+
+def reference_smo_solve(kmat, y, eps, c, tol, max_passes):
+    n = y.shape[0]
+    diag = kmat.diagonal()
+    beta = np.zeros(n)
+    f = np.zeros(n)
+    passes = 0
+    converged = False
+    gap = reference_smo_gap(*reference_smo_rates(beta, y - f, eps, c))
+    if gap <= tol:
+        converged = True
+    else:
+        for p in range(max_passes):
+            stepped_any = False
+            for _ in range(n):
+                up, dn = reference_smo_rates(beta, y - f, eps, c)
+                iu = int(np.argmax(up))
+                idn = int(np.argmax(dn))
+                gap = up[iu] + dn[idn]
+                if gap <= tol:
+                    break
+                j = reference_smo_partner(kmat, diag, dn, iu, up[iu])
+                gain = 0.0
+                if j >= 0:
+                    gain = reference_smo_step(kmat, y, beta, f, iu, j, eps, c)
+                if gain <= 0.0 and j != idn:
+                    gain = reference_smo_step(kmat, y, beta, f, iu, idn, eps, c)
+                if gain <= 0.0:
+                    # the best pair cannot make numeric progress
+                    break
+                stepped_any = True
+            passes = p + 1
+            gap = reference_smo_gap(*reference_smo_rates(beta, y - f, eps, c))
+            if gap <= tol:
+                converged = True
+                break
+            if not stepped_any:
+                break
+    bias = loop_bias(beta, y, f, eps, c)
+    return beta, bias, passes, converged, max(gap, 0.0)
+
+
 _SPECS = (
     KernelSpec.linear(),
     KernelSpec.polynomial(2),
@@ -213,12 +339,18 @@ def solver_states(draw):
     return beta, y, f, eps, c, kmat
 
 
+def solver_rates(beta, r, eps, c):
+    """The solver's up and down rates: residuals plus box offsets."""
+    up_off, dn_off = svr._smo_offsets(beta, eps, c)
+    return r + up_off, dn_off - r
+
+
 class TestLoopReferences:
     @REFERENCE_SETTINGS
     @given(solver_states())
     def test_up_down_and_gap(self, state):
         beta, y, f, eps, c, _ = state
-        up, dn = svr._smo_rates(beta, y - f, eps, c)
+        up, dn = solver_rates(beta, y - f, eps, c)
         for rates, loop in ((up, loop_best_up), (dn, loop_best_down)):
             best, k = loop(beta, y, f, eps, c)
             if k < 0:
@@ -234,11 +366,11 @@ class TestLoopReferences:
     @given(solver_states())
     def test_partner(self, state):
         beta, y, f, eps, c, kmat = state
-        up, dn = svr._smo_rates(beta, y - f, eps, c)
+        up, dn = solver_rates(beta, y - f, eps, c)
         for i in range(beta.shape[0]):
             if up[i] == -np.inf:
                 continue
-            got = svr._smo_partner(kmat, kmat.diagonal(), dn, i, up[i])
+            got = svr._smo_partner(svr._smo_curvatures(kmat)[i], dn, up[i])
             assert got == loop_partner(kmat, beta, y, f, eps, c, i, up[i])
 
     @REFERENCE_SETTINGS
@@ -251,7 +383,7 @@ class TestLoopReferences:
         beta = np.zeros(4)
         y = np.array([1.0, 1.0, -1.0, -1.0])
         f = np.zeros(4)
-        up, dn = svr._smo_rates(beta, y - f, 0.01, 10.0)
+        up, dn = solver_rates(beta, y - f, 0.01, 10.0)
         assert loop_best_up(beta, y, f, 0.01, 10.0) == (up[0], 0)
         assert int(np.argmax(up)) == 0
         assert loop_best_down(beta, y, f, 0.01, 10.0) == (dn[2], 2)
@@ -259,7 +391,7 @@ class TestLoopReferences:
         # duplicate rows: every pair curvature is 0, so partners 2 and 3
         # tie on the gain estimate
         kmat = gram(KernelSpec.linear(), np.ones((4, 1)))
-        got = svr._smo_partner(kmat, kmat.diagonal(), dn, 0, up[0])
+        got = svr._smo_partner(svr._smo_curvatures(kmat)[0], dn, up[0])
         assert got == loop_partner(kmat, beta, y, f, 0.01, 10.0, 0, up[0]) == 2
 
     def test_coefficients_on_the_thresholds(self):
@@ -271,7 +403,7 @@ class TestLoopReferences:
         f = np.zeros(2)
         assert loop_bias(beta, y, f, eps, c) == -0.1
         assert svr._smo_bias(beta, y - f, eps, c) == -0.1
-        up, _ = svr._smo_rates(beta, y - f, eps, c)
+        up, _ = solver_rates(beta, y - f, eps, c)
         assert up[1] == -np.inf
 
     def test_all_coefficients_at_the_box(self):
@@ -280,11 +412,89 @@ class TestLoopReferences:
         beta = np.full(3, 1.0)
         y = np.array([0.3, -0.2, 0.1])
         f = np.zeros(3)
-        up, dn = svr._smo_rates(beta, y - f, 0.1, 1.0)
+        up, dn = solver_rates(beta, y - f, 0.1, 1.0)
         assert loop_best_up(beta, y, f, 0.1, 1.0)[1] == -1
         assert up.max() == -np.inf
         assert svr._smo_gap(up, dn) == -np.inf
         assert svr._smo_bias(beta, y - f, 0.1, 1.0) == loop_bias(beta, y, f, 0.1, 1.0)
+
+
+@st.composite
+def solver_problems(draw):
+    """A small dual problem: gram, targets, eps, C, tol and pass budget.
+
+    Input rows come from a few round numbers, or repeat others outright;
+    targets come from a few round numbers so rates tie often.
+    """
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 3))
+    coord = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), st.floats(-2.0, 2.0))
+    rows = draw(arrays(np.float64, (n, d), elements=coord))
+    if draw(st.booleans()):
+        rows = rows[draw(arrays(np.intp, n, elements=st.integers(0, n - 1)))]
+    value = st.one_of(
+        st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-2.0, 2.0)
+    )
+    y = draw(arrays(np.float64, n, elements=value))
+    kmat = gram(draw(st.sampled_from(_SPECS)), rows)
+    eps = draw(st.sampled_from([0.0, 0.01, 0.1]))
+    c = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    tol = draw(st.sampled_from([1e-4, 1e-12]))
+    max_passes = draw(st.sampled_from([1, 2, 200]))
+    return kmat, y, eps, c, tol, max_passes
+
+
+def assert_same_solution(got, want):
+    beta, bias, passes, converged, viol = got
+    assert beta.dtype == np.float64
+    assert beta.tobytes() == want[0].tobytes()
+    assert np.float64(bias).tobytes() == np.float64(want[1]).tobytes()
+    assert (passes, converged) == (want[2], want[3])
+    assert np.float64(viol).tobytes() == np.float64(want[4]).tobytes()
+
+
+class TestSolveReference:
+    @settings(REFERENCE_SETTINGS, max_examples=400)
+    @given(solver_problems())
+    def test_small_problems(self, problem):
+        assert_same_solution(svr._smo_solve(*problem), reference_smo_solve(*problem))
+
+    @pytest.mark.parametrize("spec", _SPECS, ids=lambda s: s.kind)
+    def test_seeded_problems(self, spec):
+        rng = np.random.default_rng(60)
+        for eps, c in ((0.0, 10.0), (0.01, 1.0), (0.1, 0.1)):
+            n = int(rng.integers(30, 61))
+            x = rng.uniform(-1.0, 1.0, (n, 3))
+            x[n // 2 :] = x[: n - n // 2]  # the second half repeats the first
+            y = np.round(rng.uniform(-1.0, 1.0, n), 1)
+            problem = (gram(spec, x), y, eps, c, 1e-4, 200)
+            assert_same_solution(svr._smo_solve(*problem), reference_smo_solve(*problem))
+
+
+    # Poly-kernel problems on which the chosen move hangs on the last bit
+    # of a candidate's gain: evaluating the gain's terms in another order
+    # changes the solution.
+    @pytest.mark.parametrize(
+        "x, y, eps, c, max_passes",
+        [
+            (
+                [0.0, 0.5, 0.5, 0.5, 0.0, 1.0, 0.0, 0.0, 1.0, -1.0,
+                 0.5, 0.5, 0.0, -1.0, 1.0, 1.0, 0.0, 0.5, 0.0, 0.0],
+                [1.0, -0.5, 1.0, 0.5, 1.0, -1.0, -0.5, -1.0, -0.5, -1.0,
+                 -0.5, 1.0, 0.0, 1.0, -1.0, 0.5, -0.5, 0.5, 1.0, 0.5],
+                0.1, 1.0, 1,
+            ),
+            (
+                [1.0, 0.5, -1.0, -1.0, 0.0, 0.5, -1.0, 0.5, -1.0, 0.0, -1.0, 0.5, -1.0],
+                [0.0, -0.5, 0.0, 0.5, 0.5, -1.0, 1.0, 1.0, -0.5, -1.0, -1.0, 0.5, -1.0],
+                0.1, 0.1, 2,
+            ),
+        ],
+    )
+    def test_gain_rounding_cases(self, x, y, eps, c, max_passes):
+        kmat = gram(KernelSpec.polynomial(2), np.array(x)[:, None])
+        problem = (kmat, np.array(y), eps, c, 1e-4, max_passes)
+        assert_same_solution(svr._smo_solve(*problem), reference_smo_solve(*problem))
 
 
 class TestOracleSelfChecks:
