@@ -97,13 +97,12 @@ def _parse_models(text: str) -> list[str]:
 
 
 def _kernel_from_args(args, kind: str | None) -> KernelSpec | None:
-    if kind is None:
-        return None
+    # no --kernel means rbf, so --rbf-sigma applies without it
     if kind == "linear":
         return KernelSpec.linear()
     if kind == "poly":
         return KernelSpec.polynomial(args.poly_d, args.poly_c)
-    if kind == "rbf":
+    if kind in (None, "rbf"):
         if args.rbf_sigma is None:
             return None  # fall through to the median-width default
         return KernelSpec.rbf(args.rbf_sigma)
@@ -204,15 +203,7 @@ def _cmd_benchmark(args) -> int:
 def _cmd_kernels(args) -> int:
     cfg = _config_from_args(args)
     ds = _load_dataset(args)
-    specs = [
-        ("linear", KernelSpec.linear()),
-        ("poly", KernelSpec.polynomial(args.poly_d, args.poly_c)),
-        ("mlp", KernelSpec.mlp(args.mlp_k, args.mlp_theta)),
-        (
-            "rbf",
-            KernelSpec.rbf(args.rbf_sigma) if args.rbf_sigma is not None else None,
-        ),
-    ]
+    specs = [(kind, _kernel_from_args(args, kind)) for kind in ("linear", "poly", "mlp", "rbf")]
     reports = []
     for label, spec in specs:
         run_cfg = replace(cfg, kernel=spec)

@@ -41,8 +41,9 @@ class KernelSpec:
                 raise DomainError(f"polynomial degree must be >= 1, got {self.degree}")
             if not self.poly_c > 0.0:
                 raise DomainError(f"polynomial offset must be > 0, got {self.poly_c}")
-        if self.kind == "rbf" and not self.sigma > 0.0:
-            raise DomainError(f"rbf width must be > 0, got {self.sigma}")
+        if self.kind == "rbf" and not (self.sigma > 0.0 and self.sigma * self.sigma > 0.0):
+            # the kernels divide by sigma^2, which underflows to 0 below about 1.6e-162
+            raise DomainError(f"rbf width must be > 0 with a nonzero square, got {self.sigma}")
 
     @classmethod
     def linear(cls) -> "KernelSpec":

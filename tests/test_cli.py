@@ -148,6 +148,34 @@ class TestBenchmark:
         rows = (out / "results.csv").read_text().splitlines()[2:]
         assert rows == ["svr,nan,nan", "lssvm,nan,nan"]
 
+    def test_rbf_sigma_applies_without_kernel_flag(self, price_csv, tmp_path):
+        # rbf is the default kernel, so --rbf-sigma alone sets its width
+        argv = ["benchmark", "--data", str(price_csv), "--models", "svr,lssvm"]
+        auto, fixed = tmp_path / "auto", tmp_path / "fixed"
+        assert run(argv + ["--out", str(auto)]) == 0
+        assert run(argv + ["--out", str(fixed), "--rbf-sigma", "0.5"]) == 0
+        auto_lines = (auto / "results.csv").read_text().splitlines()
+        fixed_lines = (fixed / "results.csv").read_text().splitlines()
+        assert "kernel=rbf(sigma=auto)" in auto_lines[0]
+        assert "kernel=rbf(sigma=0.5)" in fixed_lines[0]
+        assert auto_lines[2:] != fixed_lines[2:]
+
+    def test_underflowing_rbf_width_is_data_error(self, price_csv, tmp_path):
+        # sigma^2 underflows to 0; a separate process, so stderr shows
+        # every warning the run emits
+        env = dict(os.environ, PYTHONPATH=str(Path(fivecast.__file__).parents[1]))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "fivecast.cli", "benchmark", "--data", str(price_csv),
+                "--out", str(tmp_path / "out"), "--models", "lssvm", "--kernel", "rbf",
+                "--rbf-sigma", "1e-300",
+            ],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "RuntimeWarning" not in proc.stderr
+        assert "data error: rbf width must be > 0 with a nonzero square" in proc.stderr
+
 
 class TestKernels:
     def test_overflowing_kernel_is_an_error_row(self, tmp_path):
@@ -251,6 +279,17 @@ class TestLag:
         assert run(argv + ["--out", str(b)]) == 0
         assert (a / "lag_bp.csv").read_bytes() == (b / "lag_bp.csv").read_bytes()
         assert (a / "lag_summary.csv").read_bytes() == (b / "lag_summary.csv").read_bytes()
+
+    def test_rbf_sigma_applies_without_kernel_flag(self, price_csv, tmp_path):
+        argv = ["lag", "--data", str(price_csv), "--models", "lssvm"]
+        auto, fixed = tmp_path / "auto", tmp_path / "fixed"
+        assert run(argv + ["--out", str(auto)]) == 0
+        assert run(argv + ["--out", str(fixed), "--rbf-sigma", "0.5"]) == 0
+        auto_lines = (auto / "lag_lssvm.csv").read_text().splitlines()
+        fixed_lines = (fixed / "lag_lssvm.csv").read_text().splitlines()
+        assert "kernel=rbf(sigma=auto)" in auto_lines[0]
+        assert "kernel=rbf(sigma=0.5)" in fixed_lines[0]
+        assert auto_lines[2:] != fixed_lines[2:]
 
 
 class TestUsage:

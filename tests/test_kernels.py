@@ -184,6 +184,12 @@ class TestKernelSpec:
         with pytest.raises(DomainError):
             KernelSpec.rbf(-1.0)
 
+    def test_rbf_width_whose_square_underflows(self):
+        # 1e-300 ** 2 is 0.0, so the kernel would divide by zero
+        with pytest.raises(DomainError, match="nonzero square"):
+            KernelSpec.rbf(1e-300)
+        assert KernelSpec.rbf(1e-150).sigma == 1e-150
+
 
 class TestMedianPairwiseDistance:
     def test_by_hand(self):

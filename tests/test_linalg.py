@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fivecast.errors import DomainError, ShapeError, SingularError
+from fivecast.kernels import KernelSpec, gram
 from fivecast.linalg import PIVOT_TOL, solve
 
 REFERENCE_SETTINGS = settings(derandomize=True, database=None, deadline=None)
@@ -37,9 +38,10 @@ def textbook_solve(a, b):
 def row_loop_solve(a, b):
     """The elimination one row at a time.
 
-    ``solve`` does the same arithmetic on blocks of rows; every entry sees
-    the same operations, so results must agree bit for bit.  Returns the
-    solution, or the column with no pivot.
+    ``solve`` does the same arithmetic in column panels and row tiles;
+    every entry sees the same operations in the same order, so results
+    must agree bit for bit.  Returns the solution, or the column with no
+    pivot.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
@@ -103,21 +105,67 @@ class TestRowLoopReference:
 
     @REFERENCE_SETTINGS
     @given(
-        n=st.sampled_from([63, 64, 65, 66, 128, 129, 150]),
+        n=st.sampled_from([63, 64, 65, 66, 127, 128, 129, 150, 191, 192, 193, 257, 300]),
         zero_frac=st.sampled_from([0.0, 0.5, 0.9]),
         seed=st.integers(0, 2**32 - 1),
         dead_col=st.booleans(),
     )
     def test_systems_spanning_row_blocks(self, n, zero_frac, seed, dead_col):
-        # sizes on both sides of the 64-row update block
+        # sizes on both sides of the 64-row tiles and 64-column panels, up
+        # to five panels; zero entries of either sign
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((n, n))
-        a[rng.random((n, n)) < zero_frac] = 0.0
+        zeros = rng.random((n, n)) < zero_frac
+        a[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
         a += np.diag(rng.choice([0.0, n], size=n))
         if dead_col:
             a[:, rng.integers(n)] = 0.0
         b = rng.standard_normal(n)
         b[rng.random(n) < zero_frac] = -0.0
+        assert_same_as_row_loop(a, b)
+
+    @pytest.mark.parametrize("dependent", [False, True])
+    def test_pivotless_column_mid_panel(self, dependent):
+        # column 160 is the middle of the third panel (128..191); it is
+        # zero, or a combination of earlier columns that elimination
+        # reduces to rounding noise below PIVOT_TOL
+        rng = np.random.default_rng(41)
+        n = 200
+        a = rng.standard_normal((n, n)) + n * np.eye(n)
+        a[:, 160] = (a[:, 3] - 0.5 * a[:, 150]) if dependent else 0.0
+        b = rng.standard_normal(n)
+        assert row_loop_solve(a, b) == 160
+        assert_same_as_row_loop(a, b)
+
+    def test_zero_multiplier_keeps_signed_zero_in_trailing_column(self):
+        # Row 128 has a zero multiplier at step 5, so the deferred update
+        # of its trailing columns must skip it.  Subtracting 0 * a[5, 129]
+        # (= 0 * -1.0 = -0.0) from its -0.0 in column 129 would give +0.0,
+        # and x[128] = (-0.0 - a[128, 129] * x[129]) / 2 shows that sign.
+        # Row 129 shares its row tile and has a nonzero multiplier.
+        n = 130
+        a = 2.0 * np.eye(n)
+        a[5, 129] = -1.0
+        a[128, 129] = -0.0
+        a[129, 5] = 0.5
+        b = np.zeros(n)
+        b[128] = -0.0
+        b[129] = 2.0
+        x = solve(a, b)
+        assert x[128] == 0.0 and not np.signbit(x[128])
+        assert_same_as_row_loop(a, b)
+
+    def test_lssvm_saddle_system(self):
+        # bordered like lssvm's system: a[0, 0] = 0 forces a swap at the
+        # first step, and the border of ones meets a dense rbf gram
+        rng = np.random.default_rng(7)
+        m = 199
+        x = rng.standard_normal((m, 3))
+        a = np.zeros((m + 1, m + 1))
+        a[0, 1:] = 1.0
+        a[1:, 0] = 1.0
+        a[1:, 1:] = gram(KernelSpec.rbf(1.5), x) + np.eye(m) / 100.0
+        b = np.concatenate([[0.0], rng.standard_normal(m)])
         assert_same_as_row_loop(a, b)
 
     def test_zero_multipliers_keep_signed_zeros(self):
