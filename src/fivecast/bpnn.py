@@ -10,7 +10,11 @@ Training shuffles the sample order every epoch with a seeded generator,
 walks the batches, and subtracts the batch-mean gradient scaled by the
 learning rate.  :func:`train` runs a list of networks, each with its own
 shuffle seed, as one stacked network of any depth; each ends bit for bit
-as it would if trained alone.
+as it would if trained alone.  The stack keeps its parameters in one flat
+buffer and its gradients in another, so each batch updates every layer
+with one scale and one subtraction.  Training stops on a non-finite cost,
+but an epoch computes the cost only when a layer-by-layer bound on the
+outputs could let it overflow, and at the last epoch.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ class SgdConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.eta >= 0.0:
-            raise DomainError(f"eta must be >= 0, got {self.eta}")
+        if not 0.0 <= self.eta < math.inf:
+            raise DomainError(f"eta must be finite and >= 0, got {self.eta}")
         if self.batch_size < 1:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -67,11 +71,7 @@ class BpNetwork:
     biases: list[np.ndarray]
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.layer_sizes)
-        if len(sizes) < 2:
-            raise DomainError("need at least an input and an output layer")
-        if any(s < 1 for s in sizes):
-            raise DomainError(f"layer sizes must be positive, got {sizes}")
+        sizes = _check_sizes(self.layer_sizes)
         object.__setattr__(self, "layer_sizes", sizes)
         expected = list(zip(sizes[1:], sizes[:-1]))
         shapes = [w.shape for w in self.weights]
@@ -81,10 +81,19 @@ class BpNetwork:
             raise ShapeError("bias shapes do not match layers")
 
 
+def _check_sizes(layer_sizes) -> tuple[int, ...]:
+    sizes = tuple(int(s) for s in layer_sizes)
+    if len(sizes) < 2:
+        raise DomainError("need at least an input and an output layer")
+    if any(s < 1 for s in sizes):
+        raise DomainError(f"layer sizes must be positive, got {sizes}")
+    return sizes
+
+
 def new_network(layer_sizes, seed: int = 0) -> BpNetwork:
     """Fresh network: weights uniform on (-0.5, 0.5) from the seeded
     generator, biases zero."""
-    sizes = tuple(int(s) for s in layer_sizes)
+    sizes = _check_sizes(layer_sizes)
     rng = np.random.default_rng(seed)
     weights = [rng.uniform(-0.5, 0.5, (nxt, cur)) for cur, nxt in zip(sizes, sizes[1:])]
     biases = [np.zeros(nxt) for nxt in sizes[1:]]
@@ -204,10 +213,56 @@ def _transposed(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.transpose(0, 2, 1))
 
 
-def _stacked_epoch(weights, biases, xs, ts, batch_size, eta):
-    # One SGD pass over stacked parameters; xs and ts hold each network's
-    # samples in its own order.  Each batch (the last may be smaller) divides
-    # by its own size.  The caller silences exp's overflow: it saturates.
+def _layers(buf: np.ndarray, sizes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    # Views into a flat (S, P) buffer holding one network per row, layer by
+    # layer: weights (S, out, in), then biases (S, 1, out).
+    weights, biases, off = [], [], 0
+    for cur, nxt in zip(sizes, sizes[1:]):
+        weights.append(buf[:, off : off + nxt * cur].reshape(-1, nxt, cur))
+        off += nxt * cur
+        biases.append(buf[:, off : off + nxt].reshape(-1, 1, nxt))
+        off += nxt
+    return weights, biases
+
+
+# The cost is computed only when a bound on it is not this far below float64
+# overflow (about 1.8e308), so rounding in the forward pass cannot reach it.
+_COST_LIMIT = 1e300
+
+
+def _squared_error_bound(params, sizes, x_max: float, t_max: float, n: int) -> float:
+    """Upper bound on each stacked network's squared error summed over n
+    samples and every output, or inf when a layer's bound is not below
+    _COST_LIMIT.  A NaN anywhere makes it NaN or inf, never finite.
+    |output| is bounded layer by layer: |inputs| <= x_max at the first layer
+    and <= 1 after each sigmoid, and each layer adds at most its largest
+    absolute row sum times that plus its largest |bias|."""
+    weights, biases = _layers(np.abs(params), sizes)
+    a_max = x_max
+    for w, b in zip(weights, biases):
+        z_max = float(w.sum(axis=2).max()) * a_max + float(b.max())
+        if not z_max < _COST_LIMIT:
+            return math.inf
+        a_max = 1.0
+    err = z_max + t_max
+    return err * err * (n * sizes[-1])
+
+
+def _pack(nets) -> np.ndarray:
+    # one row per network: each layer's weights, row-major, then its biases
+    return np.stack([
+        np.concatenate([a.ravel() for pair in zip(net.weights, net.biases) for a in pair])
+        for net in nets
+    ])
+
+
+def _stacked_epoch(params, grads, sizes, xs, ts, batch_size, eta):
+    # One SGD pass over the flat parameters of a stack; xs and ts hold each
+    # network's samples in its own order.  Each batch (the last may be
+    # smaller) writes its gradients into views of grads and divides by its
+    # own size.  The caller silences exp's overflow: it saturates.
+    weights, biases = _layers(params, sizes)
+    grad_w, grad_b = _layers(grads, sizes)
     last = len(weights) - 1
     for start in range(0, xs.shape[1], batch_size):
         acts = [xs[:, start : start + batch_size]]
@@ -216,16 +271,13 @@ def _stacked_epoch(weights, biases, xs, ts, batch_size, eta):
             z += b
             acts.append(z if l == last else 1.0 / (1.0 + np.exp(-z)))
         delta = acts[-1] - ts[:, start : start + batch_size]
-        grads = []
         for l in range(last, -1, -1):
-            gw = np.matmul(_transposed(delta), acts[l])
-            grads.append((gw, np.add.reduce(delta, axis=1, keepdims=True)))
+            np.matmul(_transposed(delta), acts[l], out=grad_w[l])
+            np.add.reduce(delta, axis=1, keepdims=True, out=grad_b[l])
             if l > 0:
                 delta = np.matmul(delta, weights[l]) * (acts[l] * (1.0 - acts[l]))
-        s = eta / acts[0].shape[1]
-        for (gw, gb), w, b in zip(grads, weights[::-1], biases[::-1]):
-            w -= s * gw
-            b -= s * gb
+        grads *= eta / acts[0].shape[1]
+        params -= grads
 
 
 def train(nets, inputs, targets, cfg: SgdConfig, seeds=None):
@@ -242,20 +294,31 @@ def train(nets, inputs, targets, cfg: SgdConfig, seeds=None):
     x, t = _samples(group[0], inputs, targets)
     if x.shape[0] == 0:
         raise DomainError("no training samples")
-    weights, biases = _stack(group)
+    sizes = group[0].layer_sizes
+    params = _pack(group)
+    grads = np.empty_like(params)
+    weights, biases = _layers(params, sizes)
     views = [
-        BpNetwork(net.layer_sizes, [w[k] for w in weights], [b[k, 0] for b in biases])
-        for k, net in enumerate(group)
+        BpNetwork(sizes, [w[k] for w in weights], [b[k, 0] for b in biases])
+        for k in range(len(group))
     ]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    live, failure = len(group), None  # only networks below a diverged one still matter
+    x_max, t_max = float(np.abs(x).max()), float(np.abs(t).max())
+    # Only networks below a diverged one still matter: they are the prefix
+    # params[:live], so dropping the rest copies nothing.
+    live, failure = len(group), None
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.epochs):
+        for epoch in range(cfg.epochs):
             order = np.stack([rng.permutation(x.shape[0]) for rng in rngs[:live]])
             _stacked_epoch(
-                [w[:live] for w in weights], [b[:live] for b in biases],
-                x[order], t[order], cfg.batch_size, cfg.eta,
+                params[:live], grads[:live], sizes, x[order], t[order], cfg.batch_size, cfg.eta
             )
+            # A NaN bound is not below the limit either, so NaN reaches the
+            # full cost.  The last epoch always computes it: what train
+            # returns is checked exactly, not only through the bound.
+            bound = _squared_error_bound(params[:live], sizes, x_max, t_max, x.shape[0])
+            if bound < _COST_LIMIT and epoch < cfg.epochs - 1:
+                continue
             costs = training_cost(views[:live], x, t)
             bad = np.flatnonzero(~np.isfinite(costs))
             if bad.size:

@@ -89,6 +89,13 @@ class HarnessConfig:
     lssvm_gamma: float = 100.0
     kernel: KernelSpec | None = None
 
+    def __post_init__(self) -> None:
+        # numpy's generators reject negative seeds; fail before any model runs
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        if self.bp_hidden is not None and self.bp_hidden < 1:
+            raise DomainError(f"hidden width must be >= 1, got {self.bp_hidden}")
+
 
 @dataclass(frozen=True)
 class EvalReport:

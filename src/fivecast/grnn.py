@@ -33,8 +33,8 @@ class GrnnModel:
             raise ShapeError(f"targets must be 1-D with {x.shape[0]} entries")
         if x.shape[0] == 0:
             raise DomainError("need at least one sample")
-        if not beta > 0.0:
-            raise DomainError(f"beta must be > 0, got {beta}")
+        if not 0.0 < beta < math.inf:
+            raise DomainError(f"beta must be finite and > 0, got {beta}")
         self.inputs = x.copy()
         self.targets = y.copy()
         self.beta = float(beta)

@@ -14,6 +14,7 @@ large gamma.  Prediction is the kernel expansion plus the bias.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,8 @@ def fit(inputs, targets, kernel: KernelSpec, gamma: float = 100.0) -> LssvmModel
         raise DomainError("no training samples")
     if not gamma > 0.0:
         raise DomainError(f"gamma must be > 0, got {gamma}")
+    if not 1.0 / float(gamma) < math.inf:
+        raise DomainError(f"gamma must have a finite reciprocal, got {gamma}")
     a = np.zeros((n + 1, n + 1))
     a[0, 1:] = 1.0
     a[1:, 0] = 1.0

@@ -1,14 +1,18 @@
 """Feed-forward network: forward pass, gradients, and SGD training."""
 
 import math
+import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from conftest import make_ar_series
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fivecast import timeseries
+from fivecast import bpnn, evaluate, timeseries
 from fivecast.bpnn import (
     BpNetwork,
     SgdConfig,
@@ -109,6 +113,67 @@ def one_hidden_layer_reference(net, xs, ys, cfg):
     return [wh, wo], [bh, bo]
 
 
+def _reference_stacked_epoch(weights, biases, xs, ts, batch_size, eta):
+    # _stacked_epoch before the flat buffers, verbatim
+    last = len(weights) - 1
+    for start in range(0, xs.shape[1], batch_size):
+        acts = [xs[:, start : start + batch_size]]
+        for l, (w, b) in enumerate(zip(weights, biases)):
+            z = np.matmul(acts[-1], bpnn._transposed(w))
+            z += b
+            acts.append(z if l == last else 1.0 / (1.0 + np.exp(-z)))
+        delta = acts[-1] - ts[:, start : start + batch_size]
+        grads = []
+        for l in range(last, -1, -1):
+            gw = np.matmul(bpnn._transposed(delta), acts[l])
+            grads.append((gw, np.add.reduce(delta, axis=1, keepdims=True)))
+            if l > 0:
+                delta = np.matmul(delta, weights[l]) * (acts[l] * (1.0 - acts[l]))
+        s = eta / acts[0].shape[1]
+        for (gw, gb), w, b in zip(grads, weights[::-1], biases[::-1]):
+            w -= s * gw
+            b -= s * gb
+
+
+def reference_train(nets, inputs, targets, cfg, seeds=None):
+    """train before the gated cost check and the flat buffers, verbatim:
+    the cost is computed after every epoch."""
+    group = [nets] if isinstance(nets, BpNetwork) else list(nets)
+    seeds = [cfg.seed] * len(group) if seeds is None else [int(s) for s in seeds]
+    if not group or len(seeds) != len(group) or len({net.layer_sizes for net in group}) > 1:
+        raise ShapeError(f"need networks of one shape, one seed each: {len(group)}, {len(seeds)}")
+    x, t = bpnn._samples(group[0], inputs, targets)
+    if x.shape[0] == 0:
+        raise DomainError("no training samples")
+    weights, biases = bpnn._stack(group)
+    views = [
+        BpNetwork(net.layer_sizes, [w[k] for w in weights], [b[k, 0] for b in biases])
+        for k, net in enumerate(group)
+    ]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    live, failure = len(group), None  # only networks below a diverged one still matter
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            order = np.stack([rng.permutation(x.shape[0]) for rng in rngs[:live]])
+            _reference_stacked_epoch(
+                [w[:live] for w in weights], [b[:live] for b in biases],
+                x[order], t[order], cfg.batch_size, cfg.eta,
+            )
+            costs = training_cost(views[:live], x, t)
+            bad = np.flatnonzero(~np.isfinite(costs))
+            if bad.size:
+                live = int(bad[0])
+                failure = DivergenceError(f"training cost became non-finite ({costs[live]})")
+            if live == 0:
+                break
+    if failure is not None:
+        raise failure
+    for net, view in zip(group, views):
+        for mine, trained in zip(net.weights + net.biases, view.weights + view.biases):
+            mine[...] = trained
+    return nets
+
+
 def assert_same_params(a, b):
     for pa, pb in zip(a.weights + a.biases, b.weights + b.biases):
         assert np.array_equal(pa, pb)
@@ -168,6 +233,8 @@ class TestNewNetwork:
             new_network((3,))
         with pytest.raises(DomainError):
             new_network((3, 0, 1))
+        with pytest.raises(DomainError):  # checked before drawing weights
+            new_network((3, -3, 1))
         with pytest.raises(ShapeError):
             BpNetwork((2, 1), [np.ones((2, 2))], [np.ones(1)])
         with pytest.raises(ShapeError):
@@ -484,10 +551,112 @@ class TestStackedTrain:
             train([new_network((3, 3, 1)), new_network((3, 2, 1))], xs, ys, cfg, seeds=[1, 2])
 
 
+@st.composite
+def training_cases(draw):
+    """Layer shapes, seeds, data and a config for one stacked training.
+
+    Batches never divide n.  Inputs and targets are scaled apart up to
+    1e160: near 1e150 the bound fails while the cost stays finite, higher
+    up the cost itself overflows.  Some inputs hold a NaN.
+    """
+    sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
+    seeds = draw(st.lists(st.integers(0, 40), min_size=1, max_size=7))
+    n = draw(st.integers(3, 40))
+    batch = draw(st.integers(2, n - 1).filter(lambda b: n % b))
+    eta = draw(st.sampled_from([0.0, 0.01, 1.0, 4.0]))
+    scales = st.sampled_from([1.0, 1e3, 1e80, 1e150, 1e160])
+    x_scale, t_scale = draw(scales), draw(scales)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    xs = x_scale * rng.uniform(0.0, 1.0, (n, sizes[0]))
+    if draw(st.integers(0, 4)) == 0:
+        xs[rng.integers(n), rng.integers(sizes[0])] = np.nan
+    ys = t_scale * rng.uniform(0.0, 1.0, (n, sizes[-1]))
+    cfg = SgdConfig(eta=eta, batch_size=batch, epochs=draw(st.integers(1, 30)))
+    return sizes, seeds, xs, ys, cfg
+
+
+# each trainer's epoch function, by owner and name, and its samples argument
+EPOCH_FUNCTIONS = {
+    train: (bpnn, "_stacked_epoch", 3),
+    reference_train: (sys.modules[__name__], "_reference_stacked_epoch", 2),
+}
+
+
+def trained_or_error(train_fn, sizes, seeds, xs, ys, cfg):
+    """The number of networks still training in each epoch, then each
+    network's parameter bytes after training or the error text."""
+    owner, name, samples = EPOCH_FUNCTIONS[train_fn]
+    nets = [new_network(sizes, seed=s) for s in seeds]
+    with mock.patch.object(owner, name, wraps=getattr(owner, name)) as epoch:
+        try:
+            train_fn(nets, xs, ys, cfg, seeds)
+            result = [[a.tobytes() for a in net.weights + net.biases] for net in nets]
+        except DivergenceError as exc:
+            result = str(exc)
+    return [call.args[samples].shape[0] for call in epoch.call_args_list], result
+
+
+class TestGatedCostCheck:
+    """Before its last epoch, train computes the cost only when an output
+    bound could overflow; it must still match the trainer that computes it
+    every epoch: the same bytes, and divergence at the same epoch with the
+    same message."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(training_cases())
+    def test_matches_per_epoch_cost_reference(self, case):
+        assert trained_or_error(train, *case) == trained_or_error(reference_train, *case)
+
+    def count_cost_calls(self, monkeypatch):
+        calls = []
+        real = bpnn.training_cost
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(bpnn, "training_cost", counted)
+        return calls
+
+    def test_default_sweep_computes_the_cost_once(self, monkeypatch):
+        # 500 epochs, 5 seeds: the bound holds throughout, so only the last
+        # epoch computes the cost
+        calls = self.count_cost_calls(monkeypatch)
+        ds = timeseries.split(timeseries.make_windows(make_ar_series(11), lags=3), 0.8)
+        evaluate.stability(ds, evaluate.HarnessConfig(), runs=5)
+        assert len(calls) == 1
+
+    def test_cost_runs_before_the_last_epoch_near_divergence(self, monkeypatch):
+        # seed 11 at eta 4 diverges by epoch 21 of 40: the bound fails in
+        # time for training to stop there
+        calls = self.count_cost_calls(monkeypatch)
+        xs, ys, cfg = TestStackedTrain().divergence_case(11)
+        with mock.patch.object(bpnn, "_stacked_epoch", wraps=bpnn._stacked_epoch) as epoch:
+            with pytest.raises(DivergenceError):
+                train(new_network((3, 3, 1), seed=11), xs, ys, cfg)
+        assert len(calls) >= 1
+        assert epoch.call_count < cfg.epochs
+
+    def test_bound_counts_every_output(self):
+        # saturated hidden units and equal outputs 2 against targets -1:
+        # every one of the 3 outputs of every sample misses by the bound 3
+        net = BpNetwork(
+            (1, 1, 3), [np.array([[40.0]]), np.ones((3, 1))], [np.zeros(1), np.ones(3)]
+        )
+        xs, ys = np.ones((5, 1)), -np.ones((5, 3))
+        bound = bpnn._squared_error_bound(bpnn._pack([net]), net.layer_sizes, 1.0, 1.0, 5)
+        summed = 2 * 5 * training_cost(net, xs, ys)
+        assert summed == 5 * 3 * 9.0
+        assert summed <= bound
+
+
 class TestSgdConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(DomainError):
             SgdConfig(eta=-0.1)
+        for eta in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="eta must be finite"):
+                SgdConfig(eta=eta)
         with pytest.raises(DomainError):
             SgdConfig(batch_size=0)
         with pytest.raises(DomainError):

@@ -292,6 +292,58 @@ class TestLag:
         assert auto_lines[2:] != fixed_lines[2:]
 
 
+class TestBadFlagValues:
+    """Out-of-domain flag values end in a typed error or an error row, in a
+    separate process so stderr shows any traceback or warning."""
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["benchmark", "--seed", "-1"], 2, "data error: seed must be >= 0, got -1"),
+            (["stability", "--runs", "2", "--seed", "-1"], 2, "data error: seed must be >= 0"),
+            (["benchmark", "--hidden", "-3"], 2, "data error: hidden width must be >= 1, got -3"),
+            (["stability", "--runs", "2", "--eta", "inf"], 2, "data error: eta must be finite"),
+        ],
+    )
+    def test_rejected_up_front(self, price_csv, tmp_path, argv, code, message):
+        out = tmp_path / "out"
+        proc = self.run_cli(argv + ["--data", str(price_csv), "--out", str(out), "--epochs", "20"])
+        assert proc.returncode == code
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "model, flags, message",
+        [
+            ("grnn", ["--grnn-beta", "inf"], "DomainError: beta must be finite and > 0, got inf"),
+            ("lssvm", ["--lssvm-gamma", "1e-320"], "DomainError: gamma must have a finite reciprocal"),
+        ],
+    )
+    def test_error_row(self, price_csv, tmp_path, model, flags, message):
+        out = tmp_path / "out"
+        proc = self.run_cli(
+            ["benchmark", "--data", str(price_csv), "--out", str(out), "--models", f"{model},rbf"]
+            + flags
+        )
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert message in proc.stdout
+        rows = (out / "results.csv").read_text().splitlines()[2:]
+        assert rows[0] == f"{model},nan,nan"
+        assert "nan" not in rows[1]
+
+    @staticmethod
+    def run_cli(argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(fivecast.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "fivecast.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+
 class TestUsage:
     def test_no_subcommand(self, capsys):
         assert run([]) == 1

@@ -125,6 +125,17 @@ class TestBenchmark:
         assert a == b
 
 
+class TestHarnessConfig:
+    def test_rejects_negative_seed(self):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            HarnessConfig(seed=-1)
+
+    @pytest.mark.parametrize("hidden", [0, -3])
+    def test_rejects_empty_hidden_layer(self, hidden):
+        with pytest.raises(DomainError, match="hidden width must be >= 1"):
+            HarnessConfig(bp_hidden=hidden)
+
+
 class TestModelPredictions:
     def test_length_matches_test_block(self):
         ds = split_windows(make_ar_series(11, n=60))

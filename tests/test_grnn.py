@@ -174,6 +174,9 @@ class TestValidation:
             fit([[0.0]], [1.0], beta=0.0)
         with pytest.raises(DomainError):
             fit([[0.0]], [1.0], beta=-2.0)
+        for beta in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="beta must be finite and > 0"):
+                fit([[0.0]], [1.0], beta=beta)
         with pytest.raises(ShapeError):
             fit([0.0], [1.0], beta=1.0)
         with pytest.raises(ShapeError):

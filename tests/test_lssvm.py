@@ -105,6 +105,9 @@ class TestFit:
         y = np.ones(3)
         with pytest.raises(DomainError):
             fit(x, y, KernelSpec.linear(), gamma=0.0)
+        # 1/gamma overflows: rejected before np.eye(n) / gamma can warn
+        with pytest.raises(DomainError, match="finite reciprocal"):
+            fit(x, y, KernelSpec.linear(), gamma=1e-320)
         with pytest.raises(DomainError):
             fit(np.empty((0, 1)), np.empty(0), KernelSpec.linear())
         with pytest.raises(ShapeError):
