@@ -100,54 +100,12 @@ def new_network(layer_sizes, seed: int = 0) -> BpNetwork:
     return BpNetwork(sizes, weights, biases)
 
 
-def _check_input(net: BpNetwork, x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != net.layer_sizes[0]:
-        raise ShapeError(
-            f"input must be a vector of length {net.layer_sizes[0]}, got shape {arr.shape}"
-        )
-    return arr
-
-
-def forward(net: BpNetwork, x) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """All activations and pre-activation sums for one input.
-
-    Returns (activations, pre_activations); activations[0] is the input
-    itself and pre_activations[l] feeds activations[l + 1].
-    """
-    a = _check_input(net, x)
-    activations = [a]
-    pre = []
-    last = len(net.weights) - 1
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = w @ a + b
-        pre.append(z)
-        a = z if l == last else sigmoid(z)
-        activations.append(a)
-    return activations, pre
-
-
-def predict(net: BpNetwork, x) -> float:
-    """Output activation for one input; scalar when the output layer has
-    one unit, else a vector."""
-    activations, _ = forward(net, x)
-    out = activations[-1]
-    return float(out[0]) if out.shape[0] == 1 else out
-
-
-def _stack(nets) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    # networks of one shape side by side: weights (S, out, in), biases (S, 1, out)
-    weights = [np.stack(ws) for ws in zip(*(net.weights for net in nets))]
-    biases = [np.stack(bs)[:, None, :] for bs in zip(*(net.biases for net in nets))]
-    return weights, biases
-
-
 def _forward_batch(nets: list[BpNetwork], inputs) -> np.ndarray:
     """Outputs of networks of one shape on the rows of inputs, (S, n, out)."""
     a = np.asarray(inputs, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != nets[0].layer_sizes[0]:
         raise ShapeError(f"inputs must be (n, {nets[0].layer_sizes[0]}), got {a.shape}")
-    weights, biases = _stack(nets)
+    weights, biases = _layers(_pack(nets), nets[0].layer_sizes)
     last = len(weights) - 1
     for l, (w, b) in enumerate(zip(weights, biases)):
         z = np.matmul(a, w.transpose(0, 2, 1)) + b
@@ -161,30 +119,6 @@ def predict_batch(net: BpNetwork, inputs) -> np.ndarray:
     if out.shape[2] != 1:
         raise ShapeError("predict_batch expects a single output unit")
     return out[0, :, 0]
-
-
-def backprop(net: BpNetwork, x, y) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Exact cost gradient for one sample under half squared error.
-
-    Returns (weight_grads, bias_grads) with the same shapes as the
-    network's parameters.
-    """
-    target = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if target.shape[0] != net.layer_sizes[-1]:
-        raise ShapeError(
-            f"target must have length {net.layer_sizes[-1]}, got {target.shape[0]}"
-        )
-    activations, pre = forward(net, x)
-    delta = activations[-1] - target  # identity output layer
-    grad_w = [np.empty(0)] * len(net.weights)
-    grad_b = [np.empty(0)] * len(net.biases)
-    for l in range(len(net.weights) - 1, -1, -1):
-        grad_w[l] = np.outer(delta, activations[l])
-        grad_b[l] = delta.copy()
-        if l > 0:
-            s = sigmoid(pre[l - 1])
-            delta = (net.weights[l].T @ delta) * s * (1.0 - s)
-    return grad_w, grad_b
 
 
 def _samples(net: BpNetwork, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -256,6 +190,25 @@ def _pack(nets) -> np.ndarray:
     ])
 
 
+def _batch_gradients(weights, biases, x, t, grad_w, grad_b):
+    # The gradient of each stacked network's half squared error summed over
+    # one batch: a forward pass over x (S, n, in), then the deltas against
+    # t (S, n, out) pulled back layer by layer into grad_w and grad_b,
+    # shaped like the weights (S, out, in) and biases (S, 1, out).
+    last = len(weights) - 1
+    acts = [x]
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        z = np.matmul(acts[-1], _transposed(w))
+        z += b
+        acts.append(z if l == last else 1.0 / (1.0 + np.exp(-z)))
+    delta = acts[-1] - t
+    for l in range(last, -1, -1):
+        np.matmul(_transposed(delta), acts[l], out=grad_w[l])
+        np.add.reduce(delta, axis=1, keepdims=True, out=grad_b[l])
+        if l > 0:
+            delta = np.matmul(delta, weights[l]) * (acts[l] * (1.0 - acts[l]))
+
+
 def _stacked_epoch(params, grads, sizes, xs, ts, batch_size, eta):
     # One SGD pass over the flat parameters of a stack; xs and ts hold each
     # network's samples in its own order.  Each batch (the last may be
@@ -263,20 +216,10 @@ def _stacked_epoch(params, grads, sizes, xs, ts, batch_size, eta):
     # own size.  The caller silences exp's overflow: it saturates.
     weights, biases = _layers(params, sizes)
     grad_w, grad_b = _layers(grads, sizes)
-    last = len(weights) - 1
     for start in range(0, xs.shape[1], batch_size):
-        acts = [xs[:, start : start + batch_size]]
-        for l, (w, b) in enumerate(zip(weights, biases)):
-            z = np.matmul(acts[-1], _transposed(w))
-            z += b
-            acts.append(z if l == last else 1.0 / (1.0 + np.exp(-z)))
-        delta = acts[-1] - ts[:, start : start + batch_size]
-        for l in range(last, -1, -1):
-            np.matmul(_transposed(delta), acts[l], out=grad_w[l])
-            np.add.reduce(delta, axis=1, keepdims=True, out=grad_b[l])
-            if l > 0:
-                delta = np.matmul(delta, weights[l]) * (acts[l] * (1.0 - acts[l]))
-        grads *= eta / acts[0].shape[1]
+        x = xs[:, start : start + batch_size]
+        _batch_gradients(weights, biases, x, ts[:, start : start + batch_size], grad_w, grad_b)
+        grads *= eta / x.shape[1]
         params -= grads
 
 

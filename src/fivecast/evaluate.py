@@ -1,10 +1,11 @@
 """Benchmark harness, error metrics, and the two follow-up experiments.
 
 Every model satisfies the same contract: ``module.fit(...) -> model`` and
-``module.predict(model, x) -> float``.  The harness trains each requested
-model on the chronological training block, predicts the test block, and
-scores mean squared error and mean absolute percentage error in original
-price units.
+``module.predict_batch(model, inputs) -> ndarray``, one prediction per row
+of an (n, lags) input block.  The harness trains each requested model on
+the chronological training block, predicts the test block, and scores
+mean squared error and mean absolute percentage error in original price
+units.
 
 Scaling policy: inputs and targets are min-max scaled to [0, 1] on
 statistics from the training block only, and predictions are inverse
@@ -291,6 +292,9 @@ def stability(
     seeds = [int(s) for s in seeds]
     if len(seeds) < 2:
         raise DomainError(f"need at least 2 runs, got {len(seeds)}")
+    # numpy's generators reject negative seeds; fail before any network trains
+    if min(seeds) < 0:
+        raise DomainError(f"seeds must be >= 0, got {min(seeds)}")
     scaler = _train_scaler(ds)
     y_test = ds.test_targets
     preds = _bp_predictions(ds, scaler, cfg, seeds)

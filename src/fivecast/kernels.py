@@ -39,11 +39,19 @@ class KernelSpec:
         if self.kind == "poly":
             if self.degree < 1:
                 raise DomainError(f"polynomial degree must be >= 1, got {self.degree}")
-            if not self.poly_c > 0.0:
-                raise DomainError(f"polynomial offset must be > 0, got {self.poly_c}")
-        if self.kind == "rbf" and not (self.sigma > 0.0 and self.sigma * self.sigma > 0.0):
-            # the kernels divide by sigma^2, which underflows to 0 below about 1.6e-162
-            raise DomainError(f"rbf width must be > 0 with a nonzero square, got {self.sigma}")
+            if not 0.0 < self.poly_c < math.inf:
+                raise DomainError(f"polynomial offset must be finite and > 0, got {self.poly_c}")
+        if self.kind == "rbf":
+            if not (self.sigma > 0.0 and self.sigma * self.sigma > 0.0):
+                # the kernels divide by sigma^2, which underflows to 0 below about 1.6e-162
+                raise DomainError(f"rbf width must be > 0 with a nonzero square, got {self.sigma}")
+            if not self.sigma * self.sigma < math.inf:
+                # above about 1.3e154 sigma^2 is inf and every entry exp(-0) = 1
+                raise DomainError(f"rbf width must have a finite square, got {self.sigma}")
+        if self.kind == "mlp" and not (math.isfinite(self.mlp_k) and math.isfinite(self.mlp_theta)):
+            raise DomainError(
+                f"tanh kernel slope and offset must be finite, got {self.mlp_k}, {self.mlp_theta}"
+            )
 
     @classmethod
     def linear(cls) -> "KernelSpec":
@@ -67,22 +75,6 @@ def _vec(x) -> np.ndarray:
     if arr.ndim != 1:
         raise ShapeError(f"kernel arguments must be 1-D, got ndim={arr.ndim}")
     return arr
-
-
-def evaluate(spec: KernelSpec, a, b) -> float:
-    """K(a, b) for two equal-length vectors."""
-    a = _vec(a)
-    b = _vec(b)
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"vectors have lengths {a.shape[0]} and {b.shape[0]}")
-    if spec.kind == "linear":
-        return float(a @ b)
-    if spec.kind == "poly":
-        return float((1.0 + (a @ b) / spec.poly_c) ** spec.degree)
-    if spec.kind == "rbf":
-        d = a - b
-        return float(np.exp(-(d @ d) / (spec.sigma * spec.sigma)))
-    return float(np.tanh(spec.mlp_k * (a @ b) + spec.mlp_theta))
 
 
 def kernel_column(spec: KernelSpec, rows: np.ndarray, x) -> np.ndarray:

@@ -47,8 +47,8 @@ def fit(inputs, targets, kernel: KernelSpec, gamma: float = 100.0) -> LssvmModel
     n = x.shape[0]
     if n == 0:
         raise DomainError("no training samples")
-    if not gamma > 0.0:
-        raise DomainError(f"gamma must be > 0, got {gamma}")
+    if not 0.0 < gamma < math.inf:
+        raise DomainError(f"gamma must be finite and > 0, got {gamma}")
     if not 1.0 / float(gamma) < math.inf:
         raise DomainError(f"gamma must have a finite reciprocal, got {gamma}")
     a = np.zeros((n + 1, n + 1))
@@ -75,12 +75,11 @@ def fit(inputs, targets, kernel: KernelSpec, gamma: float = 100.0) -> LssvmModel
     )
 
 
-def predict(model: LssvmModel, x) -> float:
-    return expansion(model.kernel, model.inputs, model.coefs, model.bias, x)
-
-
 def predict_batch(model: LssvmModel, inputs) -> np.ndarray:
+    """Kernel expansion over the training rows plus the bias, per input row."""
     arr = np.asarray(inputs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != model.inputs.shape[1]:
         raise ShapeError(f"inputs must be (n, {model.inputs.shape[1]}), got {arr.shape}")
-    return np.array([predict(model, row) for row in arr])
+    return np.array(
+        [expansion(model.kernel, model.inputs, model.coefs, model.bias, row) for row in arr]
+    )

@@ -135,16 +135,6 @@ def fit(inputs, targets, n_centers: int | None = None, seed: int = 0) -> RbfNetw
     return RbfNetwork(centers, betas, weights)
 
 
-def predict(net: RbfNetwork, x) -> float:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != net.centers.shape[1]:
-        raise ShapeError(
-            f"input must be a vector of length {net.centers.shape[1]}, got {arr.shape}"
-        )
-    phi = _normalized_activations(arr[None, :], net.centers, net.betas)
-    return float(phi[0] @ net.weights)
-
-
 def predict_batch(net: RbfNetwork, inputs) -> np.ndarray:
     arr = np.asarray(inputs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != net.centers.shape[1]:

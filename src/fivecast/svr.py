@@ -28,6 +28,7 @@ such sample exists.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -210,14 +211,6 @@ class SvrModel:
     max_violation: float
 
 
-def dual_objective(kmat, targets, epsilon: float, coefs) -> float:
-    """The maximized dual value at the given coefficients."""
-    kmat = np.asarray(kmat, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    b = np.asarray(coefs, dtype=np.float64)
-    return float(y @ b - epsilon * np.sum(np.abs(b)) - 0.5 * b @ kmat @ b)
-
-
 def fit(
     inputs,
     targets,
@@ -244,10 +237,10 @@ def fit(
         raise ShapeError(f"targets must be 1-D with {x.shape[0]} entries")
     if x.shape[0] == 0:
         raise DomainError("no training samples")
-    if epsilon < 0.0:
-        raise DomainError(f"epsilon must be >= 0, got {epsilon}")
-    if not c_reg > 0.0:
-        raise DomainError(f"c_reg must be > 0, got {c_reg}")
+    if not 0.0 <= epsilon < math.inf:
+        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon}")
+    if not 0.0 < c_reg < math.inf:
+        raise DomainError(f"c_reg must be finite and > 0, got {c_reg}")
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
     if max_passes < 1:
@@ -276,13 +269,11 @@ def fit(
     )
 
 
-def predict(model: SvrModel, x) -> float:
-    """Kernel expansion over the training rows plus the bias."""
-    return expansion(model.kernel, model.inputs, model.coefs, model.bias, x)
-
-
 def predict_batch(model: SvrModel, inputs) -> np.ndarray:
+    """Kernel expansion over the training rows plus the bias, per input row."""
     arr = np.asarray(inputs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != model.inputs.shape[1]:
         raise ShapeError(f"inputs must be (n, {model.inputs.shape[1]}), got {arr.shape}")
-    return np.array([predict(model, row) for row in arr])
+    return np.array(
+        [expansion(model.kernel, model.inputs, model.coefs, model.bias, row) for row in arr]
+    )

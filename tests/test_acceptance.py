@@ -4,7 +4,7 @@ Each test prints one ``criterion N: PASS/FAIL`` line with its tolerance
 and elapsed time (run pytest with ``-s`` to see the lines), then asserts
 both the property and the runtime budget.  Numbered criteria:
 
- 1  backprop gradients match central finite differences
+ 1  the per-batch training gradients match central finite differences
  2  least squares margin model satisfies its saddle-point system
  3  margin solver reaches the projected-gradient oracle's dual optimum
  4  kernel-weighted memory tends to the mean / nearest neighbor in its
@@ -26,11 +26,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import make_ar_series, weekly_series, write_price_csv
-from test_svr import oracle_dual_opt, oracle_gram
+from test_kernels import kernel_value
+from test_svr import dual_objective, oracle_dual_opt, oracle_gram
 
 from fivecast import bpnn, evaluate, grnn, lssvm, rbfnn, svr, timeseries
 from fivecast.cli import main as cli_main
-from fivecast.kernels import KernelSpec, evaluate as kernel_eval
+from fivecast.kernels import KernelSpec
 
 
 def report(num, ok, elapsed, detail):
@@ -46,32 +47,36 @@ AR_CONFIG = evaluate.HarnessConfig(bp_eta=0.05, bp_epochs=2000)
 
 class TestAcceptance:
     def test_criterion_1_gradient_check(self):
+        # the function every training batch runs, on stacks of two networks
+        # with four samples each; the cost comes from training_cost
         start = time.perf_counter()
         rng = np.random.default_rng(100)
         h = 1e-5
+        sizes = (3, 3, 1)
         worst = 0.0
         for trial in range(20):
-            net = bpnn.new_network((3, 3, 1), seed=trial)
-            x = rng.uniform(-1.0, 1.0, 3)
-            y = rng.uniform(-1.0, 1.0, 1)
-            gw, gb = bpnn.backprop(net, x, y)
-
-            def cost():
-                out = bpnn.forward(net, x)[0][-1]
-                return 0.5 * float(np.sum((out - y) ** 2))
-
-            for analytic, params in ((gw, net.weights), (gb, net.biases)):
-                for g, arr in zip(analytic, params):
-                    for idx in np.ndindex(arr.shape):
-                        orig = arr[idx]
-                        arr[idx] = orig + h
-                        up = cost()
-                        arr[idx] = orig - h
-                        dn = cost()
-                        arr[idx] = orig
-                        fd = (up - dn) / (2.0 * h)
-                        denom = max(abs(g[idx]), abs(fd), 1e-6)
-                        worst = max(worst, abs(g[idx] - fd) / denom)
+            nets = [bpnn.new_network(sizes, seed=2 * trial + k) for k in range(2)]
+            params = bpnn._pack(nets)
+            grads = np.empty_like(params)
+            weights, biases = bpnn._layers(params, sizes)
+            grad_w, grad_b = bpnn._layers(grads, sizes)
+            x = rng.uniform(-1.0, 1.0, (2, 4, 3))
+            y = rng.uniform(-1.0, 1.0, (2, 4, 1))
+            bpnn._batch_gradients(weights, biases, x, y, grad_w, grad_b)
+            for k in range(2):
+                view = bpnn.BpNetwork(sizes, [w[k] for w in weights], [b[k, 0] for b in biases])
+                for idx in range(params.shape[1]):
+                    orig = params[k, idx]
+                    params[k, idx] = orig + h
+                    # training_cost is the batch mean, the gradient's the sum
+                    up = x.shape[1] * bpnn.training_cost(view, x[k], y[k])
+                    params[k, idx] = orig - h
+                    dn = x.shape[1] * bpnn.training_cost(view, x[k], y[k])
+                    params[k, idx] = orig
+                    fd = (up - dn) / (2.0 * h)
+                    g = grads[k, idx]
+                    denom = max(abs(g), abs(fd), 1e-6)
+                    worst = max(worst, abs(g - fd) / denom)
         elapsed = time.perf_counter() - start
         ok = worst < 1e-4 and elapsed < 5.0
         report(1, ok, elapsed, f"gradient check max rel err {worst:.3e} < 1e-4")
@@ -98,7 +103,7 @@ class TestAcceptance:
             a[1:, 0] = 1.0
             for i in range(n):
                 for j in range(n):
-                    a[1 + i, 1 + j] = kernel_eval(kernel, x[i], x[j])
+                    a[1 + i, 1 + j] = kernel_value(kernel, x[i], x[j])
                 a[1 + i, 1 + i] += 1.0 / gamma
             rhs = np.zeros(n + 1)
             rhs[1:] = y
@@ -138,7 +143,7 @@ class TestAcceptance:
             }[kind]
             m = svr.fit(x, y, spec, epsilon=eps, c_reg=c)
             kmat = oracle_gram(kind, x, sigma=1.5)
-            reached = svr.dual_objective(kmat, y, eps, m.coefs)
+            reached = dual_objective(kmat, y, eps, m.coefs)
             best = oracle_dual_opt(kmat, y, eps, c)
             worst = max(worst, abs(reached - best) / max(1.0, abs(best)))
         elapsed = time.perf_counter() - start

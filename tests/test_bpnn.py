@@ -16,11 +16,8 @@ from fivecast import bpnn, evaluate, timeseries
 from fivecast.bpnn import (
     BpNetwork,
     SgdConfig,
-    backprop,
-    forward,
     hidden_size_rule,
     new_network,
-    predict,
     predict_batch,
     sigmoid,
     train,
@@ -29,17 +26,28 @@ from fivecast.bpnn import (
 from fivecast.errors import DivergenceError, DomainError, ShapeError
 
 
+def batch_gradients(net, xs, ys):
+    """Gradients of the half squared error summed over the rows of xs, from
+    the per-batch function training calls, shaped like net's parameters."""
+    x = np.asarray(xs, dtype=np.float64)[None]
+    t = np.asarray(ys, dtype=np.float64).reshape(1, x.shape[1], -1)
+    params = bpnn._pack([net])
+    grads = np.empty_like(params)
+    weights, biases = bpnn._layers(params, net.layer_sizes)
+    grad_w, grad_b = bpnn._layers(grads, net.layer_sizes)
+    bpnn._batch_gradients(weights, biases, x, t, grad_w, grad_b)
+    return [g[0] for g in grad_w], [g[0, 0] for g in grad_b]
+
+
 def fd_gradients(net, x, y, h=1e-5):
     """Central finite differences over every parameter.
 
-    Perturbs the live arrays one entry at a time and restores them, so the
-    only code shared with backprop is the forward pass itself.
+    Perturbs the live arrays one entry at a time and restores them; the
+    cost comes from training_cost's forward pass, not the gradient's.
     """
 
     def cost():
-        out = forward(net, x)[0][-1]
-        t = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        return 0.5 * float(np.sum((out - t) ** 2))
+        return training_cost(net, [x], [np.atleast_1d(y)])
 
     grads = []
     for params in (net.weights, net.biases):
@@ -74,11 +82,12 @@ def scaled_ar_dataset():
 
 
 def full_batch_backprop_step(net, xs, ys, eta):
-    """Weights and biases after one mean-gradient step built from backprop."""
+    """Weights and biases after one mean-gradient step built from
+    single-sample gradients."""
     acc_w = [np.zeros_like(w) for w in net.weights]
     acc_b = [np.zeros_like(b) for b in net.biases]
     for x, y in zip(xs, ys):
-        gw, gb = backprop(net, x, y)
+        gw, gb = batch_gradients(net, [x], [y])
         for l in range(len(acc_w)):
             acc_w[l] += gw[l]
             acc_b[l] += gb[l]
@@ -135,6 +144,14 @@ def _reference_stacked_epoch(weights, biases, xs, ts, batch_size, eta):
             b -= s * gb
 
 
+def _stack(nets):
+    # reference_train's stacking, from before the flat buffers: networks of
+    # one shape side by side, weights (S, out, in) and biases (S, 1, out)
+    weights = [np.stack(ws) for ws in zip(*(net.weights for net in nets))]
+    biases = [np.stack(bs)[:, None, :] for bs in zip(*(net.biases for net in nets))]
+    return weights, biases
+
+
 def reference_train(nets, inputs, targets, cfg, seeds=None):
     """train before the gated cost check and the flat buffers, verbatim:
     the cost is computed after every epoch."""
@@ -145,7 +162,7 @@ def reference_train(nets, inputs, targets, cfg, seeds=None):
     x, t = bpnn._samples(group[0], inputs, targets)
     if x.shape[0] == 0:
         raise DomainError("no training samples")
-    weights, biases = bpnn._stack(group)
+    weights, biases = _stack(group)
     views = [
         BpNetwork(net.layer_sizes, [w[k] for w in weights], [b[k, 0] for b in biases])
         for k, net in enumerate(group)
@@ -243,12 +260,12 @@ class TestNewNetwork:
 
 class TestForward:
     def test_zero_net(self):
-        net = BpNetwork((1, 1, 1), [np.zeros((1, 1)), np.zeros((1, 1))], [np.zeros(1), np.zeros(1)])
-        activations, pre = forward(net, [0.7])
-        npt.assert_array_equal(activations[1], [0.5])
-        npt.assert_array_equal(activations[2], [0.0])
-        npt.assert_array_equal(pre[0], [0.0])
-        assert predict(net, [0.7]) == 0.0
+        zero = [np.zeros((1, 1)), np.zeros((1, 1))]
+        net = BpNetwork((1, 1, 1), zero, [np.zeros(1), np.zeros(1)])
+        assert predict_batch(net, [[0.7]])[0] == 0.0
+        # a unit output weight reads the hidden sigmoid of 0
+        net.weights[1][0, 0] = 1.0
+        assert predict_batch(net, [[0.7]])[0] == 0.5
 
     def test_matches_manual_chain(self):
         net = new_network((3, 3, 1), seed=2)
@@ -256,11 +273,7 @@ class TestForward:
         z1 = net.weights[0] @ x + net.biases[0]
         a1 = 1.0 / (1.0 + np.exp(-z1))
         out = net.weights[1] @ a1 + net.biases[1]
-        activations, pre = forward(net, x)
-        npt.assert_allclose(pre[0], z1, rtol=1e-15)
-        npt.assert_allclose(activations[1], a1, rtol=1e-15)
-        npt.assert_allclose(activations[2], out, rtol=1e-15)
-        npt.assert_allclose(predict(net, x), out[0], rtol=1e-15)
+        npt.assert_allclose(predict_batch(net, [x]), out, rtol=1e-15)
 
     def test_output_is_not_squashed(self):
         # identity output layer can leave (0, 1)
@@ -269,24 +282,26 @@ class TestForward:
             [np.array([[0.0]]), np.array([[10.0]])],
             [np.zeros(1), np.zeros(1)],
         )
-        assert predict(net, [0.0]) == 5.0
+        assert predict_batch(net, [[0.0]])[0] == 5.0
 
     def test_input_shape(self):
         net = new_network((3, 3, 1))
         with pytest.raises(ShapeError):
-            forward(net, [1.0, 2.0])
+            predict_batch(net, [[1.0, 2.0]])
         with pytest.raises(ShapeError):
-            predict(net, np.ones((3, 1)))
+            predict_batch(net, np.ones(3))
 
     def test_predict_batch_matches_loop(self):
         net = new_network((3, 3, 1), seed=4)
         rng = np.random.default_rng(0)
         xs = rng.uniform(0.0, 1.0, (12, 3))
         batch = predict_batch(net, xs)
-        npt.assert_allclose(batch, [predict(net, x) for x in xs], rtol=1e-14)
+        npt.assert_allclose(batch, [predict_batch(net, [x])[0] for x in xs], rtol=1e-14)
 
 
 class TestBackprop:
+    """The per-batch gradient that every training epoch runs."""
+
     def test_elementwise_gating(self):
         # the delta recursion multiplies componentwise
         npt.assert_array_equal(
@@ -296,8 +311,8 @@ class TestBackprop:
     def test_zero_error_sample(self):
         net = new_network((3, 3, 1), seed=3)
         x = np.array([0.1, 0.4, 0.8])
-        y = predict(net, x)
-        gw, gb = backprop(net, x, y)
+        y = predict_batch(net, [x])
+        gw, gb = batch_gradients(net, [x], [y])
         for g in gw + gb:
             npt.assert_array_equal(g, np.zeros_like(g))
 
@@ -307,7 +322,7 @@ class TestBackprop:
             net = new_network((3, 3, 1), seed=seed)
             x = rng.uniform(-1.0, 1.0, 3)
             y = rng.uniform(-1.0, 1.0, 1)
-            gw, gb = backprop(net, x, y)
+            gw, gb = batch_gradients(net, [x], [y])
             fw, fb = fd_gradients(net, x, y)
             assert max_relative_error(gw, fw) < 1e-6
             assert max_relative_error(gb, fb) < 1e-6
@@ -316,7 +331,7 @@ class TestBackprop:
         net = new_network((2, 3, 3, 1), seed=8)
         x = np.array([0.3, -0.7])
         y = np.array([0.25])
-        gw, gb = backprop(net, x, y)
+        gw, gb = batch_gradients(net, [x], [y])
         fw, fb = fd_gradients(net, x, y)
         assert max_relative_error(gw, fw) < 1e-6
         assert max_relative_error(gb, fb) < 1e-6
@@ -324,7 +339,7 @@ class TestBackprop:
     def test_target_shape(self):
         net = new_network((3, 3, 1))
         with pytest.raises(ShapeError):
-            backprop(net, np.ones(3), np.ones(2))
+            train(net, np.ones((1, 3)), np.ones((1, 2)), SgdConfig(epochs=1))
 
 
 class TestTrainingCost:

@@ -303,6 +303,9 @@ class TestBadFlagValues:
             (["stability", "--runs", "2", "--seed", "-1"], 2, "data error: seed must be >= 0"),
             (["benchmark", "--hidden", "-3"], 2, "data error: hidden width must be >= 1, got -3"),
             (["stability", "--runs", "2", "--eta", "inf"], 2, "data error: eta must be finite"),
+            (["kernels", "--poly-c", "inf"], 2, "data error: polynomial offset must be finite"),
+            (["kernels", "--mlp-theta", "inf"], 2, "data error: tanh kernel slope and offset must be finite"),
+            (["benchmark", "--models", "svr,lssvm", "--rbf-sigma", "inf"], 2, "data error: rbf width"),
         ],
     )
     def test_rejected_up_front(self, price_csv, tmp_path, argv, code, message):
@@ -319,6 +322,9 @@ class TestBadFlagValues:
         [
             ("grnn", ["--grnn-beta", "inf"], "DomainError: beta must be finite and > 0, got inf"),
             ("lssvm", ["--lssvm-gamma", "1e-320"], "DomainError: gamma must have a finite reciprocal"),
+            ("lssvm", ["--lssvm-gamma", "inf"], "DomainError: gamma must be finite and > 0, got inf"),
+            ("svr", ["--svr-eps", "nan"], "DomainError: epsilon must be finite and >= 0, got nan"),
+            ("svr", ["--svr-c", "inf"], "DomainError: c_reg must be finite and > 0, got inf"),
         ],
     )
     def test_error_row(self, price_csv, tmp_path, model, flags, message):

@@ -194,6 +194,17 @@ class TestStability:
         with pytest.raises(DomainError):
             stability(ds, seeds=[4])
 
+    def test_negative_seeds_fail_before_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr(evaluate.bpnn, "new_network", no_training)
+        ds = constant_dataset()
+        with pytest.raises(DomainError, match="seeds must be >= 0, got -1"):
+            stability(ds, runs=2, base_seed=-1)
+        with pytest.raises(DomainError, match="seeds must be >= 0, got -1"):
+            stability(ds, seeds=[-1, 0])
+
 
 class TestLagOneAnalysis:
     def test_aligned_shift(self):

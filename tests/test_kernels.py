@@ -10,7 +10,6 @@ import pytest
 from fivecast.errors import DomainError, ShapeError
 from fivecast.kernels import (
     KernelSpec,
-    evaluate,
     expansion,
     gram,
     kernel_column,
@@ -26,6 +25,28 @@ ALL_SPECS = (
     KernelSpec.mlp(),
     KernelSpec.mlp(mlp_k=0.5, mlp_theta=-1.0),
 )
+
+
+def kernel_value(spec, a, b) -> float:
+    """K(a, b) for two equal-length vectors, one pair at a time: the
+    pointwise reference for kernel columns and gram matrices."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ShapeError(f"need two vectors of one length, got {a.shape} and {b.shape}")
+    if spec.kind == "linear":
+        return float(a @ b)
+    if spec.kind == "poly":
+        return float((1.0 + (a @ b) / spec.poly_c) ** spec.degree)
+    if spec.kind == "rbf":
+        d = a - b
+        return float(np.exp(-(d @ d) / (spec.sigma * spec.sigma)))
+    return float(np.tanh(spec.mlp_k * (a @ b) + spec.mlp_theta))
+
+
+def evaluate(spec, a, b) -> float:
+    """K(a, b) through kernel_column on the single row a."""
+    return float(kernel_column(spec, np.asarray(a, dtype=np.float64)[None], b)[0])
 
 
 class TestEvaluate:
@@ -88,7 +109,7 @@ class TestKernelColumn:
         x = rng.standard_normal(3)
         for spec in ALL_SPECS:
             col = kernel_column(spec, rows, x)
-            expected = np.array([evaluate(spec, rows[i], x) for i in range(6)])
+            expected = np.array([kernel_value(spec, rows[i], x) for i in range(6)])
             npt.assert_allclose(col, expected, rtol=1e-14)
 
     def test_width_mismatch(self):
@@ -116,7 +137,7 @@ class TestGram:
             for i in range(5):
                 for j in range(5):
                     npt.assert_allclose(
-                        g[i, j], evaluate(spec, rows[i], rows[j]), rtol=1e-12
+                        g[i, j], kernel_value(spec, rows[i], rows[j]), rtol=1e-12
                     )
 
     def test_rbf_unit_diagonal(self):
@@ -189,6 +210,25 @@ class TestKernelSpec:
         with pytest.raises(DomainError, match="nonzero square"):
             KernelSpec.rbf(1e-300)
         assert KernelSpec.rbf(1e-150).sigma == 1e-150
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameters_of_the_kind_in_use(self, value):
+        with pytest.raises(DomainError, match="polynomial offset must be finite"):
+            KernelSpec.polynomial(2, poly_c=value)
+        with pytest.raises(DomainError, match="rbf width"):
+            KernelSpec.rbf(value)
+        with pytest.raises(DomainError, match="tanh kernel slope and offset must be finite"):
+            KernelSpec.mlp(mlp_k=value)
+        with pytest.raises(DomainError, match="tanh kernel slope and offset must be finite"):
+            KernelSpec.mlp(mlp_theta=value)
+        # parameters of other kinds are not read, so they are not checked
+        assert KernelSpec("linear", poly_c=value, sigma=value, mlp_k=value).kind == "linear"
+
+    def test_rbf_width_whose_square_overflows(self):
+        # 1e200 ** 2 is inf, so every kernel entry would be exp(-0) = 1
+        with pytest.raises(DomainError, match="finite square"):
+            KernelSpec.rbf(1e200)
+        assert KernelSpec.rbf(1e150).sigma == 1e150
 
 
 class TestMedianPairwiseDistance:

@@ -1,12 +1,15 @@
 """Least squares SVM: saddle-point solve and kernel-expansion predictor."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from test_kernels import kernel_value
 
 from fivecast.errors import DomainError, ShapeError
-from fivecast.kernels import KernelSpec, evaluate
-from fivecast.lssvm import LssvmModel, fit, predict, predict_batch
+from fivecast.kernels import KernelSpec, expansion
+from fivecast.lssvm import LssvmModel, fit, predict_batch
 
 
 def saddle_system(kernel, x, y, gamma):
@@ -17,7 +20,7 @@ def saddle_system(kernel, x, y, gamma):
     a[1:, 0] = 1.0
     for i in range(n):
         for j in range(n):
-            a[1 + i, 1 + j] = evaluate(kernel, x[i], x[j])
+            a[1 + i, 1 + j] = kernel_value(kernel, x[i], x[j])
         a[1 + i, 1 + i] += 1.0 / gamma
     rhs = np.zeros(n + 1)
     rhs[1:] = y
@@ -30,7 +33,7 @@ class TestFit:
         x = np.array([[0.0], [2.0]])
         y = np.array([0.0, 2.0])
         m = fit(x, y, KernelSpec.linear(), gamma=1e6)
-        npt.assert_allclose(predict(m, [1.0]), 1.0, atol=1e-3)
+        npt.assert_allclose(predict_batch(m, [[1.0]])[0], 1.0, atol=1e-3)
         npt.assert_allclose(predict_batch(m, x), y, atol=1e-3)
 
     def test_two_point_line_against_library_solve(self):
@@ -108,6 +111,9 @@ class TestFit:
         # 1/gamma overflows: rejected before np.eye(n) / gamma can warn
         with pytest.raises(DomainError, match="finite reciprocal"):
             fit(x, y, KernelSpec.linear(), gamma=1e-320)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="gamma must be finite"):
+                fit(x, y, KernelSpec.linear(), gamma=bad)
         with pytest.raises(DomainError):
             fit(np.empty((0, 1)), np.empty(0), KernelSpec.linear())
         with pytest.raises(ShapeError):
@@ -127,7 +133,7 @@ class TestPredict:
             gamma=1.0,
             kkt_residual=0.0,
         )
-        npt.assert_allclose(predict(m, [2.0, 3.0]), 2.0 - 3.0 + 0.5)
+        npt.assert_allclose(predict_batch(m, [[2.0, 3.0]])[0], 2.0 - 3.0 + 0.5)
 
     def test_zero_coefs_give_bias(self):
         m = LssvmModel(
@@ -138,7 +144,7 @@ class TestPredict:
             gamma=1.0,
             kkt_residual=0.0,
         )
-        assert predict(m, [0.3]) == 1.5
+        assert predict_batch(m, [[0.3]])[0] == 1.5
 
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(45)
@@ -146,9 +152,9 @@ class TestPredict:
         y = rng.uniform(-1.0, 1.0, 10)
         m = fit(x, y, KernelSpec.rbf(1.0), gamma=50.0)
         probe = rng.uniform(-1.0, 1.0, (6, 2))
-        npt.assert_allclose(
-            predict_batch(m, probe), [predict(m, p) for p in probe], rtol=1e-14
-        )
+        # each row is the kernel expansion, bit for bit
+        loop = [expansion(m.kernel, m.inputs, m.coefs, m.bias, p) for p in probe]
+        assert predict_batch(m, probe).tolist() == loop
 
     def test_batch_shape(self):
         m = fit(np.ones((2, 2)) * np.arange(2)[:, None], np.arange(2.0), KernelSpec.linear())

@@ -12,7 +12,6 @@ from fivecast.rbfnn import (
     default_center_count,
     fit,
     kmeans,
-    predict,
     predict_batch,
 )
 
@@ -33,13 +32,13 @@ class TestPredict:
     def test_single_unit_is_constant(self):
         net = RbfNetwork(np.array([[0.3, -1.0]]), np.array([2.0]), np.array([7.0]))
         for x in ([0.0, 0.0], [5.0, 5.0], [0.3, -1.0]):
-            assert predict(net, x) == 7.0
+            assert predict_batch(net, [x])[0] == 7.0
 
     def test_symmetric_pair_averages(self):
         net = RbfNetwork(
             np.array([[0.0], [1.0]]), np.array([1.5, 1.5]), np.array([1.0, 3.0])
         )
-        npt.assert_allclose(predict(net, [0.5]), 2.0, rtol=1e-15)
+        npt.assert_allclose(predict_batch(net, [[0.5]])[0], 2.0, rtol=1e-15)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(20)
@@ -50,7 +49,7 @@ class TestPredict:
             net = RbfNetwork(centers, betas, weights)
             x = rng.standard_normal(2)
             npt.assert_allclose(
-                predict(net, x),
+                predict_batch(net, [x])[0],
                 direct_prediction(centers, betas, weights, x),
                 rtol=1e-12,
             )
@@ -63,13 +62,13 @@ class TestPredict:
         net = RbfNetwork(centers, betas, weights)
         lo, hi = weights.min(), weights.max()
         for _ in range(50):
-            v = predict(net, rng.uniform(-10.0, 10.0, 3))
+            v = predict_batch(net, [rng.uniform(-10.0, 10.0, 3)])[0]
             assert lo <= v <= hi
 
     def test_far_query_stays_finite(self):
         # shifted exponents keep the denominator alive at any distance
         net = RbfNetwork(np.array([[0.0], [1.0]]), np.array([5.0, 5.0]), np.array([1.0, 2.0]))
-        v = predict(net, [1e6])
+        v = predict_batch(net, [[1e6]])[0]
         assert math.isfinite(v)
         assert 1.0 <= v <= 2.0
 
@@ -82,13 +81,13 @@ class TestPredict:
         )
         xs = rng.standard_normal((9, 2))
         npt.assert_allclose(
-            predict_batch(net, xs), [predict(net, x) for x in xs], rtol=1e-14
+            predict_batch(net, xs), [predict_batch(net, [x])[0] for x in xs], rtol=1e-14
         )
 
     def test_shape_errors(self):
         net = RbfNetwork(np.zeros((1, 2)), np.ones(1), np.ones(1))
         with pytest.raises(ShapeError):
-            predict(net, [1.0])
+            predict_batch(net, [1.0, 2.0])
         with pytest.raises(ShapeError):
             predict_batch(net, np.ones((3, 3)))
 
@@ -161,7 +160,7 @@ class TestFit:
         x = np.array([[0.0], [1.0], [2.0]])
         y = np.array([0.0, 1.0, 2.0])
         net = fit(x, y, n_centers=3, seed=0)
-        npt.assert_allclose(predict(net, [1.0]), 1.0, atol=1e-6)
+        npt.assert_allclose(predict_batch(net, [[1.0]])[0], 1.0, atol=1e-6)
 
     def test_determinism(self):
         rng = np.random.default_rng(24)

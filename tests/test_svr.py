@@ -12,8 +12,8 @@ from hypothesis.extra.numpy import arrays
 
 from fivecast import svr
 from fivecast.errors import ConvergenceWarning, DomainError, ShapeError
-from fivecast.kernels import KernelSpec, gram
-from fivecast.svr import SvrModel, dual_objective, fit, predict, predict_batch
+from fivecast.kernels import KernelSpec, expansion, gram
+from fivecast.svr import SvrModel, fit, predict_batch
 
 REFERENCE_SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -34,6 +34,14 @@ def oracle_gram(kind, x, sigma=1.0, degree=2, poly_c=1.0):
             else:
                 k[i, j] = math.exp(-float((x[i] - x[j]) @ (x[i] - x[j])) / sigma**2)
     return k
+
+
+def dual_objective(kmat, targets, epsilon, coefs) -> float:
+    """The maximized dual value at the given coefficients."""
+    kmat = np.asarray(kmat, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
+    b = np.asarray(coefs, dtype=np.float64)
+    return float(y @ b - epsilon * np.sum(np.abs(b)) - 0.5 * b @ kmat @ b)
 
 
 def project_box_balanced(a, b, c):
@@ -529,7 +537,7 @@ class TestFit:
         assert m.bias == 3.0
         assert m.converged
         for q in (-10.0, 0.0, 3.7):
-            assert predict(m, [q]) == 3.0
+            assert predict_batch(m, [[q]])[0] == 3.0
 
     def test_single_sample(self):
         m = fit(np.array([[1.5]]), np.array([2.0]), KernelSpec.rbf(1.0))
@@ -614,6 +622,11 @@ class TestFit:
             fit(x, y, spec, epsilon=-0.1)
         with pytest.raises(DomainError):
             fit(x, y, spec, c_reg=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="epsilon must be finite"):
+                fit(x, y, spec, epsilon=bad)
+            with pytest.raises(DomainError, match="c_reg must be finite"):
+                fit(x, y, spec, c_reg=bad)
         with pytest.raises(DomainError):
             fit(x, y, spec, tol=0.0)
         with pytest.raises(DomainError):
@@ -637,7 +650,7 @@ class TestPredict:
             passes=0,
             max_violation=0.0,
         )
-        assert predict(m, [0.4]) == 1.5
+        assert predict_batch(m, [[0.4]])[0] == 1.5
 
     def test_single_term_linear_expansion(self):
         m = SvrModel(
@@ -651,7 +664,7 @@ class TestPredict:
             passes=0,
             max_violation=0.0,
         )
-        assert predict(m, [3.0, 4.0]) == 2.0 * 3.0 - 1.0 * 4.0
+        assert predict_batch(m, [[3.0, 4.0]])[0] == 2.0 * 3.0 - 1.0 * 4.0
 
     def test_matches_independent_expansion(self):
         rng = np.random.default_rng(53)
@@ -673,7 +686,7 @@ class TestPredict:
         want = bias
         for xi, ci in zip(inputs, coefs):
             want += ci * math.exp(-float((xi - x) @ (xi - x)) / 1.3**2)
-        npt.assert_allclose(predict(m, x), want, rtol=1e-12)
+        npt.assert_allclose(predict_batch(m, [x])[0], want, rtol=1e-12)
 
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(54)
@@ -681,9 +694,9 @@ class TestPredict:
         y = rng.uniform(-1.0, 1.0, 12)
         m = fit(x, y, KernelSpec.rbf(1.0))
         probe = rng.uniform(-1.0, 1.0, (5, 2))
-        npt.assert_allclose(
-            predict_batch(m, probe), [predict(m, p) for p in probe], rtol=1e-14
-        )
+        # each row is the kernel expansion, bit for bit
+        loop = [expansion(m.kernel, m.inputs, m.coefs, m.bias, p) for p in probe]
+        assert predict_batch(m, probe).tolist() == loop
 
     def test_batch_shape(self):
         m = fit(np.arange(3.0)[:, None], np.arange(3.0), KernelSpec.linear())
