@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, DomainError, ShapeError
+from .timeseries import as_rows
 
 
 def sigmoid(z):
@@ -95,16 +96,18 @@ def new_network(layer_sizes, seed: int = 0) -> BpNetwork:
     generator, biases zero."""
     sizes = _check_sizes(layer_sizes)
     rng = np.random.default_rng(seed)
-    weights = [rng.uniform(-0.5, 0.5, (nxt, cur)) for cur, nxt in zip(sizes, sizes[1:])]
-    biases = [np.zeros(nxt) for nxt in sizes[1:]]
+    try:
+        weights = [rng.uniform(-0.5, 0.5, (nxt, cur)) for cur, nxt in zip(sizes, sizes[1:])]
+        biases = [np.zeros(nxt) for nxt in sizes[1:]]
+    except (ValueError, MemoryError) as exc:
+        # numpy refuses a shape past its index range or an allocation that fails
+        raise DomainError(f"cannot allocate layers of sizes {sizes}: {exc}") from exc
     return BpNetwork(sizes, weights, biases)
 
 
 def _forward_batch(nets: list[BpNetwork], inputs) -> np.ndarray:
     """Outputs of networks of one shape on the rows of inputs, (S, n, out)."""
-    a = np.asarray(inputs, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != nets[0].layer_sizes[0]:
-        raise ShapeError(f"inputs must be (n, {nets[0].layer_sizes[0]}), got {a.shape}")
+    a = as_rows(inputs, nets[0].layer_sizes[0])
     weights, biases = _layers(_pack(nets), nets[0].layer_sizes)
     last = len(weights) - 1
     for l, (w, b) in enumerate(zip(weights, biases)):
@@ -122,12 +125,10 @@ def predict_batch(net: BpNetwork, inputs) -> np.ndarray:
 
 
 def _samples(net: BpNetwork, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(inputs, dtype=np.float64)
+    x = as_rows(inputs, net.layer_sizes[0])
     t = np.asarray(targets, dtype=np.float64)
     if t.ndim == 1:
         t = t[:, None]
-    if x.ndim != 2 or x.shape[1] != net.layer_sizes[0]:
-        raise ShapeError(f"inputs must be (n, {net.layer_sizes[0]}), got {x.shape}")
     if t.shape != (x.shape[0], net.layer_sizes[-1]):
         raise ShapeError(f"targets must be (n, {net.layer_sizes[-1]}), got {t.shape}")
     return x, t

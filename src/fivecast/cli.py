@@ -23,7 +23,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from . import evaluate
+from . import evaluate, svr
 from .errors import (
     DivergenceError,
     DomainError,
@@ -157,8 +157,8 @@ def _config_line(cmd: str, args, cfg: HarnessConfig, extra: str = "") -> str:
         f"grnn_mode={'dynamic' if cfg.grnn_dynamic else 'static'}",
         f"svr_eps={cfg.svr_epsilon!r}",
         f"svr_c={cfg.svr_c!r}",
-        f"svr_tol={cfg.svr_tol!r}",
-        f"svr_max_passes={cfg.svr_max_passes}",
+        f"svr_tol={svr.TOL!r}",
+        f"svr_max_passes={svr.MAX_PASSES}",
         f"lssvm_gamma={cfg.lssvm_gamma!r}",
         f"kernel={_kernel_label(cfg.kernel)}",
     ]

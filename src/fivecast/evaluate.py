@@ -28,8 +28,6 @@ from .timeseries import MinMaxScaler, WindowedDataset, fit_scaler
 
 MODEL_NAMES = ("bp", "rbf", "grnn", "svr", "lssvm")
 
-KERNEL_ROW_ORDER = ("linear", "poly", "mlp", "rbf")
-
 
 def mse(actual, predicted) -> float:
     """Mean squared error.
@@ -85,8 +83,6 @@ class HarnessConfig:
     grnn_dynamic: bool = True
     svr_epsilon: float = 0.01
     svr_c: float = 10.0
-    svr_tol: float = 1e-4
-    svr_max_passes: int = 200
     lssvm_gamma: float = 100.0
     kernel: KernelSpec | None = None
 
@@ -146,6 +142,15 @@ def _resolved_kernel(cfg: HarnessConfig, scaled_inputs: np.ndarray) -> KernelSpe
     return KernelSpec.rbf(median_pairwise_distance(scaled_inputs))
 
 
+def _scaled_blocks(ds: WindowedDataset, scaler: MinMaxScaler):
+    """Scaled train inputs, train targets and test inputs."""
+    return (
+        scaler.transform(ds.train_inputs),
+        scaler.transform(ds.train_targets),
+        scaler.transform(ds.test_inputs),
+    )
+
+
 def _bp_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfig, seeds) -> list[np.ndarray]:
     """Raw-unit test-block predictions of one backprop network per seed.
 
@@ -160,19 +165,9 @@ def _bp_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfi
     sgd = bpnn.SgdConfig(
         eta=cfg.bp_eta, batch_size=cfg.bp_batch, epochs=cfg.bp_epochs, seed=cfg.seed
     )
-    xs_tr, ys_tr = scaler.transform(ds.train_inputs), scaler.transform(ds.train_targets)
+    xs_tr, ys_tr, xs_te = _scaled_blocks(ds, scaler)
     bpnn.train(nets, xs_tr, ys_tr, sgd, seeds)
-    xs_te = scaler.transform(ds.test_inputs)
     return [scaler.inverse(bpnn.predict_batch(net, xs_te)) for net in nets]
-
-
-def _scaled_blocks(ds: WindowedDataset, scaler: MinMaxScaler):
-    """Scaled train inputs, train targets and test inputs."""
-    return (
-        scaler.transform(ds.train_inputs),
-        scaler.transform(ds.train_targets),
-        scaler.transform(ds.test_inputs),
-    )
 
 
 def _rbf_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfig) -> np.ndarray:
@@ -199,14 +194,7 @@ def _grnn_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessCon
 def _svr_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfig) -> np.ndarray:
     xs_tr, ys_tr, xs_te = _scaled_blocks(ds, scaler)
     model = svr.fit(
-        xs_tr,
-        ys_tr,
-        _resolved_kernel(cfg, xs_tr),
-        epsilon=cfg.svr_epsilon,
-        c_reg=cfg.svr_c,
-        tol=cfg.svr_tol,
-        max_passes=cfg.svr_max_passes,
-        seed=cfg.seed,
+        xs_tr, ys_tr, _resolved_kernel(cfg, xs_tr), epsilon=cfg.svr_epsilon, c_reg=cfg.svr_c
     )
     return scaler.inverse(svr.predict_batch(model, xs_te))
 

@@ -19,20 +19,15 @@ import math
 import numpy as np
 
 from .errors import DomainError, ShapeError
+from .kernels import gram_sq_dists, sq_dists
+from .timeseries import as_rows, as_samples
 
 
 class GrnnModel:
     """Stored samples plus one shared smoothing parameter."""
 
     def __init__(self, inputs: np.ndarray, targets: np.ndarray, beta: float):
-        x = np.asarray(inputs, dtype=np.float64)
-        y = np.asarray(targets, dtype=np.float64)
-        if x.ndim != 2:
-            raise ShapeError(f"inputs must be 2-D, got ndim={x.ndim}")
-        if y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise ShapeError(f"targets must be 1-D with {x.shape[0]} entries")
-        if x.shape[0] == 0:
-            raise DomainError("need at least one sample")
+        x, y = as_samples(inputs, targets)
         if not 0.0 < beta < math.inf:
             raise DomainError(f"beta must be finite and > 0, got {beta}")
         self.inputs = x.copy()
@@ -68,11 +63,8 @@ def predict(model: GrnnModel, x) -> float:
 
 
 def predict_batch(model: GrnnModel, inputs) -> np.ndarray:
-    arr = np.asarray(inputs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != model.inputs.shape[1]:
-        raise ShapeError(f"inputs must be (n, {model.inputs.shape[1]}), got {arr.shape}")
-    diff = arr[:, None, :] - model.inputs[None, :, :]
-    e = -model.beta * np.sum(diff * diff, axis=2)
+    arr = as_rows(inputs, model.inputs.shape[1])
+    e = -model.beta * sq_dists(arr, model.inputs)
     w = np.exp(e - e.max(axis=1, keepdims=True))
     return (w @ model.targets) / w.sum(axis=1)
 
@@ -89,14 +81,11 @@ def observe(model: GrnnModel, x, y: float) -> GrnnModel:
 def default_smoothing(inputs) -> float:
     """Scale-aware default: half the inverse mean squared nearest-neighbor
     distance, so weight decays to ~0.6 at a typical nearest neighbor."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"inputs must be 2-D, got ndim={x.ndim}")
+    x = as_rows(inputs)
     if x.shape[0] < 2:
         raise DomainError("need at least two samples")
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.sum(x * x, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+        d2 = gram_sq_dists(x)
         np.fill_diagonal(d2, np.inf)
         nn = np.maximum(d2.min(axis=1), 0.0)
         mean_nn = float(nn.mean())

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
+from .timeseries import as_rows
 
 KERNEL_KINDS = ("linear", "poly", "rbf", "mlp")
 
@@ -79,10 +80,8 @@ def _vec(x) -> np.ndarray:
 
 def kernel_column(spec: KernelSpec, rows: np.ndarray, x) -> np.ndarray:
     """Vector of K(rows[i], x) for every row, computed vectorized."""
-    rows = np.asarray(rows, dtype=np.float64)
     x = _vec(x)
-    if rows.ndim != 2:
-        raise ShapeError(f"rows must be 2-D, got ndim={rows.ndim}")
+    rows = as_rows(rows)
     if rows.shape[1] != x.shape[0]:
         raise ShapeError(f"rows are {rows.shape} but point has length {x.shape[0]}")
     if spec.kind == "linear":
@@ -95,20 +94,24 @@ def kernel_column(spec: KernelSpec, rows: np.ndarray, x) -> np.ndarray:
     return np.tanh(spec.mlp_k * (rows @ x) + spec.mlp_theta)
 
 
-def expansion(spec: KernelSpec, rows: np.ndarray, coefs: np.ndarray, bias: float, x) -> float:
-    """The kernel expansion sum_i coefs[i] K(rows[i], x) plus the bias.
+def expansion(spec: KernelSpec, rows: np.ndarray, coefs: np.ndarray, bias: float, inputs) -> np.ndarray:
+    """The kernel expansion sum_i coefs[i] K(rows[i], x) plus the bias, for
+    each row x of inputs, one kernel column at a time.
 
-    Raises DomainError, naming the kernel, when a column entry or the
-    sum overflows or is otherwise not finite.
+    Raises DomainError, naming the kernel, when a column entry or a sum
+    overflows or is otherwise not finite.
     """
+    rows = as_rows(rows)
+    values = []
     with np.errstate(over="ignore", invalid="ignore"):
-        col = kernel_column(spec, rows, x)
-        if not np.all(np.isfinite(col)):
-            raise DomainError(f"{spec.kind} kernel column has non-finite entries")
-        value = float(coefs @ col + bias)
-    if not math.isfinite(value):
-        raise DomainError(f"{spec.kind} kernel expansion overflows float64")
-    return value
+        for x in as_rows(inputs, rows.shape[1]):
+            col = kernel_column(spec, rows, x)
+            if not np.all(np.isfinite(col)):
+                raise DomainError(f"{spec.kind} kernel column has non-finite entries")
+            values.append(float(coefs @ col + bias))
+            if not math.isfinite(values[-1]):
+                raise DomainError(f"{spec.kind} kernel expansion overflows float64")
+    return np.array(values)
 
 
 def gram(spec: KernelSpec, rows: np.ndarray) -> np.ndarray:
@@ -118,9 +121,7 @@ def gram(spec: KernelSpec, rows: np.ndarray) -> np.ndarray:
     symmetric by construction.  Raises DomainError, naming the kernel,
     when an entry overflows or is otherwise not finite.
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ShapeError(f"rows must be 2-D, got ndim={rows.ndim}")
+    rows = as_rows(rows)
     n = rows.shape[0]
     out = np.empty((n, n), dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -139,14 +140,26 @@ def median_pairwise_distance(rows: np.ndarray) -> float:
     The usual width heuristic for the rbf kernel.  Falls back to 1.0 when
     every pair coincides.
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ShapeError(f"rows must be 2-D, got ndim={rows.ndim}")
+    rows = as_rows(rows)
     n = rows.shape[0]
     if n < 2:
         raise DomainError("need at least two rows")
-    sq = np.sum(rows * rows, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (rows @ rows.T)
+    d2 = gram_sq_dists(rows)
     iu = np.triu_indices(n, k=1)
     med = float(np.median(np.sqrt(np.maximum(d2[iu], 0.0))))
     return med if med > 0.0 else 1.0
+
+
+def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between every row of a and every row of
+    b, (n, m), summed from the differences: never negative."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sum(diff * diff, axis=2)
+
+
+def gram_sq_dists(rows: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between every pair of rows, (n, n), from
+    one matrix product as |a|^2 + |b|^2 - 2 a.b.  Rounding can leave small
+    negative entries, the diagonal included."""
+    sq = np.sum(rows * rows, axis=1)
+    return sq[:, None] + sq[None, :] - 2.0 * (rows @ rows.T)

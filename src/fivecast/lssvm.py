@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 from .kernels import KernelSpec, expansion, gram
+from .timeseries import as_samples
 
 _REFINE_ROUNDS = 2
 
@@ -38,15 +39,8 @@ class LssvmModel:
 
 def fit(inputs, targets, kernel: KernelSpec, gamma: float = 100.0) -> LssvmModel:
     """Assemble and solve the saddle-point system."""
-    x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"inputs must be 2-D, got ndim={x.ndim}")
-    if y.ndim != 1 or y.shape[0] != x.shape[0]:
-        raise ShapeError(f"targets must be 1-D with {x.shape[0]} entries")
+    x, y = as_samples(inputs, targets)
     n = x.shape[0]
-    if n == 0:
-        raise DomainError("no training samples")
     if not 0.0 < gamma < math.inf:
         raise DomainError(f"gamma must be finite and > 0, got {gamma}")
     if not 1.0 / float(gamma) < math.inf:
@@ -77,9 +71,4 @@ def fit(inputs, targets, kernel: KernelSpec, gamma: float = 100.0) -> LssvmModel
 
 def predict_batch(model: LssvmModel, inputs) -> np.ndarray:
     """Kernel expansion over the training rows plus the bias, per input row."""
-    arr = np.asarray(inputs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != model.inputs.shape[1]:
-        raise ShapeError(f"inputs must be (n, {model.inputs.shape[1]}), got {arr.shape}")
-    return np.array(
-        [expansion(model.kernel, model.inputs, model.coefs, model.bias, row) for row in arr]
-    )
+    return expansion(model.kernel, model.inputs, model.coefs, model.bias, inputs)

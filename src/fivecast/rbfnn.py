@@ -19,6 +19,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, ShapeError
+from .kernels import sq_dists
+from .timeseries import as_rows, as_samples
 
 KMEANS_MAX_ITER = 50
 WIDTH_FLOOR = 1e-6
@@ -51,30 +53,11 @@ def default_center_count(n_train: int) -> int:
     return min(n_train, max(3, int(math.floor(math.sqrt(n_train)))))
 
 
-def _as_samples(inputs, targets) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"inputs must be 2-D, got ndim={x.ndim}")
-    if y.ndim != 1 or y.shape[0] != x.shape[0]:
-        raise ShapeError(f"targets must be 1-D with {x.shape[0]} entries")
-    if x.shape[0] == 0:
-        raise DomainError("no training samples")
-    return x, y
-
-
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.sum(diff * diff, axis=2)
-
-
 def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     """Lloyd's algorithm: seeded sample-row init, nearest-center assignment
     with ties to the lowest index, mean updates, at most 50 sweeps.
     Clusters that lose every member keep their previous center."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ShapeError("points must be 2-D")
+    points = as_rows(points)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise DomainError(f"k must be in [1, {n}], got {k}")
@@ -82,7 +65,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     centers = points[rng.choice(n, size=k, replace=False)].copy()
     assign = np.full(n, -1)
     for _ in range(KMEANS_MAX_ITER):
-        new_assign = np.argmin(_sq_dists(points, centers), axis=1)
+        new_assign = np.argmin(sq_dists(points, centers), axis=1)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -99,7 +82,7 @@ def _widths(centers: np.ndarray) -> np.ndarray:
     k = centers.shape[0]
     if k == 1:
         return np.ones(1)
-    d2 = _sq_dists(centers, centers)
+    d2 = sq_dists(centers, centers)
     np.fill_diagonal(d2, np.inf)
     dist = np.sqrt(d2)
     take = min(2, k - 1)
@@ -110,7 +93,7 @@ def _widths(centers: np.ndarray) -> np.ndarray:
 def _normalized_activations(points: np.ndarray, centers: np.ndarray, betas: np.ndarray) -> np.ndarray:
     # Shift exponents by their row max before exp so far queries cannot
     # underflow the denominator to zero.
-    e = -betas[None, :] * _sq_dists(points, centers)
+    e = -betas[None, :] * sq_dists(points, centers)
     w = np.exp(e - e.max(axis=1, keepdims=True))
     return w / w.sum(axis=1, keepdims=True)
 
@@ -119,7 +102,7 @@ def fit(inputs, targets, n_centers: int | None = None, seed: int = 0) -> RbfNetw
     """Place centers by k-means, derive widths, then solve for the output
     weights: the square activation system when n_centers equals the sample
     count, the ridge normal equations otherwise."""
-    x, y = _as_samples(inputs, targets)
+    x, y = as_samples(inputs, targets)
     k = default_center_count(x.shape[0]) if n_centers is None else n_centers
     if not 1 <= k <= x.shape[0]:
         raise DomainError(f"n_centers must be in [1, {x.shape[0]}], got {k}")
@@ -136,7 +119,5 @@ def fit(inputs, targets, n_centers: int | None = None, seed: int = 0) -> RbfNetw
 
 
 def predict_batch(net: RbfNetwork, inputs) -> np.ndarray:
-    arr = np.asarray(inputs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != net.centers.shape[1]:
-        raise ShapeError(f"inputs must be (n, {net.centers.shape[1]}), got {arr.shape}")
+    arr = as_rows(inputs, net.centers.shape[1])
     return _normalized_activations(arr, net.centers, net.betas) @ net.weights

@@ -34,10 +34,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceWarning, DomainError, ShapeError
+from .errors import ConvergenceWarning, DomainError
 from .kernels import KernelSpec, expansion, gram
+from .timeseries import as_samples
+
+# Default stopping rule: KKT violation at most TOL, at most MAX_PASSES passes.
+TOL = 1e-4
+MAX_PASSES = 200
 
 _PROGRESS_TOL = 1e-12
+# A pair move needs a box at least this wide; the box is at most 2 * c_reg.
+_MIN_STEP_WIDTH = 1e-14
 
 
 def _smo_offsets(beta, eps, c):
@@ -57,8 +64,11 @@ def _smo_gap(up, dn):
     # Largest feasible pair ascent rate, -inf when no pair can move.
     # When it is positive the two argmax indices are necessarily distinct
     # (one coefficient's up and down rates sum to at most zero), so this
-    # is the true pair gap.
-    return up.max() + dn.max()
+    # is the true pair gap.  An epsilon near the float64 limit can push
+    # the sum of two very negative rates past it; that overflows to -inf,
+    # which is still "no pair can move".
+    with np.errstate(over="ignore"):
+        return up.max() + dn.max()
 
 
 def _smo_curvatures(kmat):
@@ -112,7 +122,7 @@ def _smo_step(krows, beta, g, i, j, eps, c):
     bj = beta[j]
     lo = max(-c - bi, bj - c)
     hi = min(c - bi, bj + c)
-    if hi - lo < 1e-14:
+    if hi - lo < _MIN_STEP_WIDTH:
         return None
     ki = krows[i]
     kappa = ki[i] + krows[j][j] - 2.0 * ki[j]
@@ -217,30 +227,25 @@ def fit(
     kernel: KernelSpec,
     epsilon: float = 0.01,
     c_reg: float = 10.0,
-    tol: float = 1e-4,
-    max_passes: int = 200,
-    seed: int = 0,
+    tol: float = TOL,
+    max_passes: int = MAX_PASSES,
 ) -> SvrModel:
     """Solve the dual by maximal-violating-pair coordinate moves.
 
-    The solver is deterministic; ``seed`` is accepted so every model in
-    the package shares one fitting signature, and repeat calls with any
-    fixed arguments reproduce the same model bit for bit.  Emits
-    ConvergenceWarning (and still returns the model) when the pass
-    budget ends with a KKT violation above ``tol``.
+    The solver is deterministic: repeat calls with fixed arguments
+    reproduce the same model bit for bit.  Emits ConvergenceWarning (and
+    still returns the model) when the pass budget ends with a KKT
+    violation above ``tol``.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"inputs must be 2-D, got ndim={x.ndim}")
-    if y.ndim != 1 or y.shape[0] != x.shape[0]:
-        raise ShapeError(f"targets must be 1-D with {x.shape[0]} entries")
-    if x.shape[0] == 0:
-        raise DomainError("no training samples")
+    x, y = as_samples(inputs, targets)
     if not 0.0 <= epsilon < math.inf:
         raise DomainError(f"epsilon must be finite and >= 0, got {epsilon}")
     if not 0.0 < c_reg < math.inf:
         raise DomainError(f"c_reg must be finite and > 0, got {c_reg}")
+    if 2.0 * c_reg < _MIN_STEP_WIDTH:
+        raise DomainError(
+            f"c_reg must be >= {_MIN_STEP_WIDTH / 2:g} for the solver to take a step, got {c_reg}"
+        )
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
     if max_passes < 1:
@@ -271,9 +276,4 @@ def fit(
 
 def predict_batch(model: SvrModel, inputs) -> np.ndarray:
     """Kernel expansion over the training rows plus the bias, per input row."""
-    arr = np.asarray(inputs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != model.inputs.shape[1]:
-        raise ShapeError(f"inputs must be (n, {model.inputs.shape[1]}), got {arr.shape}")
-    return np.array(
-        [expansion(model.kernel, model.inputs, model.coefs, model.bias, row) for row in arr]
-    )
+    return expansion(model.kernel, model.inputs, model.coefs, model.bias, inputs)

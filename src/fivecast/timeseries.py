@@ -4,6 +4,8 @@ Input files are UTF-8 CSVs with the exact header ``date,close``: one row
 per trading week, ISO dates strictly increasing, closes strictly positive.
 A series of N prices becomes N - lags supervised samples; each input is a
 run of consecutive prices and the target is the price that follows it.
+Every model takes such a sample block through :func:`as_rows` and
+:func:`as_samples`, so the five share one set of input checks.
 """
 
 from __future__ import annotations
@@ -103,6 +105,29 @@ class WindowedDataset:
     @property
     def test_targets(self) -> np.ndarray:
         return self.targets[self._require_split() :]
+
+
+def as_rows(inputs, width: int | None = None) -> np.ndarray:
+    """A float64 (n, width) block of sample rows; any width when width is
+    None."""
+    x = np.asarray(inputs, dtype=np.float64)
+    if width is None:
+        if x.ndim != 2:
+            raise ShapeError(f"inputs must be 2-D, got ndim={x.ndim}")
+    elif x.ndim != 2 or x.shape[1] != width:
+        raise ShapeError(f"inputs must be (n, {width}), got {x.shape}")
+    return x
+
+
+def as_samples(inputs, targets) -> tuple[np.ndarray, np.ndarray]:
+    """A non-empty block of sample rows and its 1-D targets, one per row."""
+    x = as_rows(inputs)
+    y = np.asarray(targets, dtype=np.float64)
+    if y.ndim != 1 or y.shape[0] != x.shape[0]:
+        raise ShapeError(f"targets must be 1-D with {x.shape[0]} entries")
+    if x.shape[0] == 0:
+        raise DomainError("no training samples")
+    return x, y
 
 
 @dataclass(frozen=True)

@@ -306,6 +306,11 @@ class TestBadFlagValues:
             (["kernels", "--poly-c", "inf"], 2, "data error: polynomial offset must be finite"),
             (["kernels", "--mlp-theta", "inf"], 2, "data error: tanh kernel slope and offset must be finite"),
             (["benchmark", "--models", "svr,lssvm", "--rbf-sigma", "inf"], 2, "data error: rbf width"),
+            # numpy cannot even shape these layers, so nothing is allocated
+            (["stability", "--runs", "2", "--hidden", str(10**20)], 2,
+             "data error: cannot allocate layers of sizes (3, 100000000000000000000, 1)"),
+            (["lag", "--models", "bp", "--hidden", str(10**20)], 2,
+             "data error: cannot allocate layers of sizes (3, 100000000000000000000, 1)"),
         ],
     )
     def test_rejected_up_front(self, price_csv, tmp_path, argv, code, message):
@@ -325,6 +330,8 @@ class TestBadFlagValues:
             ("lssvm", ["--lssvm-gamma", "inf"], "DomainError: gamma must be finite and > 0, got inf"),
             ("svr", ["--svr-eps", "nan"], "DomainError: epsilon must be finite and >= 0, got nan"),
             ("svr", ["--svr-c", "inf"], "DomainError: c_reg must be finite and > 0, got inf"),
+            ("svr", ["--svr-c", "1e-320"], "DomainError: c_reg must be >= 5e-15"),
+            ("bp", ["--hidden", str(10**20)], "DomainError: cannot allocate layers of sizes"),
         ],
     )
     def test_error_row(self, price_csv, tmp_path, model, flags, message):
@@ -340,6 +347,18 @@ class TestBadFlagValues:
         rows = (out / "results.csv").read_text().splitlines()[2:]
         assert rows[0] == f"{model},nan,nan"
         assert "nan" not in rows[1]
+
+    def test_epsilon_near_the_float64_limit_is_a_result(self, price_csv, tmp_path):
+        out = tmp_path / "out"
+        proc = self.run_cli(
+            ["benchmark", "--data", str(price_csv), "--out", str(out), "--models", "svr",
+             "--svr-eps", "1e308"]
+        )
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        row = (out / "results.csv").read_text().splitlines()[2]
+        assert row.startswith("svr,") and "nan" not in row
 
     @staticmethod
     def run_cli(argv):

@@ -7,8 +7,8 @@ import numpy.testing as npt
 import pytest
 from conftest import make_ar_series, weekly_series
 
-from fivecast import evaluate, grnn, timeseries
-from fivecast.errors import DomainError, ShapeError
+from fivecast import bpnn, evaluate, grnn, lssvm, rbfnn, svr, timeseries
+from fivecast.errors import DomainError, FivecastError, ShapeError
 from fivecast.evaluate import (
     MODEL_NAMES,
     EvalReport,
@@ -27,6 +27,7 @@ from fivecast.evaluate import (
     stability_csv,
     stability_table,
 )
+from fivecast.kernels import KernelSpec
 
 
 def split_windows(series, frac=0.8):
@@ -35,6 +36,52 @@ def split_windows(series, frac=0.8):
 
 def constant_dataset(value=5.0, n=30):
     return split_windows(weekly_series(np.full(n, value)))
+
+
+# Fit and batch predict of each model on a sample block with 3 lags.
+_FIT = {
+    "bp": lambda x, y: bpnn.new_network((3, 2, 1)),
+    "rbf": rbfnn.fit,
+    "grnn": lambda x, y: grnn.fit(x, y, beta=1.0),
+    "svr": lambda x, y: svr.fit(x, y, KernelSpec.linear()),
+    "lssvm": lambda x, y: lssvm.fit(x, y, KernelSpec.linear()),
+}
+_PREDICT = {
+    "bp": bpnn.predict_batch,
+    "rbf": rbfnn.predict_batch,
+    "grnn": grnn.predict_batch,
+    "svr": svr.predict_batch,
+    "lssvm": lssvm.predict_batch,
+}
+_SINGLE_OUTPUT_FITS = ("rbf", "grnn", "svr", "lssvm")
+_SHARED_MESSAGES = [
+    *[(name, "wrong width", ShapeError, "inputs must be (n, 3), got (2, 2)") for name in MODEL_NAMES],
+    *[
+        (name, case, kind, message)
+        for name in _SINGLE_OUTPUT_FITS
+        for case, kind, message in (
+            ("1-D inputs", ShapeError, "inputs must be 2-D, got ndim=1"),
+            ("mismatched targets", ShapeError, "targets must be 1-D with 6 entries"),
+            ("empty block", DomainError, "no training samples"),
+        )
+    ],
+]
+
+
+@pytest.mark.parametrize("name, case, kind, message", _SHARED_MESSAGES)
+def test_models_share_the_sample_block_messages(name, case, kind, message):
+    x = np.random.default_rng(8).uniform(0.0, 1.0, (6, 3))
+    y = x @ np.array([0.5, -0.25, 1.0])
+    call = {
+        "wrong width": lambda: _PREDICT[name](_FIT[name](x, y), np.ones((2, 2))),
+        "1-D inputs": lambda: _FIT[name](x[:, 0], y),
+        "mismatched targets": lambda: _FIT[name](x, y[:-1]),
+        "empty block": lambda: _FIT[name](x[:0], y[:0]),
+    }[case]
+    with pytest.raises(FivecastError) as info:
+        call()
+    assert type(info.value) is kind
+    assert str(info.value) == message
 
 
 class TestMetrics:

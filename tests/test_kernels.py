@@ -171,21 +171,21 @@ class TestGram:
 class TestExpansion:
     def test_by_hand(self):
         rows = np.array([[1.0, 2.0], [3.0, -1.0]])
-        got = expansion(KernelSpec.linear(), rows, np.array([0.5, -2.0]), 0.25, [2.0, 1.0])
-        assert got == 0.5 * 4.0 - 2.0 * 5.0 + 0.25
+        got = expansion(KernelSpec.linear(), rows, np.array([0.5, -2.0]), 0.25, [[2.0, 1.0]])
+        assert got.tolist() == [0.5 * 4.0 - 2.0 * 5.0 + 0.25]
 
     def test_column_overflow_is_a_domain_error_naming_the_kernel(self):
         # (1 + 10 * 20)^600 is far beyond float64
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="poly kernel column has non-finite entries"):
-                expansion(KernelSpec.polynomial(600), np.array([[10.0]]), np.ones(1), 0.0, [20.0])
+                expansion(KernelSpec.polynomial(600), np.array([[10.0]]), np.ones(1), 0.0, [[20.0]])
 
     def test_sum_overflow_is_a_domain_error(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="linear kernel expansion overflows"):
-                expansion(KernelSpec.linear(), np.ones((2, 1)), np.full(2, 1e308), 0.0, [1.0])
+                expansion(KernelSpec.linear(), np.ones((2, 1)), np.full(2, 1e308), 0.0, [[1.0]])
 
 
 class TestKernelSpec:

@@ -8,7 +8,7 @@ import pytest
 from test_kernels import kernel_value
 
 from fivecast.errors import DomainError, ShapeError
-from fivecast.kernels import KernelSpec, expansion
+from fivecast.kernels import KernelSpec, kernel_column
 from fivecast.lssvm import LssvmModel, fit, predict_batch
 
 
@@ -153,7 +153,7 @@ class TestPredict:
         m = fit(x, y, KernelSpec.rbf(1.0), gamma=50.0)
         probe = rng.uniform(-1.0, 1.0, (6, 2))
         # each row is the kernel expansion, bit for bit
-        loop = [expansion(m.kernel, m.inputs, m.coefs, m.bias, p) for p in probe]
+        loop = [float(m.coefs @ kernel_column(m.kernel, m.inputs, p) + m.bias) for p in probe]
         assert predict_batch(m, probe).tolist() == loop
 
     def test_batch_shape(self):

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from fivecast import svr
 from fivecast.errors import ConvergenceWarning, DomainError, ShapeError
-from fivecast.kernels import KernelSpec, expansion, gram
+from fivecast.kernels import KernelSpec, gram, kernel_column
 from fivecast.svr import SvrModel, fit, predict_batch
 
 REFERENCE_SETTINGS = settings(derandomize=True, database=None, deadline=None)
@@ -631,10 +631,26 @@ class TestFit:
             fit(x, y, spec, tol=0.0)
         with pytest.raises(DomainError):
             fit(x, y, spec, max_passes=0)
+        # the box a pair moves in is at most 2 * c_reg wide, and no step
+        # is taken in a box narrower than 1e-14
+        for tiny in (1e-320, 4.9e-15):
+            with pytest.raises(DomainError, match="c_reg must be >= 5e-15"):
+                fit(x, y, spec, c_reg=tiny)
         with pytest.raises(ShapeError):
             fit(np.ones(3), y, spec)
         with pytest.raises(ShapeError):
             fit(x, np.arange(4.0), spec)
+
+
+    def test_epsilon_near_the_float64_limit_is_a_flat_model(self):
+        # both rates of the best pair sit near -1e308, so their sum overflows;
+        # no pair can move, and the fit converges at zero coefficients
+        x = np.arange(6.0)[:, None]
+        m = fit(x, np.sin(x[:, 0]), KernelSpec.rbf(1.0), epsilon=1e308)
+        assert m.converged
+        assert m.passes == 0
+        assert not np.any(m.coefs)
+        assert math.isfinite(m.bias)
 
 
 class TestPredict:
@@ -695,7 +711,7 @@ class TestPredict:
         m = fit(x, y, KernelSpec.rbf(1.0))
         probe = rng.uniform(-1.0, 1.0, (5, 2))
         # each row is the kernel expansion, bit for bit
-        loop = [expansion(m.kernel, m.inputs, m.coefs, m.bias, p) for p in probe]
+        loop = [float(m.coefs @ kernel_column(m.kernel, m.inputs, p) + m.bias) for p in probe]
         assert predict_batch(m, probe).tolist() == loop
 
     def test_batch_shape(self):
