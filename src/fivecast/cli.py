@@ -7,10 +7,14 @@ Four subcommands cover the full pipeline on a ``date,close`` CSV:
 * ``stability``  retrain the backprop model across seeds, write stability.csv
 * ``lag``        emit per-model lag-one error series plus a summary
 
-Every output file starts with a ``#`` comment naming the command and the
-fully resolved configuration, is written atomically (temp file then
-rename), and is byte-identical when the same command runs again with the
-same seed.  Exit codes: 0 success, 1 usage, 2 bad data, 3 numerical
+Every flag is declared once, in ``_FLAGS``, with the ``HarnessConfig`` or
+``KernelSpec`` field it sets as its destination; a flag left out is left
+to that field's default.  Each command returns its file bodies and its
+printed text, and one runner loads the data, writes every file and
+prints.  Every output file starts with a ``#`` comment naming the command
+and the fully resolved configuration, is written atomically (temp file
+then rename), and is byte-identical when the same command runs again with
+the same seed.  Exit codes: 0 success, 1 usage, 2 bad data, 3 numerical
 failure.
 """
 
@@ -20,7 +24,7 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import evaluate, svr
@@ -33,7 +37,7 @@ from .errors import (
     SingularError,
 )
 from .evaluate import HarnessConfig
-from .kernels import KernelSpec
+from .kernels import KERNEL_KINDS, KernelSpec
 from .timeseries import load_csv, make_windows, split
 
 TRAIN_FRACTION = 0.8
@@ -50,63 +54,76 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data", required=True, help="input CSV with header date,close")
-    parser.add_argument("--out", default=".", help="directory for output files")
-    parser.add_argument("--seed", type=int, default=0, help="seed for every random choice")
+_MODEL_LIST = ",".join(evaluate.MODEL_NAMES)
 
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eta", type=float, default=0.01, help="backprop learning rate")
-    parser.add_argument("--batch", type=int, default=16, help="backprop mini-batch size")
-    parser.add_argument("--epochs", type=int, default=500, help="backprop training epochs")
-    parser.add_argument("--hidden", type=int, default=None, help="hidden units (default: width rule)")
-    parser.add_argument("--rbf-centers", type=int, default=None, help="radial units (default: sqrt of train size)")
-    parser.add_argument("--grnn-beta", type=float, default=None, help="kernel sharpness on raw prices (default: nearest-neighbor heuristic)")
-    parser.add_argument("--grnn-static", action="store_true", help="freeze the sample memory during the test block")
-    parser.add_argument("--svr-eps", type=float, default=0.01, help="insensitive-tube half width, scaled units")
-    parser.add_argument("--svr-c", type=float, default=10.0, help="box bound on dual coefficients")
-    parser.add_argument("--lssvm-gamma", type=float, default=100.0, help="least squares regularization weight")
-
-
-def _add_kernel_flags(parser: argparse.ArgumentParser, with_choice: bool) -> None:
-    if with_choice:
-        parser.add_argument(
-            "--kernel",
-            choices=("linear", "poly", "rbf", "mlp"),
-            default=None,
-            help="kernel for the support vector models (default: rbf, median width)",
-        )
-    parser.add_argument("--poly-d", type=int, default=2, help="polynomial degree")
-    parser.add_argument("--poly-c", type=float, default=1.0, help="polynomial offset scale")
-    parser.add_argument("--rbf-sigma", type=float, default=None, help="rbf width (default: median pairwise distance)")
-    parser.add_argument("--mlp-k", type=float, default=1.0, help="tanh kernel slope")
-    parser.add_argument("--mlp-theta", type=float, default=0.0, help="tanh kernel offset")
-
-
-def _parse_models(text: str) -> list[str]:
-    names = [part.strip() for part in text.split(",") if part.strip()]
+def _models(text: str) -> tuple[str, ...]:
+    names = tuple(part.strip() for part in text.split(",") if part.strip())
     if not names:
         raise _UsageError("--models must name at least one model")
     for name in names:
         if name not in evaluate.MODEL_NAMES:
-            raise _UsageError(
-                f"unknown model {name!r}; choose from {','.join(evaluate.MODEL_NAMES)}"
-            )
+            raise _UsageError(f"unknown model {name!r}; choose from {_MODEL_LIST}")
     return names
 
 
-def _kernel_from_args(args, kind: str | None) -> KernelSpec | None:
+def _runs(text: str) -> int:
+    try:
+        runs = int(text)
+    except ValueError:
+        # argparse's own wording for a value that is not an integer
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if runs < 2:
+        raise _UsageError(f"--runs must be at least 2, got {runs}")
+    return runs
+
+
+# One row per flag, in --help order: flag, dest, argparse options.  A dest
+# other than data, out, models and runs is the HarnessConfig or KernelSpec
+# field the flag sets.
+_FLAGS = (
+    ("--data", "data", dict(required=True, help="input CSV with header date,close")),
+    ("--out", "out", dict(default=".", help="directory for output files")),
+    ("--seed", "seed", dict(type=int, help="seed for every random choice")),
+    ("--models", "models", dict(type=_models, default=evaluate.MODEL_NAMES, help="comma-separated subset of " + _MODEL_LIST)),
+    ("--runs", "runs", dict(type=_runs, default=100, help="number of reseeded runs")),
+    ("--eta", "bp_eta", dict(type=float, help="backprop learning rate")),
+    ("--batch", "bp_batch", dict(type=int, help="backprop mini-batch size")),
+    ("--epochs", "bp_epochs", dict(type=int, help="backprop training epochs")),
+    ("--hidden", "bp_hidden", dict(type=int, help="hidden units (default: width rule)")),
+    ("--rbf-centers", "rbf_centers", dict(type=int, help="radial units (default: sqrt of train size)")),
+    ("--grnn-beta", "grnn_beta", dict(type=float, help="kernel sharpness on raw prices (default: nearest-neighbor heuristic)")),
+    ("--grnn-static", "grnn_dynamic", dict(action="store_false", help="freeze the sample memory during the test block")),
+    ("--svr-eps", "svr_epsilon", dict(type=float, help="insensitive-tube half width, scaled units")),
+    ("--svr-c", "svr_c", dict(type=float, help="box bound on dual coefficients")),
+    ("--lssvm-gamma", "lssvm_gamma", dict(type=float, help="least squares regularization weight")),
+    ("--kernel", "kind", dict(choices=KERNEL_KINDS, help="kernel for the support vector models (default: rbf, median width)")),
+    ("--poly-d", "degree", dict(type=int, help="polynomial degree")),
+    ("--poly-c", "poly_c", dict(type=float, help="polynomial offset scale")),
+    ("--rbf-sigma", "sigma", dict(type=float, help="rbf width (default: median pairwise distance)")),
+    ("--mlp-k", "mlp_k", dict(type=float, help="tanh kernel slope")),
+    ("--mlp-theta", "mlp_theta", dict(type=float, help="tanh kernel offset")),
+)
+# The flags only some commands take; every command takes the rest.
+_ONLY = {
+    "--models": ("benchmark", "lag"),
+    "--runs": ("stability",),
+    "--kernel": ("benchmark", "stability", "lag"),
+}
+
+
+def _given(args, cls) -> dict:
+    """The flags set on the command line that name a field of cls."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+
+
+def _kernel_from_args(args, kind: str) -> KernelSpec | None:
     # no --kernel means rbf, so --rbf-sigma applies without it
-    if kind == "linear":
-        return KernelSpec.linear()
-    if kind == "poly":
-        return KernelSpec.polynomial(args.poly_d, args.poly_c)
-    if kind in (None, "rbf"):
-        if args.rbf_sigma is None:
-            return None  # fall through to the median-width default
-        return KernelSpec.rbf(args.rbf_sigma)
-    return KernelSpec.mlp(args.mlp_k, args.mlp_theta)
+    given = _given(args, KernelSpec)
+    given["kind"] = kind
+    if kind == "rbf" and "sigma" not in given:
+        return None  # fall through to the median-width default
+    return KernelSpec(**given)
 
 
 def _kernel_label(spec: KernelSpec | None) -> str:
@@ -122,28 +139,16 @@ def _kernel_label(spec: KernelSpec | None) -> str:
 
 
 def _config_from_args(args) -> HarnessConfig:
-    return HarnessConfig(
-        seed=args.seed,
-        bp_eta=args.eta,
-        bp_batch=args.batch,
-        bp_epochs=args.epochs,
-        bp_hidden=args.hidden,
-        rbf_centers=args.rbf_centers,
-        grnn_beta=args.grnn_beta,
-        grnn_dynamic=not args.grnn_static,
-        svr_epsilon=args.svr_eps,
-        svr_c=args.svr_c,
-        lssvm_gamma=args.lssvm_gamma,
-        kernel=_kernel_from_args(args, getattr(args, "kernel", None)),
-    )
+    kernel = _kernel_from_args(args, getattr(args, "kind", "rbf"))
+    return HarnessConfig(**_given(args, HarnessConfig), kernel=kernel)
 
 
-def _config_line(cmd: str, args, cfg: HarnessConfig, extra: str = "") -> str:
+def _config_line(args, cfg: HarnessConfig) -> str:
     def opt(v, auto: str = "auto"):
         return auto if v is None else v
 
     parts = [
-        f"cmd={cmd}",
+        f"cmd={args.command}",
         f"data={args.data}",
         f"lags={LAGS}",
         f"train_fraction={TRAIN_FRACTION}",
@@ -162,8 +167,10 @@ def _config_line(cmd: str, args, cfg: HarnessConfig, extra: str = "") -> str:
         f"lssvm_gamma={cfg.lssvm_gamma!r}",
         f"kernel={_kernel_label(cfg.kernel)}",
     ]
-    if extra:
-        parts.append(extra)
+    if hasattr(args, "models"):
+        parts.append(f"models={','.join(args.models)}")
+    if hasattr(args, "runs"):
+        parts.append(f"runs={args.runs}")
     return "# " + " ".join(parts) + "\n"
 
 
@@ -182,133 +189,89 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _load_dataset(args):
-    series = load_csv(args.data)
-    return split(make_windows(series, LAGS), TRAIN_FRACTION)
+# Each command takes the parsed flags, their config and the split dataset,
+# and returns its output files (name -> body, without the header) and the
+# text it prints before the "wrote" lines.
 
 
-def _cmd_benchmark(args) -> int:
-    models = _parse_models(args.models)
-    cfg = _config_from_args(args)
-    ds = _load_dataset(args)
-    reports = evaluate.benchmark(ds, models, cfg)
-    header = _config_line("benchmark", args, cfg, extra=f"models={','.join(models)}")
-    out_path = Path(args.out) / "results.csv"
-    _write_atomic(out_path, header + evaluate.results_csv(reports))
-    sys.stdout.write(evaluate.results_table(reports))
-    sys.stdout.write(f"wrote {out_path}\n")
-    return 0
+def _cmd_benchmark(args, cfg, ds) -> tuple[dict[str, str], str]:
+    reports = evaluate.benchmark(ds, args.models, cfg)
+    return {"results.csv": evaluate.results_csv(reports)}, evaluate.results_table(reports)
 
 
-def _cmd_kernels(args) -> int:
-    cfg = _config_from_args(args)
-    ds = _load_dataset(args)
+def _cmd_kernels(args, cfg, ds) -> tuple[dict[str, str], str]:
+    # every spec is checked before the first fit runs
     specs = [(kind, _kernel_from_args(args, kind)) for kind in ("linear", "poly", "mlp", "rbf")]
     reports = []
     for label, spec in specs:
-        run_cfg = replace(cfg, kernel=spec)
-        rep = evaluate.benchmark(ds, ["svr"], run_cfg)[0]
-        reports.append(
-            evaluate.EvalReport(label, rep.mse, rep.mape, rep.n_test, rep.error)
-        )
-    header = _config_line("kernels", args, cfg)
-    out_path = Path(args.out) / "kernels.csv"
-    _write_atomic(out_path, header + evaluate.results_csv(reports, label="kernel"))
-    sys.stdout.write(evaluate.results_table(reports, label="kernel"))
-    sys.stdout.write(f"wrote {out_path}\n")
-    return 0
+        rep = evaluate.benchmark(ds, ["svr"], replace(cfg, kernel=spec))[0]
+        reports.append(replace(rep, model=label))
+    return (
+        {"kernels.csv": evaluate.results_csv(reports, label="kernel")},
+        evaluate.results_table(reports, label="kernel"),
+    )
 
 
-def _cmd_stability(args) -> int:
-    if args.runs < 2:
-        raise _UsageError(f"--runs must be at least 2, got {args.runs}")
-    cfg = _config_from_args(args)
-    ds = _load_dataset(args)
-    report = evaluate.stability(ds, cfg, runs=args.runs, base_seed=args.seed)
-    header = _config_line("stability", args, cfg, extra=f"runs={args.runs}")
-    out_path = Path(args.out) / "stability.csv"
-    _write_atomic(out_path, header + evaluate.stability_csv(report))
-    sys.stdout.write(evaluate.stability_table(report))
-    sys.stdout.write(f"wrote {out_path}\n")
-    return 0
+def _cmd_stability(args, cfg, ds) -> tuple[dict[str, str], str]:
+    report = evaluate.stability(ds, cfg, seeds=range(cfg.seed, cfg.seed + args.runs))
+    return {"stability.csv": evaluate.stability_csv(report)}, evaluate.stability_table(report)
 
 
-def _cmd_lag(args) -> int:
-    models = _parse_models(args.models)
-    cfg = _config_from_args(args)
-    ds = _load_dataset(args)
-    y_test = ds.test_targets
+def _cmd_lag(args, cfg, ds) -> tuple[dict[str, str], str]:
     named = []
-    out_dir = Path(args.out)
-    header_base = _config_line("lag", args, cfg, extra=f"models={','.join(models)}")
-    written = []
-    for name in models:
+    for name in args.models:
         preds = evaluate.model_predictions(ds, name, cfg)
-        rep = evaluate.lag_one_analysis(y_test, preds)
-        named.append((name, rep))
-        path = out_dir / f"lag_{name}.csv"
-        _write_atomic(path, header_base + evaluate.lag_csv(rep))
-        written.append(path)
-    summary_path = out_dir / "lag_summary.csv"
-    _write_atomic(summary_path, header_base + evaluate.lag_summary_csv(named))
-    written.append(summary_path)
-    for name, rep in named:
-        sys.stdout.write(
-            f"{name}: mean={rep.mean:.3g} std={rep.std:.3g} "
-            f"frac_negative={rep.frac_negative:.3g}\n"
-        )
-    for path in written:
-        sys.stdout.write(f"wrote {path}\n")
+        named.append((name, evaluate.lag_one_analysis(ds.test_targets, preds)))
+    files = {f"lag_{name}.csv": evaluate.lag_csv(rep) for name, rep in named}
+    files["lag_summary.csv"] = evaluate.lag_summary_csv(named)
+    text = "".join(
+        f"{name}: mean={rep.mean:.3g} std={rep.std:.3g} frac_negative={rep.frac_negative:.3g}\n"
+        for name, rep in named
+    )
+    return files, text
+
+
+def _run(args) -> int:
+    """Build the config, load the data, run the command, write and print."""
+    cfg = _config_from_args(args)
+    ds = split(make_windows(load_csv(args.data), LAGS), TRAIN_FRACTION)
+    files, text = args.func(args, cfg, ds)
+    header = _config_line(args, cfg)
+    out_dir = Path(args.out)
+    for name, body in files.items():
+        _write_atomic(out_dir / name, header + body)
+    sys.stdout.write(text + "".join(f"wrote {out_dir / name}\n" for name in files))
     return 0
+
+
+_COMMANDS = {
+    "benchmark": (_cmd_benchmark, "train models and score the test block"),
+    "kernels": (_cmd_kernels, "compare the four kernels under the margin solver"),
+    "stability": (_cmd_stability, "seed sweep of the backprop model"),
+    "lag": (_cmd_lag, "lag-one error series for each model"),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="fivecast", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_bench = sub.add_parser("benchmark", help="train models and score the test block")
-    _add_common(p_bench)
-    p_bench.add_argument(
-        "--models",
-        default=",".join(evaluate.MODEL_NAMES),
-        help="comma-separated subset of " + ",".join(evaluate.MODEL_NAMES),
-    )
-    _add_model_flags(p_bench)
-    _add_kernel_flags(p_bench, with_choice=True)
-    p_bench.set_defaults(func=_cmd_benchmark)
-
-    p_kern = sub.add_parser("kernels", help="compare the four kernels under the margin solver")
-    _add_common(p_kern)
-    _add_model_flags(p_kern)
-    _add_kernel_flags(p_kern, with_choice=False)
-    p_kern.set_defaults(func=_cmd_kernels)
-
-    p_stab = sub.add_parser("stability", help="seed sweep of the backprop model")
-    _add_common(p_stab)
-    p_stab.add_argument("--runs", type=int, default=100, help="number of reseeded runs")
-    _add_model_flags(p_stab)
-    _add_kernel_flags(p_stab, with_choice=True)
-    p_stab.set_defaults(func=_cmd_stability)
-
-    p_lag = sub.add_parser("lag", help="lag-one error series for each model")
-    _add_common(p_lag)
-    p_lag.add_argument(
-        "--models",
-        default=",".join(evaluate.MODEL_NAMES),
-        help="comma-separated subset of " + ",".join(evaluate.MODEL_NAMES),
-    )
-    _add_model_flags(p_lag)
-    _add_kernel_flags(p_lag, with_choice=True)
-    p_lag.set_defaults(func=_cmd_lag)
-
+    for command, (func, help_text) in _COMMANDS.items():
+        # a flag left out stays off the namespace, so the dataclasses' defaults apply
+        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        for flag, dest, options in _FLAGS:
+            if command in _ONLY.get(flag, (command,)):
+                if "type" in options:
+                    # --help names a value after its flag, not its dest
+                    options = dict(options, metavar=flag[2:].replace("-", "_").upper())
+                p.add_argument(flag, dest=dest, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        return _run(parser.parse_args(argv))
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

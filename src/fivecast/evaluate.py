@@ -258,25 +258,13 @@ def benchmark(ds: WindowedDataset, models, cfg: HarnessConfig | None = None) -> 
     return reports
 
 
-def stability(
-    ds: WindowedDataset,
-    cfg: HarnessConfig | None = None,
-    runs: int = 100,
-    base_seed: int = 0,
-    seeds=None,
-) -> StabilityReport:
-    """Retrain the backprop model across seeds and summarize the spread.
+def stability(ds: WindowedDataset, cfg: HarnessConfig | None = None, seeds=range(100)) -> StabilityReport:
+    """Retrain the backprop model once per seed and summarize the spread.
 
-    Seeds default to base_seed .. base_seed + runs - 1; an explicit
-    sequence overrides them.  All seeds train together as one stacked
-    network, each exactly as it would alone.  Spreads are sample standard
-    deviations.
+    All seeds train together as one stacked network, each exactly as it
+    would alone.  Spreads are sample standard deviations.
     """
     cfg = cfg or HarnessConfig()
-    if seeds is None:
-        if runs < 2:
-            raise DomainError(f"need at least 2 runs, got {runs}")
-        seeds = range(base_seed, base_seed + runs)
     seeds = [int(s) for s in seeds]
     if len(seeds) < 2:
         raise DomainError(f"need at least 2 runs, got {len(seeds)}")

@@ -55,11 +55,7 @@ def _query(model: GrnnModel, x) -> np.ndarray:
 
 def predict(model: GrnnModel, x) -> float:
     """Kernel-weighted mean of the stored targets."""
-    arr = _query(model, x)
-    diff = model.inputs - arr
-    e = -model.beta * np.sum(diff * diff, axis=1)
-    w = np.exp(e - e.max())
-    return float((w @ model.targets) / w.sum())
+    return float(predict_batch(model, _query(model, x)[None])[0])
 
 
 def predict_batch(model: GrnnModel, inputs) -> np.ndarray:

@@ -38,7 +38,7 @@ from .errors import ConvergenceWarning, DomainError
 from .kernels import KernelSpec, expansion, gram
 from .timeseries import as_samples
 
-# Default stopping rule: KKT violation at most TOL, at most MAX_PASSES passes.
+# Stopping rule of every fit: KKT violation at most TOL, at most MAX_PASSES passes.
 TOL = 1e-4
 MAX_PASSES = 200
 
@@ -227,15 +227,13 @@ def fit(
     kernel: KernelSpec,
     epsilon: float = 0.01,
     c_reg: float = 10.0,
-    tol: float = TOL,
-    max_passes: int = MAX_PASSES,
 ) -> SvrModel:
     """Solve the dual by maximal-violating-pair coordinate moves.
 
     The solver is deterministic: repeat calls with fixed arguments
     reproduce the same model bit for bit.  Emits ConvergenceWarning (and
-    still returns the model) when the pass budget ends with a KKT
-    violation above ``tol``.
+    still returns the model) when ``MAX_PASSES`` passes end with a KKT
+    violation above ``TOL``.
     """
     x, y = as_samples(inputs, targets)
     if not 0.0 <= epsilon < math.inf:
@@ -246,18 +244,14 @@ def fit(
         raise DomainError(
             f"c_reg must be >= {_MIN_STEP_WIDTH / 2:g} for the solver to take a step, got {c_reg}"
         )
-    if not tol > 0.0:
-        raise DomainError(f"tol must be > 0, got {tol}")
-    if max_passes < 1:
-        raise DomainError(f"max_passes must be >= 1, got {max_passes}")
     kmat = gram(kernel, x)
     beta, bias, passes, converged, viol = _smo_solve(
-        kmat, y, float(epsilon), float(c_reg), float(tol), int(max_passes)
+        kmat, y, float(epsilon), float(c_reg), TOL, MAX_PASSES
     )
     if not converged:
         warnings.warn(
             f"pairwise solver stopped after {passes} passes with KKT violation "
-            f"{viol:.3g} > tol {tol:.3g}",
+            f"{viol:.3g} > tol {TOL:.3g}",
             ConvergenceWarning,
             stacklevel=2,
         )

@@ -1,6 +1,8 @@
 """Command line behavior: outputs, headers, and exit codes."""
 
+import argparse
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,9 @@ import pytest
 from conftest import make_ar_series, weekly_series, write_price_csv
 
 import fivecast
-from fivecast.cli import main
+from fivecast import svr
+from fivecast.cli import _config_from_args, build_parser, main
+from fivecast.evaluate import HarnessConfig
 
 
 @pytest.fixture()
@@ -387,3 +391,100 @@ class TestUsage:
         code = run(["stability", "--data", str(price_csv), "--models", "bp"])
         assert code == 1
         capsys.readouterr()
+
+
+COMMANDS = ["benchmark", "kernels", "stability", "lag"]
+
+
+def subcommand_flags() -> set[str]:
+    """Every flag any subcommand takes, read from the parser."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {flag for p in sub.choices.values() for a in p._actions for flag in a.option_strings}
+
+
+class TestFlagDefaults:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_flags_left_out_give_the_config_defaults(self, command):
+        args = build_parser().parse_args([command, "--data", "prices.csv"])
+        assert _config_from_args(args) == HarnessConfig()
+
+
+# flag -> (base argv, the flag and its non-default value); every flag that
+# names a setting must change the header, which records the full
+# effective configuration
+LAG = ["lag", "--models", "grnn"]
+HEADER_CASES = {
+    "--seed": (LAG, ["--seed", "1"]),
+    "--models": (LAG, ["--models", "rbf"]),
+    "--runs": (["stability", "--epochs", "1", "--runs", "2"], ["--runs", "3"]),
+    "--eta": (LAG, ["--eta", "0.02"]),
+    "--batch": (LAG, ["--batch", "8"]),
+    "--epochs": (LAG, ["--epochs", "7"]),
+    "--hidden": (LAG, ["--hidden", "4"]),
+    "--rbf-centers": (LAG, ["--rbf-centers", "3"]),
+    "--grnn-beta": (LAG, ["--grnn-beta", "2.0"]),
+    "--grnn-static": (LAG, ["--grnn-static"]),
+    "--svr-eps": (LAG, ["--svr-eps", "0.02"]),
+    "--svr-c": (LAG, ["--svr-c", "5.0"]),
+    "--lssvm-gamma": (LAG, ["--lssvm-gamma", "50.0"]),
+    "--kernel": (LAG, ["--kernel", "linear"]),
+    "--poly-d": (LAG + ["--kernel", "poly"], ["--poly-d", "3"]),
+    "--poly-c": (LAG + ["--kernel", "poly"], ["--poly-c", "2.0"]),
+    "--rbf-sigma": (LAG, ["--rbf-sigma", "0.5"]),
+    "--mlp-k": (LAG + ["--kernel", "mlp"], ["--mlp-k", "0.5"]),
+    "--mlp-theta": (LAG + ["--kernel", "mlp"], ["--mlp-theta", "0.1"]),
+}
+
+
+class TestHeader:
+    @staticmethod
+    def header(argv, data, out) -> str:
+        assert run(argv + ["--data", str(data), "--out", str(out)]) == 0
+        first = sorted(out.iterdir())[0]
+        return first.read_text().splitlines()[0]
+
+    def test_cases_cover_every_setting_flag(self):
+        assert set(HEADER_CASES) | {"--data", "--out", "-h", "--help"} == subcommand_flags()
+
+    @pytest.mark.parametrize("flag", list(HEADER_CASES))
+    def test_each_setting_changes_the_header(self, flag, price_csv, tmp_path, capsys):
+        base, change = HEADER_CASES[flag]
+        before = self.header(base, price_csv, tmp_path / "base")
+        after = self.header(base + change, price_csv, tmp_path / "changed")
+        capsys.readouterr()
+        assert after != before
+
+    def test_data_changes_the_header(self, price_csv, tmp_path, capsys):
+        other = shutil.copy(price_csv, tmp_path / "other.csv")
+        before = self.header(LAG, price_csv, tmp_path / "base")
+        after = self.header(LAG, other, tmp_path / "changed")
+        capsys.readouterr()
+        assert after == before.replace(str(price_csv), str(other))
+        assert after != before
+
+
+class TestErrorOrder:
+    def test_unknown_model_comes_before_a_missing_data_file(self, tmp_path, capsys):
+        argv = ["benchmark", "--models", "tree", "--data", str(tmp_path / "missing.csv")]
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert "unknown model 'tree'" in capsys.readouterr().err
+
+    def test_too_few_runs_comes_before_a_negative_seed(self, price_csv, tmp_path, capsys):
+        argv = ["stability", "--runs", "1", "--seed", "-1", "--data", str(price_csv)]
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert "--runs must be at least 2, got 1" in capsys.readouterr().err
+
+    def test_kernels_checks_every_kernel_before_the_first_fit(self, price_csv, tmp_path, monkeypatch, capsys):
+        fits = []
+        real_fit = svr.fit
+
+        def counted(*args, **kwargs):
+            fits.append(1)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(svr, "fit", counted)
+        out = tmp_path / "out"
+        assert run(["kernels", "--poly-c", "inf", "--data", str(price_csv), "--out", str(out)]) == 2
+        assert "polynomial offset must be finite" in capsys.readouterr().err
+        assert fits == []
+        assert not out.exists()

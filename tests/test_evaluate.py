@@ -229,16 +229,14 @@ class TestStability:
 
     def test_distinct_seeds_give_positive_spread(self):
         ds = split_windows(make_ar_series(11, n=60))
-        rep = stability(ds, runs=3, base_seed=1)
+        rep = stability(ds, seeds=range(1, 4))
         assert rep.runs == 3
         assert rep.mse_std > 0.0
         assert rep.mse_mean > 0.0
 
     def test_too_few_runs(self):
         ds = constant_dataset()
-        with pytest.raises(DomainError):
-            stability(ds, runs=1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="need at least 2 runs, got 1"):
             stability(ds, seeds=[4])
 
     def test_negative_seeds_fail_before_training(self, monkeypatch):
@@ -247,8 +245,6 @@ class TestStability:
 
         monkeypatch.setattr(evaluate.bpnn, "new_network", no_training)
         ds = constant_dataset()
-        with pytest.raises(DomainError, match="seeds must be >= 0, got -1"):
-            stability(ds, runs=2, base_seed=-1)
         with pytest.raises(DomainError, match="seeds must be >= 0, got -1"):
             stability(ds, seeds=[-1, 0])
 
