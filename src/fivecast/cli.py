@@ -9,8 +9,11 @@ Four subcommands cover the full pipeline on a ``date,close`` CSV:
 
 Every flag is declared once, in ``_FLAGS``, with the ``HarnessConfig`` or
 ``KernelSpec`` field it sets as its destination; a flag left out is left
-to that field's default.  Each command returns its file bodies and its
-printed text, and one runner loads the data, writes every file and
+to that field's default.  This module owns every output format:
+``evaluate`` returns reports, each command builds its rows from them,
+``_csv`` writes every file body (floats at full ``repr`` precision) and
+``_table`` every printed table.  Each command returns its file bodies and
+its printed text, and one runner loads the data, writes every file and
 prints.  Every output file starts with a ``#`` comment naming the command
 and the fully resolved configuration, is written atomically (temp file
 then rename), and is byte-identical when the same command runs again with
@@ -24,7 +27,7 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import evaluate, svr
@@ -61,9 +64,11 @@ def _models(text: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in text.split(",") if part.strip())
     if not names:
         raise _UsageError("--models must name at least one model")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in evaluate.MODEL_NAMES:
             raise _UsageError(f"unknown model {name!r}; choose from {_MODEL_LIST}")
+        if name in names[:i]:
+            raise _UsageError(f"model {name!r} is named more than once in --models")
     return names
 
 
@@ -189,14 +194,49 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _csv(header, rows) -> str:
+    """A CSV body: the header's names, then one line per row.  A float cell
+    is written as repr(float(v)), full precision and never as
+    np.float64(...); any other cell with str."""
+    return "".join(
+        ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in (header, *rows)
+    )
+
+
+def _table(rows) -> str:
+    """Rows of text cells as aligned lines: every column but the last is
+    padded to its widest cell, columns are two spaces apart, and each line
+    is right-stripped."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]) - 1)]
+    return "".join(
+        "  ".join([*(cell.ljust(w) for cell, w in zip(row, widths)), row[-1]]).rstrip() + "\n"
+        for row in rows
+    )
+
+
+def _scores(label: str, reports) -> tuple[str, str]:
+    """The CSV body and printed table of one score row per report: full
+    precision in the file, three significant digits on screen, where a
+    failed model's NaN scores print as "-" beside its error."""
+    rows = [(label, "mse", "mape", "")]
+    for r in reports:
+        if r.error is None:
+            rows.append((r.model, f"{r.mse:.3g}", f"{r.mape:.3g}", ""))
+        else:
+            rows.append((r.model, "-", "-", r.error))
+    body = _csv((label, "mse", "mape"), [(r.model, r.mse, r.mape) for r in reports])
+    return body, _table(rows)
+
+
 # Each command takes the parsed flags, their config and the split dataset,
 # and returns its output files (name -> body, without the header) and the
 # text it prints before the "wrote" lines.
 
 
 def _cmd_benchmark(args, cfg, ds) -> tuple[dict[str, str], str]:
-    reports = evaluate.benchmark(ds, args.models, cfg)
-    return {"results.csv": evaluate.results_csv(reports)}, evaluate.results_table(reports)
+    body, table = _scores("model", evaluate.benchmark(ds, args.models, cfg))
+    return {"results.csv": body}, table
 
 
 def _cmd_kernels(args, cfg, ds) -> tuple[dict[str, str], str]:
@@ -206,15 +246,18 @@ def _cmd_kernels(args, cfg, ds) -> tuple[dict[str, str], str]:
     for label, spec in specs:
         rep = evaluate.benchmark(ds, ["svr"], replace(cfg, kernel=spec))[0]
         reports.append(replace(rep, model=label))
-    return (
-        {"kernels.csv": evaluate.results_csv(reports, label="kernel")},
-        evaluate.results_table(reports, label="kernel"),
-    )
+    body, table = _scores("kernel", reports)
+    return {"kernels.csv": body}, table
 
 
 def _cmd_stability(args, cfg, ds) -> tuple[dict[str, str], str]:
     report = evaluate.stability(ds, cfg, seeds=range(cfg.seed, cfg.seed + args.runs))
-    return {"stability.csv": evaluate.stability_csv(report)}, evaluate.stability_table(report)
+    cells = asdict(report)  # the run count, then the four float statistics
+    body = _csv(tuple(cells), [tuple(cells.values())])
+    table = _table(
+        [(name, f"{v:.3g}" if isinstance(v, float) else str(v)) for name, v in cells.items()]
+    )
+    return {"stability.csv": body}, table
 
 
 def _cmd_lag(args, cfg, ds) -> tuple[dict[str, str], str]:
@@ -222,8 +265,13 @@ def _cmd_lag(args, cfg, ds) -> tuple[dict[str, str], str]:
     for name in args.models:
         preds = evaluate.model_predictions(ds, name, cfg)
         named.append((name, evaluate.lag_one_analysis(ds.test_targets, preds)))
-    files = {f"lag_{name}.csv": evaluate.lag_csv(rep) for name, rep in named}
-    files["lag_summary.csv"] = evaluate.lag_summary_csv(named)
+    files = {
+        f"lag_{name}.csv": _csv(("t", "e"), enumerate(rep.errors, start=1)) for name, rep in named
+    }
+    files["lag_summary.csv"] = _csv(
+        ("model", "mean", "std", "frac_negative", "n_errors"),
+        [(name, rep.mean, rep.std, rep.frac_negative, rep.errors.shape[0]) for name, rep in named],
+    )
     text = "".join(
         f"{name}: mean={rep.mean:.3g} std={rep.std:.3g} frac_negative={rep.frac_negative:.3g}\n"
         for name, rep in named

@@ -5,7 +5,7 @@ Every model satisfies the same contract: ``module.fit(...) -> model`` and
 of an (n, lags) input block.  The harness trains each requested model on
 the chronological training block, predicts the test block, and scores
 mean squared error and mean absolute percentage error in original price
-units.
+units.  It returns reports and leaves their text to :mod:`fivecast.cli`.
 
 Scaling policy: inputs and targets are min-max scaled to [0, 1] on
 statistics from the training block only, and predictions are inverse
@@ -24,7 +24,7 @@ import numpy as np
 from . import bpnn, grnn, lssvm, rbfnn, svr
 from .errors import DomainError, FivecastError, ShapeError
 from .kernels import KernelSpec, median_pairwise_distance
-from .timeseries import MinMaxScaler, WindowedDataset, fit_scaler
+from .timeseries import MinMaxScaler, WindowedDataset, as_vector, fit_scaler
 
 MODEL_NAMES = ("bp", "rbf", "grnn", "svr", "lssvm")
 
@@ -52,12 +52,8 @@ def mape(actual, predicted) -> float:
 
 
 def _paired(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(actual, dtype=np.float64)
-    p = np.asarray(predicted, dtype=np.float64)
-    if a.ndim != 1 or p.ndim != 1:
-        raise ShapeError("metric arguments must be 1-D")
-    if a.shape[0] != p.shape[0]:
-        raise ShapeError(f"lengths differ: {a.shape[0]} vs {p.shape[0]}")
+    a = as_vector(actual, name="actual values")
+    p = as_vector(predicted, a.shape[0], name="predictions")
     if a.shape[0] == 0:
         raise ShapeError("metric arguments are empty")
     return a, p
@@ -298,62 +294,3 @@ def lag_one_analysis(actual, predicted) -> LagOneReport:
         frac_negative=float(np.mean(errors < 0.0)),
     )
 
-
-def results_csv(reports, label: str = "model") -> str:
-    """Full-precision CSV, one row per report; failed models carry NaN."""
-    lines = [f"{label},mse,mape"]
-    for r in reports:
-        lines.append(f"{r.model},{float(r.mse)!r},{float(r.mape)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def results_table(reports, label: str = "model") -> str:
-    """Aligned human-readable table, three significant digits."""
-    rows = [(label, "mse", "mape", "")]
-    for r in reports:
-        if r.error is not None:
-            rows.append((r.model, "-", "-", r.error))
-        else:
-            rows.append((r.model, f"{r.mse:.3g}", f"{r.mape:.3g}", ""))
-    widths = [max(len(row[i]) for row in rows) for i in range(3)]
-    out = []
-    for row in rows:
-        cells = [row[i].ljust(widths[i]) for i in range(3)]
-        out.append(("  ".join(cells) + "  " + row[3]).rstrip())
-    return "\n".join(out) + "\n"
-
-
-def stability_csv(report: StabilityReport) -> str:
-    return (
-        "runs,mse_mean,mse_std,mape_mean,mape_std\n"
-        f"{report.runs},{float(report.mse_mean)!r},{float(report.mse_std)!r},"
-        f"{float(report.mape_mean)!r},{float(report.mape_std)!r}\n"
-    )
-
-
-def stability_table(report: StabilityReport) -> str:
-    return (
-        f"runs       {report.runs}\n"
-        f"mse_mean   {report.mse_mean:.3g}\n"
-        f"mse_std    {report.mse_std:.3g}\n"
-        f"mape_mean  {report.mape_mean:.3g}\n"
-        f"mape_std   {report.mape_std:.3g}\n"
-    )
-
-
-def lag_csv(report: LagOneReport) -> str:
-    """The error series as t,e rows for plotting."""
-    lines = ["t,e"]
-    for t, e in enumerate(report.errors, start=1):
-        lines.append(f"{t},{float(e)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def lag_summary_csv(named_reports) -> str:
-    lines = ["model,mean,std,frac_negative,n_errors"]
-    for name, rep in named_reports:
-        lines.append(
-            f"{name},{float(rep.mean)!r},{float(rep.std)!r},"
-            f"{float(rep.frac_negative)!r},{rep.errors.shape[0]}"
-        )
-    return "\n".join(lines) + "\n"

@@ -18,9 +18,9 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 from .kernels import gram_sq_dists, sq_dists
-from .timeseries import as_rows, as_samples
+from .timeseries import as_rows, as_samples, as_vector
 
 
 class GrnnModel:
@@ -44,18 +44,10 @@ def fit(inputs, targets, beta: float) -> GrnnModel:
     return GrnnModel(inputs, targets, beta)
 
 
-def _query(model: GrnnModel, x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != model.inputs.shape[1]:
-        raise ShapeError(
-            f"input must be a vector of length {model.inputs.shape[1]}, got {arr.shape}"
-        )
-    return arr
-
-
 def predict(model: GrnnModel, x) -> float:
     """Kernel-weighted mean of the stored targets."""
-    return float(predict_batch(model, _query(model, x)[None])[0])
+    x = as_vector(x, model.inputs.shape[1], name="input")
+    return float(predict_batch(model, x[None])[0])
 
 
 def predict_batch(model: GrnnModel, inputs) -> np.ndarray:
@@ -67,7 +59,7 @@ def predict_batch(model: GrnnModel, inputs) -> np.ndarray:
 
 def observe(model: GrnnModel, x, y: float) -> GrnnModel:
     """Grow the network by exactly one unit holding (x, y)."""
-    arr = _query(model, x)
+    arr = as_vector(x, model.inputs.shape[1], name="input")
     y = float(y)
     model.inputs = np.vstack([model.inputs, arr[None, :]])
     model.targets = np.append(model.targets, y)

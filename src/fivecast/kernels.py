@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
-from .timeseries import as_rows
+from .errors import DomainError
+from .timeseries import as_rows, as_vector
 
 KERNEL_KINDS = ("linear", "poly", "rbf", "mlp")
 
@@ -71,19 +71,10 @@ class KernelSpec:
         return cls("mlp", mlp_k=mlp_k, mlp_theta=mlp_theta)
 
 
-def _vec(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ShapeError(f"kernel arguments must be 1-D, got ndim={arr.ndim}")
-    return arr
-
-
 def kernel_column(spec: KernelSpec, rows: np.ndarray, x) -> np.ndarray:
     """Vector of K(rows[i], x) for every row, computed vectorized."""
-    x = _vec(x)
     rows = as_rows(rows)
-    if rows.shape[1] != x.shape[0]:
-        raise ShapeError(f"rows are {rows.shape} but point has length {x.shape[0]}")
+    x = as_vector(x, rows.shape[1], name="point")
     if spec.kind == "linear":
         return rows @ x
     if spec.kind == "poly":

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, ShapeError, SingularError
+from .timeseries import as_rows, as_vector
 
 PIVOT_TOL = 1e-12
 _PANEL = 64
@@ -81,32 +82,16 @@ def _eliminate(a: np.ndarray, b: np.ndarray) -> int:
     return 0
 
 
-def _as_matrix(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"expected a 2-D array, got ndim={arr.ndim}")
-    return arr
-
-
-def _as_vector(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ShapeError(f"expected a 1-D array, got ndim={arr.ndim}")
-    return arr
-
-
 def solve(a, b) -> np.ndarray:
     """Solve the square system a @ x = b.
 
     Raises SingularError when some pivot column has no entry of magnitude
     at least 1e-12 after row exchange.
     """
-    a = _as_matrix(a)
-    b = _as_vector(b)
+    a = as_rows(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"matrix must be square, got {a.shape}")
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"matrix is {a.shape} but rhs has length {b.shape[0]}")
+    b = as_vector(b, a.shape[0], name="rhs")
     if a.shape[0] == 0:
         raise ShapeError("system is empty")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):

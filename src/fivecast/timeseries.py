@@ -5,7 +5,8 @@ per trading week, ISO dates strictly increasing, closes strictly positive.
 A series of N prices becomes N - lags supervised samples; each input is a
 run of consecutive prices and the target is the price that follows it.
 Every model takes such a sample block through :func:`as_rows` and
-:func:`as_samples`, so the five share one set of input checks.
+:func:`as_samples`, and every single point, target or metric argument
+through :func:`as_vector`, so the package shares one set of input checks.
 """
 
 from __future__ import annotations
@@ -38,11 +39,8 @@ class PriceSeries:
     prices: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prices", _frozen(self.prices))
-        if len(self.dates) != self.prices.shape[0]:
-            raise ShapeError(
-                f"{len(self.dates)} dates but {self.prices.shape[0]} prices"
-            )
+        prices = as_vector(self.prices, len(self.dates), name="prices")
+        object.__setattr__(self, "prices", _frozen(prices))
         if not np.all(np.isfinite(self.prices)):
             raise DomainError("prices must be finite")
         if np.any(self.prices <= 0.0):
@@ -68,14 +66,10 @@ class WindowedDataset:
     split_index: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "inputs", _frozen(self.inputs))
-        object.__setattr__(self, "targets", _frozen(self.targets))
-        if self.inputs.ndim != 2 or self.targets.ndim != 1:
-            raise ShapeError("inputs must be 2-D and targets 1-D")
-        if self.inputs.shape[0] != self.targets.shape[0]:
-            raise ShapeError(
-                f"{self.inputs.shape[0]} inputs but {self.targets.shape[0]} targets"
-            )
+        inputs = as_rows(self.inputs)
+        targets = as_vector(self.targets, inputs.shape[0], name="targets")
+        object.__setattr__(self, "inputs", _frozen(inputs))
+        object.__setattr__(self, "targets", _frozen(targets))
         if self.split_index is not None:
             if not 0 < self.split_index < self.inputs.shape[0]:
                 raise DomainError(
@@ -119,12 +113,22 @@ def as_rows(inputs, width: int | None = None) -> np.ndarray:
     return x
 
 
+def as_vector(values, length: int | None = None, name: str = "values") -> np.ndarray:
+    """A float64 1-D array of any length, or of exactly length entries
+    when length is given; name is what error messages call it."""
+    v = np.asarray(values, dtype=np.float64)
+    if length is None:
+        if v.ndim != 1:
+            raise ShapeError(f"{name} must be 1-D, got ndim={v.ndim}")
+    elif v.ndim != 1 or v.shape[0] != length:
+        raise ShapeError(f"{name} must be 1-D with {length} entries")
+    return v
+
+
 def as_samples(inputs, targets) -> tuple[np.ndarray, np.ndarray]:
     """A non-empty block of sample rows and its 1-D targets, one per row."""
     x = as_rows(inputs)
-    y = np.asarray(targets, dtype=np.float64)
-    if y.ndim != 1 or y.shape[0] != x.shape[0]:
-        raise ShapeError(f"targets must be 1-D with {x.shape[0]} entries")
+    y = as_vector(targets, x.shape[0], name="targets")
     if x.shape[0] == 0:
         raise DomainError("no training samples")
     return x, y

@@ -12,9 +12,9 @@ import pytest
 from conftest import make_ar_series, weekly_series, write_price_csv
 
 import fivecast
-from fivecast import svr
-from fivecast.cli import _config_from_args, build_parser, main
-from fivecast.evaluate import HarnessConfig
+from fivecast import evaluate, svr
+from fivecast.cli import _cmd_stability, _config_from_args, _csv, _table, build_parser, main
+from fivecast.evaluate import HarnessConfig, StabilityReport
 
 
 @pytest.fixture()
@@ -315,6 +315,11 @@ class TestBadFlagValues:
              "data error: cannot allocate layers of sizes (3, 100000000000000000000, 1)"),
             (["lag", "--models", "bp", "--hidden", str(10**20)], 2,
              "data error: cannot allocate layers of sizes (3, 100000000000000000000, 1)"),
+            # a repeated model would train twice and write two identical rows
+            (["benchmark", "--models", "grnn,grnn"], 1,
+             "error: model 'grnn' is named more than once in --models"),
+            (["lag", "--models", "rbf,grnn,rbf"], 1,
+             "error: model 'rbf' is named more than once in --models"),
         ],
     )
     def test_rejected_up_front(self, price_csv, tmp_path, argv, code, message):
@@ -370,6 +375,34 @@ class TestBadFlagValues:
         return subprocess.run(
             [sys.executable, "-m", "fivecast.cli", *argv],
             capture_output=True, text=True, env=env, timeout=120,
+        )
+
+
+class TestOutputText:
+    """The two writers every command's output goes through."""
+
+    def test_numpy_float_cell_is_a_plain_repr(self):
+        # repr(np.float64(0.1)) is "np.float64(0.1)" under numpy 2
+        assert _csv(("e",), [(np.float64(0.1),), (np.float64(-1e-300),)]) == "e\n0.1\n-1e-300\n"
+
+    def test_integer_cells_are_written_with_str(self):
+        # runs, t and n_errors are integers, and never gain a ".0"
+        out = _csv(("runs", "t", "n_errors"), [(100, 1, np.int64(2))])
+        assert out == "runs,t,n_errors\n100,1,2\n"
+
+    def test_table_pads_all_but_the_last_column(self):
+        assert _table([("a", "bb", ""), ("ccc", "d", "note")]) == "a    bb\nccc  d   note\n"
+
+    def test_stability_table_exact(self, monkeypatch):
+        report = StabilityReport(100, 0.009, 4.8e-05, 0.019, 0.001)
+        monkeypatch.setattr(evaluate, "stability", lambda ds, cfg, seeds: report)
+        _, text = _cmd_stability(argparse.Namespace(runs=100), HarnessConfig(), None)
+        assert text == (
+            "runs       100\n"
+            "mse_mean   0.009\n"
+            "mse_std    4.8e-05\n"
+            "mape_mean  0.019\n"
+            "mape_std   0.001\n"
         )
 
 

@@ -1,5 +1,7 @@
 """Metrics, the benchmark harness, and the follow-up experiments."""
 
+import argparse
+import types
 import warnings
 
 import numpy as np
@@ -7,7 +9,7 @@ import numpy.testing as npt
 import pytest
 from conftest import make_ar_series, weekly_series
 
-from fivecast import bpnn, evaluate, grnn, lssvm, rbfnn, svr, timeseries
+from fivecast import bpnn, cli, evaluate, grnn, lssvm, rbfnn, svr, timeseries
 from fivecast.errors import DomainError, FivecastError, ShapeError
 from fivecast.evaluate import (
     MODEL_NAMES,
@@ -15,17 +17,11 @@ from fivecast.evaluate import (
     HarnessConfig,
     StabilityReport,
     benchmark,
-    lag_csv,
     lag_one_analysis,
-    lag_summary_csv,
     mape,
     model_predictions,
     mse,
-    results_csv,
-    results_table,
     stability,
-    stability_csv,
-    stability_table,
 )
 from fivecast.kernels import KernelSpec
 
@@ -288,22 +284,45 @@ class TestLagOneAnalysis:
             lag_one_analysis([1.0], [1.0])
 
 
+def stability_output(monkeypatch, report):
+    """The files and text of the stability command when the sweep gives report."""
+    monkeypatch.setattr(evaluate, "stability", lambda ds, cfg, seeds: report)
+    return cli._cmd_stability(argparse.Namespace(runs=report.runs), HarnessConfig(), None)
+
+
+def lag_output(monkeypatch, actual, predicted):
+    """The files and text of the lag command for bp when its test-block
+    predictions are predicted and the test targets actual."""
+    monkeypatch.setattr(evaluate, "model_predictions", lambda ds, name, cfg: np.array(predicted))
+    ds = types.SimpleNamespace(test_targets=np.array(actual))
+    return cli._cmd_lag(argparse.Namespace(models=("bp",)), HarnessConfig(), ds)
+
+
 class TestSerialization:
+    """The bytes the command line writes for each kind of report: every CSV
+    body comes from cli._csv and every printed table from cli._table."""
+
     def test_results_csv_exact(self):
         reports = [
             EvalReport("bp", 0.25, 0.1, 5),
             EvalReport("rbf", float("nan"), float("nan"), 5, error="DomainError: no"),
         ]
-        assert results_csv(reports) == "model,mse,mape\nbp,0.25,0.1\nrbf,nan,nan\n"
+        body, _ = cli._scores("model", reports)
+        assert body == "model,mse,mape\nbp,0.25,0.1\nrbf,nan,nan\n"
 
-    def test_results_csv_custom_label(self):
-        out = results_csv([EvalReport("linear", 0.5, 0.25, 4)], label="kernel")
-        assert out == "kernel,mse,mape\nlinear,0.5,0.25\n"
+    def test_results_csv_custom_label(self, monkeypatch):
+        # the kernels command labels each svr report with its kernel
+        report = EvalReport("svr", 0.5, 0.25, 4)
+        monkeypatch.setattr(evaluate, "benchmark", lambda ds, models, cfg: [report])
+        files, _ = cli._cmd_kernels(argparse.Namespace(), HarnessConfig(), None)
+        assert files["kernels.csv"] == (
+            "kernel,mse,mape\nlinear,0.5,0.25\npoly,0.5,0.25\nmlp,0.5,0.25\nrbf,0.5,0.25\n"
+        )
 
     def test_results_csv_full_precision(self):
         value = 0.1234567890123456789
-        out = results_csv([EvalReport("bp", value, value, 4)])
-        row = out.splitlines()[1]
+        body, _ = cli._scores("model", [EvalReport("bp", value, value, 4)])
+        row = body.splitlines()[1]
         assert row == f"bp,{value!r},{value!r}"
         assert float(row.split(",")[1]) == value
 
@@ -312,35 +331,36 @@ class TestSerialization:
             EvalReport("bp", 0.009, 0.019, 85),
             EvalReport("rbf", float("nan"), float("nan"), 85, error="DomainError: no"),
         ]
-        lines = results_table(reports).splitlines()
+        _, table = cli._scores("model", reports)
+        lines = table.splitlines()
         assert lines[0].split() == ["model", "mse", "mape"]
         assert lines[1].split() == ["bp", "0.009", "0.019"]
         assert lines[2].split()[:3] == ["rbf", "-", "-"]
         assert lines[2].endswith("DomainError: no")
 
     def test_results_table_three_significant_digits(self):
-        lines = results_table([EvalReport("bp", 0.123456, 12345.6, 3)]).splitlines()
-        assert lines[1].split() == ["bp", "0.123", "1.23e+04"]
+        _, table = cli._scores("model", [EvalReport("bp", 0.123456, 12345.6, 3)])
+        assert table.splitlines()[1].split() == ["bp", "0.123", "1.23e+04"]
 
-    def test_stability_csv_exact(self):
-        rep = StabilityReport(2, 0.5, 0.0, 0.25, 0.0)
-        assert stability_csv(rep) == (
+    def test_stability_csv_exact(self, monkeypatch):
+        files, _ = stability_output(monkeypatch, StabilityReport(2, 0.5, 0.0, 0.25, 0.0))
+        assert files["stability.csv"] == (
             "runs,mse_mean,mse_std,mape_mean,mape_std\n2,0.5,0.0,0.25,0.0\n"
         )
 
-    def test_stability_table_mentions_every_field(self):
-        out = stability_table(StabilityReport(100, 0.009, 4.8e-05, 0.019, 0.001))
+    def test_stability_table_mentions_every_field(self, monkeypatch):
+        _, out = stability_output(monkeypatch, StabilityReport(100, 0.009, 4.8e-05, 0.019, 0.001))
         assert "runs" in out and "100" in out
         assert "4.8e-05" in out
 
-    def test_lag_csv_exact(self):
-        rep = lag_one_analysis([1.0, 2.5, 2.0], [0.0, 0.5, 3.5])
+    def test_lag_csv_exact(self, monkeypatch):
+        files, _ = lag_output(monkeypatch, [1.0, 2.5, 2.0], [0.0, 0.5, 3.5])
         # errors: 1 - 0.5 = 0.5, 2.5 - 3.5 = -1.0
-        assert lag_csv(rep) == "t,e\n1,0.5\n2,-1.0\n"
+        assert files["lag_bp.csv"] == "t,e\n1,0.5\n2,-1.0\n"
 
-    def test_lag_summary_csv_exact(self):
-        rep = lag_one_analysis([1.0, 2.5, 2.0], [0.0, 0.5, 3.5])
-        out = lag_summary_csv([("bp", rep)])
-        assert out == (
+    def test_lag_summary_csv_exact(self, monkeypatch):
+        files, text = lag_output(monkeypatch, [1.0, 2.5, 2.0], [0.0, 0.5, 3.5])
+        assert files["lag_summary.csv"] == (
             "model,mean,std,frac_negative,n_errors\nbp,-0.25,0.75,0.5,2\n"
         )
+        assert text == "bp: mean=-0.25 std=0.75 frac_negative=0.5\n"

@@ -1,20 +1,43 @@
 """Loading, windowing, splitting, and scaling behavior."""
 
+import math
+import warnings
 from datetime import date, timedelta
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from conftest import weekly_series
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fivecast.errors import DomainError, IoError, OrderError, ParseError, ShapeError
+from fivecast import grnn, linalg
+from fivecast.errors import (
+    DomainError,
+    FivecastError,
+    IoError,
+    OrderError,
+    ParseError,
+    ShapeError,
+)
+from fivecast.evaluate import lag_one_analysis, mape, mse
+from fivecast.kernels import KernelSpec, kernel_column
 from fivecast.timeseries import (
     MinMaxScaler,
     PriceSeries,
+    WindowedDataset,
     fit_scaler,
     load_csv,
     make_windows,
     split,
+)
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
+# each example rewrites the same file under tmp_path
+FUZZ_SETTINGS = settings(
+    PROPERTY_SETTINGS,
+    max_examples=1500,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 
 
@@ -155,6 +178,43 @@ class TestLoadCsv:
             load_csv(write_csv(tmp_path / "na.csv", ["2006-01-03,nan"]))
 
 
+VALID_CSV = b"date,close\n2006-01-03,2.00\n2006-01-10,2.10\n2006-01-17,1.95\n"
+
+
+def load_or_typed_error(path, data: bytes):
+    """Load data from path; a FivecastError counts as a clean refusal, and
+    any other exception or any warning fails the test."""
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            series = load_csv(path)
+        except FivecastError:
+            return
+    assert isinstance(series, PriceSeries)
+
+
+class TestLoadFuzz:
+    @FUZZ_SETTINGS
+    @given(data=st.binary(max_size=200))
+    def test_arbitrary_bytes(self, tmp_path, data):
+        load_or_typed_error(tmp_path / "fuzz.csv", data)
+
+    @FUZZ_SETTINGS
+    @given(
+        inserts=st.lists(
+            st.tuples(st.integers(0, len(VALID_CSV)), st.binary(min_size=1, max_size=4)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_valid_file_with_inserted_bytes(self, tmp_path, inserts):
+        data = VALID_CSV
+        for at, chunk in inserts:
+            data = data[:at] + chunk + data[at:]
+        load_or_typed_error(tmp_path / "fuzz.csv", data)
+
+
 class TestMakeWindows:
     def test_tiny_series_by_hand(self):
         ds = make_windows(weekly_series([1, 2, 3, 4, 5]), lags=3)
@@ -235,6 +295,60 @@ class TestSplit:
         ds = make_windows(weekly_series([1, 2, 3, 4, 5]))
         with pytest.raises(DomainError):
             ds.train_inputs
+
+
+@PROPERTY_SETTINGS
+@given(
+    prices=st.lists(st.floats(0.01, 1e6), min_size=1, max_size=60),
+    lags=st.integers(1, 8),
+    fraction=st.floats(0.01, 0.99),
+)
+def test_window_and_split_invariants(prices, lags, fraction):
+    series = weekly_series(prices)
+    if len(prices) <= lags:
+        with pytest.raises(DomainError):
+            make_windows(series, lags)
+        return
+    windows = make_windows(series, lags)
+    n = len(prices) - lags
+    assert len(windows) == n
+    k = math.floor(fraction * n)
+    if not 0 < k < n:
+        with pytest.raises(DomainError):
+            split(windows, fraction)
+        return
+    ds = split(windows, fraction)
+    assert ds.train_inputs.shape[0] == ds.train_targets.shape[0] == k
+    npt.assert_array_equal(np.vstack([ds.train_inputs, ds.test_inputs]), windows.inputs)
+    npt.assert_array_equal(np.concatenate([ds.train_targets, ds.test_targets]), windows.targets)
+
+
+def _grnn_model():
+    return grnn.fit(np.ones((4, 3)), np.ones(4), beta=1.0)
+
+
+# Every entry point whose vector argument goes through as_vector, called
+# with v where a vector of 3 entries belongs.
+_VECTOR_ARGUMENTS = {
+    "kernel_column": lambda v: kernel_column(KernelSpec.linear(), np.ones((4, 3)), v),
+    "grnn.predict": lambda v: grnn.predict(_grnn_model(), v),
+    "grnn.observe": lambda v: grnn.observe(_grnn_model(), v, 1.0),
+    "linalg.solve": lambda v: linalg.solve(np.eye(3), v),
+    "mse": lambda v: mse(np.ones(3), v),
+    "mape": lambda v: mape(np.ones(3), v),
+    "lag_one_analysis": lambda v: lag_one_analysis(np.ones(3), v),
+    "PriceSeries": lambda v: PriceSeries("t", weekly_series(np.ones(3)).dates, v),
+    "WindowedDataset": lambda v: WindowedDataset(np.ones((3, 2)), v),
+}
+
+
+@pytest.mark.parametrize("entry", list(_VECTOR_ARGUMENTS))
+@pytest.mark.parametrize("bad", [np.ones((3, 1)), np.ones(2)], ids=["2-D", "wrong length"])
+def test_vector_arguments_are_checked(entry, bad):
+    _VECTOR_ARGUMENTS[entry](np.ones(3))  # the right shape passes
+    with pytest.raises(FivecastError) as info:
+        _VECTOR_ARGUMENTS[entry](bad)
+    assert type(info.value) is ShapeError
 
 
 class TestScaler:
