@@ -18,7 +18,8 @@ prints.  Every output file starts with a ``#`` comment naming the command
 and the fully resolved configuration, is written atomically (temp file
 then rename), and is byte-identical when the same command runs again with
 the same seed.  Exit codes: 0 success, 1 usage, 2 bad data, 3 numerical
-failure.
+failure.  ``main`` returns the code; ``run``, the ``fivecast`` command and
+``python -m fivecast.cli``, exits with it as soon as the output is flushed.
 """
 
 from __future__ import annotations
@@ -288,7 +289,10 @@ def _run(args) -> int:
     out_dir = Path(args.out)
     for name, body in files.items():
         _write_atomic(out_dir / name, header + body)
-    sys.stdout.write(text + "".join(f"wrote {out_dir / name}\n" for name in files))
+    try:
+        sys.stdout.write(text + "".join(f"wrote {out_dir / name}\n" for name in files))
+    except OSError as exc:  # a closed pipe, when stdout is unbuffered
+        raise IoError(f"cannot write standard output: {exc}") from exc
     return 0
 
 
@@ -331,5 +335,28 @@ def main(argv=None) -> int:
         return 3
 
 
+def run(argv=None) -> None:
+    """Run main(argv) as the whole process and exit with its code.
+
+    Once stdout and stderr are flushed, the process ends at once through
+    os._exit, skipping interpreter finalization and atexit handlers.
+    Every output file is closed by then, and fivecast registers no atexit
+    handler; one that a site package registers at start-up is skipped
+    too.  When a stream is missing or its flush fails, the exit goes
+    through sys.exit and finalization instead, which reports an
+    unwritable stdout as it always has.  An exception escaping main is
+    not caught here and ends the process with its traceback and status 1.
+    """
+    code = main(argv)
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is None:
+                sys.exit(code)
+            stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

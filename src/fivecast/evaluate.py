@@ -13,20 +13,26 @@ transformed before scoring.  The kernel-weighted-memory model is the
 exception: it consumes raw prices, because its smoothing parameter is
 tied to the input scale.  It also runs walk-forward by default, absorbing
 each realized test value after predicting it.
+
+Each model's module is imported by the function that runs it, so a
+command loads only the models it trains.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import bpnn, grnn, lssvm, rbfnn, svr
 from .errors import DomainError, FivecastError, ShapeError
 from .kernels import KernelSpec, median_pairwise_distance
 from .timeseries import MinMaxScaler, WindowedDataset, as_vector, fit_scaler
 
 MODEL_NAMES = ("bp", "rbf", "grnn", "svr", "lssvm")
+# svr.fit's smallest c_reg, half its step-width floor; kept here so that
+# checking a config imports no model
+_SVR_MIN_C = 5e-15
 
 
 def mse(actual, predicted) -> float:
@@ -66,7 +72,9 @@ class HarnessConfig:
     ``None`` fields fall back to data-driven defaults at fit time: the
     hidden width rule, the sqrt-of-train-size center count, the
     nearest-neighbor smoothing heuristic, and an rbf kernel with the
-    median pairwise distance as width.
+    median pairwise distance as width.  Every other field is checked here,
+    with the message its model would give, so a bad value fails before
+    any model runs.
     """
 
     seed: int = 0
@@ -88,6 +96,28 @@ class HarnessConfig:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.bp_hidden is not None and self.bp_hidden < 1:
             raise DomainError(f"hidden width must be >= 1, got {self.bp_hidden}")
+        if not 0.0 <= self.bp_eta < math.inf:
+            raise DomainError(f"eta must be finite and >= 0, got {self.bp_eta}")
+        if self.bp_batch < 1:
+            raise DomainError(f"batch_size must be >= 1, got {self.bp_batch}")
+        if self.bp_epochs < 0:
+            raise DomainError(f"epochs must be >= 0, got {self.bp_epochs}")
+        if self.rbf_centers is not None and self.rbf_centers < 1:
+            raise DomainError(f"n_centers must be >= 1, got {self.rbf_centers}")
+        if self.grnn_beta is not None and not 0.0 < self.grnn_beta < math.inf:
+            raise DomainError(f"beta must be finite and > 0, got {self.grnn_beta}")
+        if not 0.0 <= self.svr_epsilon < math.inf:
+            raise DomainError(f"epsilon must be finite and >= 0, got {self.svr_epsilon}")
+        if not 0.0 < self.svr_c < math.inf:
+            raise DomainError(f"c_reg must be finite and > 0, got {self.svr_c}")
+        if self.svr_c < _SVR_MIN_C:
+            raise DomainError(
+                f"c_reg must be >= {_SVR_MIN_C:g} for the solver to take a step, got {self.svr_c}"
+            )
+        if not 0.0 < self.lssvm_gamma < math.inf:
+            raise DomainError(f"gamma must be finite and > 0, got {self.lssvm_gamma}")
+        if not 1.0 / float(self.lssvm_gamma) < math.inf:
+            raise DomainError(f"gamma must have a finite reciprocal, got {self.lssvm_gamma}")
 
 
 @dataclass(frozen=True)
@@ -153,6 +183,8 @@ def _bp_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfi
     Each seed draws its network's initial weights and its shuffle order;
     the networks train together as one stacked network.
     """
+    from . import bpnn
+
     n_in = ds.inputs.shape[1]
     hidden = cfg.bp_hidden
     if hidden is None:
@@ -167,12 +199,16 @@ def _bp_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfi
 
 
 def _rbf_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfig) -> np.ndarray:
+    from . import rbfnn
+
     xs_tr, ys_tr, xs_te = _scaled_blocks(ds, scaler)
     model = rbfnn.fit(xs_tr, ys_tr, cfg.rbf_centers, seed=cfg.seed)
     return scaler.inverse(rbfnn.predict_batch(model, xs_te))
 
 
 def _grnn_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfig) -> np.ndarray:
+    from . import grnn
+
     beta = cfg.grnn_beta
     if beta is None:
         beta = grnn.default_smoothing(ds.train_inputs)
@@ -188,6 +224,8 @@ def _grnn_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessCon
 
 
 def _svr_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfig) -> np.ndarray:
+    from . import svr
+
     xs_tr, ys_tr, xs_te = _scaled_blocks(ds, scaler)
     model = svr.fit(
         xs_tr, ys_tr, _resolved_kernel(cfg, xs_tr), epsilon=cfg.svr_epsilon, c_reg=cfg.svr_c
@@ -196,6 +234,8 @@ def _svr_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConf
 
 
 def _lssvm_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfig) -> np.ndarray:
+    from . import lssvm
+
     xs_tr, ys_tr, xs_te = _scaled_blocks(ds, scaler)
     model = lssvm.fit(xs_tr, ys_tr, _resolved_kernel(cfg, xs_tr), gamma=cfg.lssvm_gamma)
     return scaler.inverse(lssvm.predict_batch(model, xs_te))

@@ -2,8 +2,10 @@
 
 ``solve`` is Gaussian elimination with partial pivoting, done in panels of
 ``_PANEL`` columns (the panel/trailing split of LAPACK's blocked LU, with
-the unblocked arithmetic).  Within a panel each step searches its pivot,
-swaps whole rows and updates the right-hand side and the panel's own
+the unblocked arithmetic), then substitution for the right-hand side.  An
+:class:`Elimination` keeps the reduced matrix and the pivot rows, so one
+elimination serves any number of right-hand sides.  Within a panel each
+step searches its pivot, swaps whole rows and updates the panel's own
 columns at once; it stores its multipliers in the eliminated column, so a
 later row swap carries them along with the row's stale trailing entries.
 When the panel ends, its pivot rows and then tiles of ``_ROW_BLOCK`` rows
@@ -47,20 +49,21 @@ def _subtract_steps(a: np.ndarray, rows: slice, steps: range, cols: slice) -> No
             a[rows.start + keep, cols] -= lam[keep, None] * a[t, cols]
 
 
-def _eliminate(a: np.ndarray, b: np.ndarray) -> int:
-    # In-place elimination on copies owned by the caller. Returns 0 on
-    # success, k+1 when column k has no pivot above PIVOT_TOL.  Leaves the
-    # multipliers in the strictly lower part of a.
-    n = b.shape[0]
+def _eliminate(a: np.ndarray, pivots: list[int]) -> int:
+    # In-place elimination of a copy owned by the caller, appending each
+    # step's pivot row to pivots.  Returns 0 on success, k+1 when column k
+    # has no pivot above PIVOT_TOL.  Leaves the multipliers in the strictly
+    # lower part of a, each in the row its own row ends up in.
+    n = a.shape[0]
     for p0 in range(0, n, _PANEL):
         p1 = min(p0 + _PANEL, n)
         for k in range(p0, p1):
             p = k + int(np.argmax(np.abs(a[k:, k])))
             if abs(a[p, k]) < PIVOT_TOL:
                 return k + 1
+            pivots.append(p)
             if p != k:
                 a[[k, p]] = a[[p, k]]
-                b[[k, p]] = b[[p, k]]
             lam = a[k + 1 :, k] / a[k, k]
             a[k + 1 :, k] = lam  # column k below the pivot is never read again
             rows = slice(k + 1, n)
@@ -69,7 +72,6 @@ def _eliminate(a: np.ndarray, b: np.ndarray) -> int:
                 rows = k + 1 + keep
                 lam = lam[keep]
             a[rows, k + 1 : p1] -= lam[:, None] * a[k, k + 1 : p1]
-            b[rows] -= lam * b[k]
         if p1 == n:
             break
         trailing = slice(p1, n)
@@ -77,32 +79,79 @@ def _eliminate(a: np.ndarray, b: np.ndarray) -> int:
             _subtract_steps(a, slice(t + 1, p1), range(t, t + 1), trailing)
         for start in range(p1, n, _ROW_BLOCK):
             _subtract_steps(a, slice(start, min(start + _ROW_BLOCK, n)), range(p0, p1), trailing)
-    for k in range(n - 1, -1, -1):
-        b[k] = (b[k] - np.dot(a[k, k + 1 :], b[k + 1 :])) / a[k, k]
     return 0
 
 
+def _substitute(lu: np.ndarray, pivots: list[int], x: np.ndarray) -> None:
+    # Solve in place on x: every row exchange, then forward substitution
+    # with the stored multipliers, then back substitution.  Each entry of x
+    # takes the same subtractions in the same order as when the
+    # right-hand side is reduced alongside the matrix, so the bits agree;
+    # a zero multiplier leaves its row untouched, as there.
+    n = x.shape[0]
+    for k, p in enumerate(pivots):
+        if p != k:
+            x[[k, p]] = x[[p, k]]
+    for k in range(n - 1):
+        lam = lu[k + 1 :, k]
+        if lam.all():
+            x[k + 1 :] -= lam * x[k]
+        else:
+            keep = np.flatnonzero(lam)
+            x[k + 1 + keep] -= lam[keep] * x[k]
+    for k in range(n - 1, -1, -1):
+        x[k] = (x[k] - np.dot(lu[k, k + 1 :], x[k + 1 :])) / lu[k, k]
+
+
+class Elimination:
+    """One square matrix under Gaussian elimination, for any number of
+    right-hand sides.
+
+    The matrix is checked and copied here and eliminated by the first
+    :meth:`solve`; the reduced matrix and each step's pivot row are kept,
+    so every later right-hand side costs only its substitutions.
+    """
+
+    def __init__(self, a):
+        a = as_rows(a)
+        if a.shape[0] != a.shape[1]:
+            raise ShapeError(f"matrix must be square, got {a.shape}")
+        if a.shape[0] == 0:
+            raise ShapeError("system is empty")
+        if not np.all(np.isfinite(a)):
+            raise DomainError("system entries must be finite")
+        self._lu = a.copy()
+        self._pivots: list[int] = []
+        self._status: int | None = None  # _eliminate's result, once run
+
+    def solve(self, b) -> np.ndarray:
+        """The x with a @ x = b.
+
+        Raises SingularError when some pivot column has no entry of
+        magnitude at least 1e-12 after row exchange.
+        """
+        x = as_vector(b, self._lu.shape[0], name="rhs")
+        if not np.all(np.isfinite(x)):
+            raise DomainError("system entries must be finite")
+        if self._status is None:
+            bufsize = np.setbufsize(_UFUNC_BUFSIZE)
+            try:
+                self._status = _eliminate(self._lu, self._pivots)
+            finally:
+                np.setbufsize(bufsize)
+        if self._status != 0:
+            raise SingularError(f"no usable pivot in column {self._status - 1}")
+        x = x.copy()
+        _substitute(self._lu, self._pivots, x)
+        return x
+
+
 def solve(a, b) -> np.ndarray:
-    """Solve the square system a @ x = b.
+    """Solve the square system a @ x = b, where a is a matrix or an
+    :class:`Elimination` of one.
 
     Raises SingularError when some pivot column has no entry of magnitude
     at least 1e-12 after row exchange.
     """
-    a = as_rows(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"matrix must be square, got {a.shape}")
-    b = as_vector(b, a.shape[0], name="rhs")
-    if a.shape[0] == 0:
-        raise ShapeError("system is empty")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise DomainError("system entries must be finite")
-    work_a = a.copy()
-    work_b = b.copy()
-    bufsize = np.setbufsize(_UFUNC_BUFSIZE)
-    try:
-        status = _eliminate(work_a, work_b)
-    finally:
-        np.setbufsize(bufsize)
-    if status != 0:
-        raise SingularError(f"no usable pivot in column {status - 1}")
-    return work_b
+    system = a if isinstance(a, Elimination) else Elimination(a)
+    return system.solve(b)

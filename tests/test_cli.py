@@ -1,6 +1,8 @@
 """Command line behavior: outputs, headers, and exit codes."""
 
 import argparse
+import ast
+import io
 import os
 import shutil
 import subprocess
@@ -12,7 +14,7 @@ import pytest
 from conftest import make_ar_series, weekly_series, write_price_csv
 
 import fivecast
-from fivecast import evaluate, svr
+from fivecast import cli, evaluate, svr
 from fivecast.cli import _cmd_stability, _config_from_args, _csv, _table, build_parser, main
 from fivecast.evaluate import HarnessConfig, StabilityReport
 
@@ -245,6 +247,13 @@ class TestStability:
         assert code == 1
         assert "--runs" in capsys.readouterr().err
 
+    def test_zero_epochs_is_legal(self, price_csv, tmp_path):
+        # the networks keep their initial weights
+        out = tmp_path / "out"
+        argv = ["stability", "--data", str(price_csv), "--out", str(out), "--runs", "2"]
+        assert run(argv + ["--epochs", "0"]) == 0
+        assert (out / "stability.csv").read_text().splitlines()[2].startswith("2,")
+
     def test_divergent_training_is_numerical_failure(self, price_csv, tmp_path, capsys):
         out = tmp_path / "out"
         code = run(
@@ -320,11 +329,24 @@ class TestBadFlagValues:
              "error: model 'grnn' is named more than once in --models"),
             (["lag", "--models", "rbf,grnn,rbf"], 1,
              "error: model 'rbf' is named more than once in --models"),
+            # every HarnessConfig field is checked before the first model runs
+            (["benchmark", "--grnn-beta", "inf"], 2, "data error: beta must be finite and > 0, got inf"),
+            (["benchmark", "--lssvm-gamma", "1e-320"], 2, "data error: gamma must have a finite reciprocal"),
+            (["benchmark", "--lssvm-gamma", "inf"], 2, "data error: gamma must be finite and > 0, got inf"),
+            (["benchmark", "--svr-eps", "nan"], 2, "data error: epsilon must be finite and >= 0, got nan"),
+            (["benchmark", "--svr-c", "inf"], 2, "data error: c_reg must be finite and > 0, got inf"),
+            (["benchmark", "--svr-c", "1e-320"], 2, "data error: c_reg must be >= 5e-15"),
+            (["benchmark", "--rbf-centers", "0"], 2, "data error: n_centers must be >= 1, got 0"),
+            (["benchmark", "--batch", "0"], 2, "data error: batch_size must be >= 1, got 0"),
+            (["stability", "--runs", "2", "--epochs", "-1"], 2, "data error: epochs must be >= 0, got -1"),
+            (["lag", "--eta", "inf"], 2, "data error: eta must be finite and >= 0, got inf"),
+            (["lag", "--grnn-beta", "nan"], 2, "data error: beta must be finite and > 0, got nan"),
         ],
     )
     def test_rejected_up_front(self, price_csv, tmp_path, argv, code, message):
         out = tmp_path / "out"
-        proc = self.run_cli(argv + ["--data", str(price_csv), "--out", str(out), "--epochs", "20"])
+        # a case's own --epochs comes later, so it wins
+        proc = self.run_cli([argv[0], "--epochs", "20", *argv[1:], "--data", str(price_csv), "--out", str(out)])
         assert proc.returncode == code
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -334,19 +356,16 @@ class TestBadFlagValues:
     @pytest.mark.parametrize(
         "model, flags, message",
         [
-            ("grnn", ["--grnn-beta", "inf"], "DomainError: beta must be finite and > 0, got inf"),
-            ("lssvm", ["--lssvm-gamma", "1e-320"], "DomainError: gamma must have a finite reciprocal"),
-            ("lssvm", ["--lssvm-gamma", "inf"], "DomainError: gamma must be finite and > 0, got inf"),
-            ("svr", ["--svr-eps", "nan"], "DomainError: epsilon must be finite and >= 0, got nan"),
-            ("svr", ["--svr-c", "inf"], "DomainError: c_reg must be finite and > 0, got inf"),
-            ("svr", ["--svr-c", "1e-320"], "DomainError: c_reg must be >= 5e-15"),
+            # only what depends on the data or on memory is left to the fit
             ("bp", ["--hidden", str(10**20)], "DomainError: cannot allocate layers of sizes"),
+            ("rbf", ["--rbf-centers", "1000"], "DomainError: n_centers must be in [1, 29], got 1000"),
         ],
     )
     def test_error_row(self, price_csv, tmp_path, model, flags, message):
         out = tmp_path / "out"
+        other = "grnn" if model == "rbf" else "rbf"
         proc = self.run_cli(
-            ["benchmark", "--data", str(price_csv), "--out", str(out), "--models", f"{model},rbf"]
+            ["benchmark", "--data", str(price_csv), "--out", str(out), "--models", f"{model},{other}"]
             + flags
         )
         assert proc.returncode == 0
@@ -521,3 +540,100 @@ class TestErrorOrder:
         assert "polynomial offset must be finite" in capsys.readouterr().err
         assert fits == []
         assert not out.exists()
+
+
+class TestRun:
+    """``run`` flushes, then ends the process with os._exit; these replace
+    os._exit and sys.exit to see which path it takes."""
+
+    @pytest.fixture()
+    def exits(self, monkeypatch):
+        calls = []
+
+        def record(how):
+            def stop(code=0):
+                calls.append((how, code))
+                raise SystemExit(code)
+
+            return stop
+
+        monkeypatch.setattr(os, "_exit", record("os._exit"))
+        monkeypatch.setattr(sys, "exit", record("sys.exit"))
+        return calls
+
+    def test_exits_at_once_with_mains_code(self, exits, capsys):
+        with pytest.raises(SystemExit):
+            cli.run([])
+        assert exits == [("os._exit", 1)]
+        assert "error" in capsys.readouterr().err
+
+    def test_output_is_flushed_before_the_exit(self, exits, price_csv, tmp_path, monkeypatch):
+        buffer = io.StringIO()
+        flushed = []
+        monkeypatch.setattr(buffer, "flush", lambda: flushed.append(buffer.getvalue()))
+        monkeypatch.setattr(sys, "stdout", buffer)
+        with pytest.raises(SystemExit):
+            cli.run(["kernels", "--data", str(price_csv), "--out", str(tmp_path / "out")])
+        assert exits == [("os._exit", 0)]
+        assert flushed and flushed[-1].endswith("kernels.csv\n")
+
+    def test_failing_flush_falls_back_to_sys_exit(self, exits, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(SystemExit):
+            cli.run([])
+        assert exits == [("sys.exit", 1)]
+
+    def test_missing_stdout_falls_back_to_sys_exit(self, exits, monkeypatch):
+        # a usage error writes only to stderr
+        monkeypatch.setattr(sys, "stdout", None)
+        with pytest.raises(SystemExit):
+            cli.run([])
+        assert exits == [("sys.exit", 1)]
+
+    def test_missing_stderr_falls_back_to_sys_exit(self, exits, monkeypatch, price_csv, tmp_path):
+        monkeypatch.setattr(sys, "stderr", None)
+        with pytest.raises(SystemExit):
+            cli.run(["kernels", "--data", str(price_csv), "--out", str(tmp_path / "out")])
+        assert exits == [("sys.exit", 0)]
+
+    def test_installed_command_takes_the_same_exit(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(fivecast.__file__).parents[2] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        assert scripts == {"fivecast": "fivecast.cli:run"}
+
+
+class TestImports:
+    """A command loads only the model modules it runs."""
+
+    MODELS = ("bpnn", "rbfnn", "grnn", "lssvm", "linalg")
+
+    @staticmethod
+    def loaded(code: str) -> set[str]:
+        env = dict(os.environ, PYTHONPATH=str(Path(fivecast.__file__).parents[1]))
+        code += "; import sys; print(sorted(m for m in sys.modules if m.startswith('fivecast.')))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+            check=True,
+        )
+        return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+    def test_importing_the_cli_loads_no_model(self):
+        loaded = self.loaded("import fivecast.cli")
+        assert not loaded & {f"fivecast.{m}" for m in self.MODELS}
+        assert "fivecast.svr" in loaded  # the header reads svr.TOL
+
+    def test_kernels_loads_only_svr(self, price_csv, tmp_path):
+        argv = ["kernels", "--data", str(price_csv), "--out", str(tmp_path / "out")]
+        loaded = self.loaded(f"from fivecast.cli import main; assert main({argv!r}) == 0")
+        assert not loaded & {f"fivecast.{m}" for m in self.MODELS}
+
+    def test_lssvm_loads_the_solver(self, price_csv, tmp_path):
+        argv = ["lag", "--models", "lssvm", "--data", str(price_csv), "--out", str(tmp_path / "out")]
+        loaded = self.loaded(f"from fivecast.cli import main; assert main({argv!r}) == 0")
+        assert {"fivecast.lssvm", "fivecast.linalg"} <= loaded
+        assert not loaded & {"fivecast.bpnn", "fivecast.rbfnn", "fivecast.grnn"}

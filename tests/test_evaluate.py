@@ -1,6 +1,7 @@
 """Metrics, the benchmark harness, and the follow-up experiments."""
 
 import argparse
+import math
 import types
 import warnings
 
@@ -168,6 +169,25 @@ class TestBenchmark:
         assert a == b
 
 
+BAD_FIELDS = [
+    ("bp_eta", -0.5, "eta must be finite and >= 0, got -0.5"),
+    ("bp_eta", math.inf, "eta must be finite and >= 0, got inf"),
+    ("bp_batch", 0, "batch_size must be >= 1, got 0"),
+    ("bp_epochs", -1, "epochs must be >= 0, got -1"),
+    ("rbf_centers", 0, "n_centers must be >= 1, got 0"),
+    ("grnn_beta", 0.0, "beta must be finite and > 0, got 0.0"),
+    ("grnn_beta", math.nan, "beta must be finite and > 0, got nan"),
+    ("svr_epsilon", -0.01, "epsilon must be finite and >= 0, got -0.01"),
+    ("svr_epsilon", math.nan, "epsilon must be finite and >= 0, got nan"),
+    ("svr_c", 0.0, "c_reg must be finite and > 0, got 0.0"),
+    ("svr_c", math.inf, "c_reg must be finite and > 0, got inf"),
+    ("svr_c", 1e-15, "c_reg must be >= 5e-15 for the solver to take a step, got 1e-15"),
+    ("lssvm_gamma", -1.0, "gamma must be finite and > 0, got -1.0"),
+    ("lssvm_gamma", math.inf, "gamma must be finite and > 0, got inf"),
+    ("lssvm_gamma", 1e-320, "gamma must have a finite reciprocal, got 1e-320"),
+]
+
+
 class TestHarnessConfig:
     def test_rejects_negative_seed(self):
         with pytest.raises(DomainError, match="seed must be >= 0"):
@@ -177,6 +197,45 @@ class TestHarnessConfig:
     def test_rejects_empty_hidden_layer(self, hidden):
         with pytest.raises(DomainError, match="hidden width must be >= 1"):
             HarnessConfig(bp_hidden=hidden)
+
+    @pytest.mark.parametrize("field, value, message", BAD_FIELDS)
+    def test_rejects_out_of_range_field(self, field, value, message):
+        with pytest.raises(DomainError) as exc:
+            HarnessConfig(**{field: value})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("field, value, message", BAD_FIELDS)
+    def test_message_is_the_models_own(self, field, value, message):
+        # a bad value gets the words the model itself would raise
+        x = np.arange(8.0)[:, None]
+        y = np.arange(8.0)
+        fail = {
+            "bp_eta": lambda v: bpnn.SgdConfig(eta=v),
+            "bp_batch": lambda v: bpnn.SgdConfig(batch_size=v),
+            "bp_epochs": lambda v: bpnn.SgdConfig(epochs=v),
+            "rbf_centers": lambda v: rbfnn.fit(x, y, v),
+            "grnn_beta": lambda v: grnn.fit(x, y, v),
+            "svr_epsilon": lambda v: svr.fit(x, y, KernelSpec.linear(), epsilon=v),
+            "svr_c": lambda v: svr.fit(x, y, KernelSpec.linear(), c_reg=v),
+            "lssvm_gamma": lambda v: lssvm.fit(x, y, KernelSpec.linear(), gamma=v),
+        }[field]
+        with pytest.raises(DomainError) as exc:
+            fail(value)
+        if field == "rbf_centers":
+            # the model names its bound, the training size
+            assert str(exc.value) == f"n_centers must be in [1, 8], got {value}"
+        else:
+            assert str(exc.value) == message
+
+    def test_svr_floor_is_the_solvers(self):
+        assert evaluate._SVR_MIN_C == svr._MIN_STEP_WIDTH / 2
+
+    def test_edges_of_each_range_are_legal(self):
+        cfg = HarnessConfig(
+            bp_eta=0.0, bp_batch=1, bp_epochs=0, rbf_centers=1, grnn_beta=5e-324,
+            svr_epsilon=0.0, svr_c=5e-15, lssvm_gamma=1e-300,
+        )
+        assert cfg.bp_epochs == 0
 
 
 class TestModelPredictions:
@@ -239,7 +298,7 @@ class TestStability:
         def no_training(*args, **kwargs):
             raise AssertionError("a network was built")
 
-        monkeypatch.setattr(evaluate.bpnn, "new_network", no_training)
+        monkeypatch.setattr(bpnn, "new_network", no_training)
         ds = constant_dataset()
         with pytest.raises(DomainError, match="seeds must be >= 0, got -1"):
             stability(ds, seeds=[-1, 0])

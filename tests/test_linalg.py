@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fivecast import linalg
 from fivecast.errors import DomainError, ShapeError, SingularError
 from fivecast.kernels import KernelSpec, gram
-from fivecast.linalg import PIVOT_TOL, solve
+from fivecast.linalg import _PANEL, _ROW_BLOCK, _UFUNC_BUFSIZE, PIVOT_TOL, Elimination, _subtract_steps, solve
 
 REFERENCE_SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -177,6 +178,132 @@ class TestRowLoopReference:
         x = solve(a, b)
         assert np.signbit(x[1])
         assert_same_as_row_loop(a, b)
+
+
+def interleaved_eliminate(a: np.ndarray, b: np.ndarray) -> int:
+    # The elimination as it was before the substitution was split out:
+    # the right-hand side is reduced alongside the matrix, step by step.
+    # In-place elimination on copies owned by the caller. Returns 0 on
+    # success, k+1 when column k has no pivot above PIVOT_TOL.  Leaves the
+    # multipliers in the strictly lower part of a.
+    n = b.shape[0]
+    for p0 in range(0, n, _PANEL):
+        p1 = min(p0 + _PANEL, n)
+        for k in range(p0, p1):
+            p = k + int(np.argmax(np.abs(a[k:, k])))
+            if abs(a[p, k]) < PIVOT_TOL:
+                return k + 1
+            if p != k:
+                a[[k, p]] = a[[p, k]]
+                b[[k, p]] = b[[p, k]]
+            lam = a[k + 1 :, k] / a[k, k]
+            a[k + 1 :, k] = lam  # column k below the pivot is never read again
+            rows = slice(k + 1, n)
+            if not lam.all():
+                keep = np.flatnonzero(lam)
+                rows = k + 1 + keep
+                lam = lam[keep]
+            a[rows, k + 1 : p1] -= lam[:, None] * a[k, k + 1 : p1]
+            b[rows] -= lam * b[k]
+        if p1 == n:
+            break
+        trailing = slice(p1, n)
+        for t in range(p0, p1 - 1):
+            _subtract_steps(a, slice(t + 1, p1), range(t, t + 1), trailing)
+        for start in range(p1, n, _ROW_BLOCK):
+            _subtract_steps(a, slice(start, min(start + _ROW_BLOCK, n)), range(p0, p1), trailing)
+    for k in range(n - 1, -1, -1):
+        b[k] = (b[k] - np.dot(a[k, k + 1 :], b[k + 1 :])) / a[k, k]
+    return 0
+
+
+def interleaved_solve(a, b):
+    """The solution by interleaved_eliminate, or the column with no pivot."""
+    work_a = np.array(a, dtype=float)
+    work_b = np.array(b, dtype=float)
+    bufsize = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
+        status = interleaved_eliminate(work_a, work_b)
+    finally:
+        np.setbufsize(bufsize)
+    return status - 1 if status else work_b
+
+
+def assert_same_as_interleaved(a, rhs_list):
+    """One Elimination solves every right-hand side in rhs_list with the
+    bits a fresh interleaved elimination gives each."""
+    system = Elimination(a)
+    for b in rhs_list:
+        want = interleaved_solve(a, b)
+        if isinstance(want, int):
+            with pytest.raises(SingularError, match=f"column {want}$"):
+                system.solve(b)
+        else:
+            assert system.solve(b).tobytes() == want.tobytes()
+            assert solve(a, b).tobytes() == want.tobytes()
+
+
+class TestInterleavedReference:
+    @REFERENCE_SETTINGS
+    @given(small_systems(), st.lists(arrays(np.float64, 7, elements=_ENTRIES), min_size=1, max_size=3))
+    def test_small_systems(self, system, more):
+        a, b = system
+        assert_same_as_interleaved(a, [b, *(m[: b.shape[0]] for m in more)])
+
+    @pytest.mark.parametrize("n, zero_frac, seed", [(65, 0.0, 1), (130, 0.5, 2), (193, 0.9, 3), (300, 0.5, 4)])
+    def test_random_systems(self, n, zero_frac, seed):
+        # zero entries of either sign make zero multipliers
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        zeros = rng.random((n, n)) < zero_frac
+        a[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        a += np.diag(rng.choice([0.0, n], size=n))
+        rhs = [rng.standard_normal(n) for _ in range(3)]
+        rhs[1][rng.random(n) < 0.5] = -0.0
+        assert_same_as_interleaved(a, rhs)
+
+    def test_pivoting_system(self):
+        # the largest entry of each column sits below the diagonal, so
+        # every step swaps, and later swaps move earlier multipliers
+        rng = np.random.default_rng(12)
+        n = 140
+        a = rng.standard_normal((n, n))
+        a[np.arange(1, n), np.arange(n - 1)] += 4.0 * n
+        a[0, n - 1] += 4.0 * n
+        rhs = [rng.standard_normal(n), np.zeros(n), -np.ones(n)]
+        assert_same_as_interleaved(a, rhs)
+
+    def test_zero_multipliers_keep_signed_zeros(self):
+        a = np.array([[2.0, 1.0], [0.0, 1.0]])
+        x = Elimination(a).solve(np.array([-1.0, -0.0]))
+        assert np.signbit(x[1])
+        assert_same_as_interleaved(a, [np.array([-1.0, -0.0]), np.array([3.0, -0.0])])
+
+    def test_singular_system_fails_every_solve(self):
+        a = np.array([[1.0, 2.0], [2.0, 4.0]])
+        system = Elimination(a)
+        for _ in range(2):
+            with pytest.raises(SingularError, match="column 1$"):
+                system.solve(np.ones(2))
+
+    def test_eliminates_once(self, monkeypatch):
+        calls = []
+        real = linalg._eliminate
+        monkeypatch.setattr(linalg, "_eliminate", lambda *args: calls.append(1) or real(*args))
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((20, 20)) + 20 * np.eye(20)
+        system = Elimination(a)
+        assert calls == []  # nothing runs until the first right-hand side
+        for _ in range(3):
+            solve(system, rng.standard_normal(20))
+        assert calls == [1]
+
+    def test_rhs_is_checked(self):
+        system = Elimination(np.eye(2))
+        with pytest.raises(ShapeError):
+            system.solve(np.ones(3))
+        with pytest.raises(DomainError):
+            system.solve(np.array([1.0, np.nan]))
 
 
 class TestSolve:

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from conftest import make_ar_series
 from test_kernels import kernel_value
 
+from fivecast import linalg
 from fivecast.errors import DomainError, ShapeError
-from fivecast.kernels import KernelSpec, kernel_column
+from fivecast.kernels import KernelSpec, gram, kernel_column, median_pairwise_distance
 from fivecast.lssvm import LssvmModel, fit, predict_batch
+from fivecast.timeseries import fit_scaler, make_windows, split
 
 
 def saddle_system(kernel, x, y, gamma):
@@ -77,6 +80,30 @@ class TestFit:
         a, rhs = saddle_system(KernelSpec.rbf(1.0), x, y, gamma)
         sol = np.concatenate([[m.bias], m.coefs])
         npt.assert_allclose(float(np.max(np.abs(a @ sol - rhs))), m.kkt_residual, atol=1e-12)
+
+    def test_refinement_reuses_one_elimination(self, monkeypatch):
+        # 200 scaled AR windows at gamma 1e8 need both refinement rounds
+        ds = split(make_windows(make_ar_series(11, n=200), 3), 0.8)
+        scaler = fit_scaler(np.concatenate([ds.train_inputs.ravel(), ds.train_targets]))
+        x, y = scaler.transform(ds.train_inputs), scaler.transform(ds.train_targets)
+        kernel = KernelSpec.rbf(median_pairwise_distance(x))
+        eliminations, substitutions = [], []
+        for name, log in (("_eliminate", eliminations), ("_substitute", substitutions)):
+            real = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda *args, real=real, log=log: log.append(1) or real(*args))
+        m = fit(x, y, kernel, gamma=1e8)
+        assert (len(eliminations), len(substitutions)) == (1, 3)
+        monkeypatch.undo()
+        # the same bits as a fresh solve for every refinement
+        a = np.zeros((x.shape[0] + 1,) * 2)
+        a[0, 1:] = a[1:, 0] = 1.0
+        a[1:, 1:] = gram(kernel, x) + np.eye(x.shape[0]) / 1e8
+        rhs = np.concatenate([[0.0], y])
+        sol = linalg.solve(a, rhs)
+        for _ in range(2):
+            sol = sol + linalg.solve(a, rhs - a @ sol)
+        assert m.coefs.tobytes() == sol[1:].tobytes()
+        assert m.bias == sol[0]
 
     def test_interpolates_at_high_gamma(self):
         x = np.array([[0.0], [1.0], [2.5], [4.0], [6.0]])
