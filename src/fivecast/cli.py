@@ -17,9 +17,11 @@ its printed text, and one runner loads the data, writes every file and
 prints.  Every output file starts with a ``#`` comment naming the command
 and the fully resolved configuration, is written atomically (temp file
 then rename), and is byte-identical when the same command runs again with
-the same seed.  Exit codes: 0 success, 1 usage, 2 bad data, 3 numerical
-failure.  ``main`` returns the code; ``run``, the ``fivecast`` command and
-``python -m fivecast.cli``, exits with it as soon as the output is flushed.
+the same seed.  Exit codes: 0 success, 1 usage, 3 numerical failure (a
+``SingularError`` or ``DivergenceError``), and 2 for every other
+``FivecastError``, an output that cannot be written included.  ``main``
+returns the code; ``run``, the ``fivecast`` command and ``python -m
+fivecast.cli``, exits with it as soon as the output is flushed.
 """
 
 from __future__ import annotations
@@ -32,14 +34,7 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import evaluate, svr
-from .errors import (
-    DivergenceError,
-    DomainError,
-    IoError,
-    OrderError,
-    ParseError,
-    SingularError,
-)
+from .errors import DivergenceError, FivecastError, IoError, SingularError
 from .evaluate import HarnessConfig
 from .kernels import KERNEL_KINDS, KernelSpec
 from .timeseries import load_csv, make_windows, split
@@ -287,12 +282,12 @@ def _run(args) -> int:
     files, text = args.func(args, cfg, ds)
     header = _config_line(args, cfg)
     out_dir = Path(args.out)
-    for name, body in files.items():
-        _write_atomic(out_dir / name, header + body)
     try:
+        for name, body in files.items():
+            _write_atomic(out_dir / name, header + body)
         sys.stdout.write(text + "".join(f"wrote {out_dir / name}\n" for name in files))
-    except OSError as exc:  # a closed pipe, when stdout is unbuffered
-        raise IoError(f"cannot write standard output: {exc}") from exc
+    except OSError as exc:  # an unwritable --out, or a closed pipe when stdout is unbuffered
+        raise IoError(f"cannot write output: {exc}") from exc
     return 0
 
 
@@ -327,12 +322,12 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (IoError, ParseError, OrderError, DomainError) as exc:
-        sys.stderr.write(f"data error: {exc}\n")
-        return 2
     except (SingularError, DivergenceError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
+    except FivecastError as exc:
+        sys.stderr.write(f"data error: {exc}\n")
+        return 2
 
 
 def run(argv=None) -> None:

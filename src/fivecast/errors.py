@@ -12,8 +12,8 @@ class FivecastError(Exception):
 
 
 class IoError(FivecastError):
-    """A data file could not be opened or read, or standard output could
-    not be written."""
+    """A data file could not be opened or read, or an output file or
+    standard output could not be written."""
 
 
 class ParseError(FivecastError, ValueError):

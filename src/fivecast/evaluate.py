@@ -15,7 +15,12 @@ tied to the input scale.  It also runs walk-forward by default, absorbing
 each realized test value after predicting it.
 
 Each model's module is imported by the function that runs it, so a
-command loads only the models it trains.
+command loads only the models it trains.  The margin solver is the
+exception: the CLI's ``# cmd=`` header names its settings, so every
+command loads it anyway, and ``HarnessConfig`` checks svr's settings with
+``svr.check_settings``.  The other models' settings are checked by copies
+here, with their models' messages, since importing those models to check
+would cost a command milliseconds for models it may not run.
 """
 
 from __future__ import annotations
@@ -25,14 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import svr
 from .errors import DomainError, FivecastError, ShapeError
 from .kernels import KernelSpec, median_pairwise_distance
 from .timeseries import MinMaxScaler, WindowedDataset, as_vector, fit_scaler
 
 MODEL_NAMES = ("bp", "rbf", "grnn", "svr", "lssvm")
-# svr.fit's smallest c_reg, half its step-width floor; kept here so that
-# checking a config imports no model
-_SVR_MIN_C = 5e-15
 
 
 def mse(actual, predicted) -> float:
@@ -54,7 +57,11 @@ def mape(actual, predicted) -> float:
     a, p = _paired(actual, predicted)
     if np.any(a == 0.0):
         raise DomainError("mape is undefined when an actual value is zero")
-    return float(np.mean(np.abs(a - p) / np.abs(a)))
+    with np.errstate(over="ignore"):
+        value = float(np.mean(np.abs(a - p) / np.abs(a)))
+    if not np.isfinite(value) and np.all(np.isfinite(a)) and np.all(np.isfinite(p)):
+        raise DomainError("mean absolute percentage error overflows float64")
+    return value
 
 
 def _paired(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
@@ -73,8 +80,9 @@ class HarnessConfig:
     hidden width rule, the sqrt-of-train-size center count, the
     nearest-neighbor smoothing heuristic, and an rbf kernel with the
     median pairwise distance as width.  Every other field is checked here,
-    with the message its model would give, so a bad value fails before
-    any model runs.
+    so a bad value fails before any model runs: svr's by
+    ``svr.check_settings``, the rest with the message their model would
+    give.
     """
 
     seed: int = 0
@@ -106,14 +114,7 @@ class HarnessConfig:
             raise DomainError(f"n_centers must be >= 1, got {self.rbf_centers}")
         if self.grnn_beta is not None and not 0.0 < self.grnn_beta < math.inf:
             raise DomainError(f"beta must be finite and > 0, got {self.grnn_beta}")
-        if not 0.0 <= self.svr_epsilon < math.inf:
-            raise DomainError(f"epsilon must be finite and >= 0, got {self.svr_epsilon}")
-        if not 0.0 < self.svr_c < math.inf:
-            raise DomainError(f"c_reg must be finite and > 0, got {self.svr_c}")
-        if self.svr_c < _SVR_MIN_C:
-            raise DomainError(
-                f"c_reg must be >= {_SVR_MIN_C:g} for the solver to take a step, got {self.svr_c}"
-            )
+        svr.check_settings(self.svr_epsilon, self.svr_c)
         if not 0.0 < self.lssvm_gamma < math.inf:
             raise DomainError(f"gamma must be finite and > 0, got {self.lssvm_gamma}")
         if not 1.0 / float(self.lssvm_gamma) < math.inf:
@@ -125,7 +126,6 @@ class EvalReport:
     model: str
     mse: float
     mape: float
-    n_test: int
     error: str | None = None
 
 
@@ -165,7 +165,7 @@ def _train_scaler(ds: WindowedDataset) -> MinMaxScaler:
 def _resolved_kernel(cfg: HarnessConfig, scaled_inputs: np.ndarray) -> KernelSpec:
     if cfg.kernel is not None:
         return cfg.kernel
-    return KernelSpec.rbf(median_pairwise_distance(scaled_inputs))
+    return KernelSpec("rbf", sigma=median_pairwise_distance(scaled_inputs))
 
 
 def _scaled_blocks(ds: WindowedDataset, scaler: MinMaxScaler):
@@ -224,8 +224,6 @@ def _grnn_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessCon
 
 
 def _svr_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfig) -> np.ndarray:
-    from . import svr
-
     xs_tr, ys_tr, xs_te = _scaled_blocks(ds, scaler)
     model = svr.fit(
         xs_tr, ys_tr, _resolved_kernel(cfg, xs_tr), epsilon=cfg.svr_epsilon, c_reg=cfg.svr_c
@@ -278,19 +276,10 @@ def benchmark(ds: WindowedDataset, models, cfg: HarnessConfig | None = None) -> 
     for name in names:
         try:
             preds = _TEST_PREDICTIONS[name](ds, scaler, cfg)
-            reports.append(
-                EvalReport(name, mse(y_test, preds), mape(y_test, preds), y_test.shape[0])
-            )
+            reports.append(EvalReport(name, mse(y_test, preds), mape(y_test, preds)))
         except FivecastError as exc:
-            reports.append(
-                EvalReport(
-                    name,
-                    float("nan"),
-                    float("nan"),
-                    y_test.shape[0],
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            nan = float("nan")
+            reports.append(EvalReport(name, nan, nan, error=f"{type(exc).__name__}: {exc}"))
     return reports
 
 
@@ -312,13 +301,11 @@ def stability(ds: WindowedDataset, cfg: HarnessConfig | None = None, seeds=range
     preds = _bp_predictions(ds, scaler, cfg, seeds)
     mses = np.array([mse(y_test, p) for p in preds])
     mapes = np.array([mape(y_test, p) for p in preds])
-    return StabilityReport(
-        runs=len(seeds),
-        mse_mean=float(mses.mean()),
-        mse_std=float(mses.std(ddof=1)),
-        mape_mean=float(mapes.mean()),
-        mape_std=float(mapes.std(ddof=1)),
-    )
+    with np.errstate(over="ignore"):
+        stats = (mses.mean(), mses.std(ddof=1), mapes.mean(), mapes.std(ddof=1))
+    if not np.all(np.isfinite(stats)):
+        raise DomainError("the spread of the runs' scores overflows float64")
+    return StabilityReport(len(seeds), *map(float, stats))
 
 
 def lag_one_analysis(actual, predicted) -> LagOneReport:
@@ -326,11 +313,16 @@ def lag_one_analysis(actual, predicted) -> LagOneReport:
     a, p = _paired(actual, predicted)
     if a.shape[0] < 2:
         raise ShapeError("need at least 2 points for a lag-one comparison")
-    errors = a[:-1] - p[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = a[:-1] - p[1:]
+        mean = float(errors.mean())
+        std = float(errors.std())
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise DomainError("lag-one errors overflow float64")
     return LagOneReport(
         errors=errors,
-        mean=float(errors.mean()),
-        std=float(errors.std()),
+        mean=mean,
+        std=std,
         frac_negative=float(np.mean(errors < 0.0)),
     )
 

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .kernels import gram_sq_dists, sq_dists
+from .kernels import gaussian_weights, gram_sq_dists
 from .timeseries import as_rows, as_samples, as_vector
 
 
@@ -52,8 +52,7 @@ def predict(model: GrnnModel, x) -> float:
 
 def predict_batch(model: GrnnModel, inputs) -> np.ndarray:
     arr = as_rows(inputs, model.inputs.shape[1])
-    e = -model.beta * sq_dists(arr, model.inputs)
-    w = np.exp(e - e.max(axis=1, keepdims=True))
+    w = gaussian_weights(arr, model.inputs, model.beta)
     return (w @ model.targets) / w.sum(axis=1)
 
 

@@ -3,7 +3,8 @@
 Four families: linear ``a.b``, polynomial ``(1 + a.b/c)^d``, radial basis
 ``exp(-|a-b|^2 / sigma^2)`` and the tanh unit ``tanh(k a.b + theta)``.
 The tanh kernel is not positive semidefinite in general; the solvers that
-accept it treat it as-is.
+accept it treat it as-is.  A kernel is one ``KernelSpec``, built by naming
+its kind and fields, e.g. ``KernelSpec("poly", degree=3)``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ KERNEL_KINDS = ("linear", "poly", "rbf", "mlp")
 class KernelSpec:
     """One kernel family plus its parameters.
 
-    Only the fields relevant to ``kind`` are read; the rest keep their
-    defaults.
+    Only the fields relevant to ``kind`` are read and checked; the rest
+    keep their defaults.
     """
 
     kind: str
@@ -53,22 +54,6 @@ class KernelSpec:
             raise DomainError(
                 f"tanh kernel slope and offset must be finite, got {self.mlp_k}, {self.mlp_theta}"
             )
-
-    @classmethod
-    def linear(cls) -> "KernelSpec":
-        return cls("linear")
-
-    @classmethod
-    def polynomial(cls, degree: int, poly_c: float = 1.0) -> "KernelSpec":
-        return cls("poly", degree=degree, poly_c=poly_c)
-
-    @classmethod
-    def rbf(cls, sigma: float) -> "KernelSpec":
-        return cls("rbf", sigma=sigma)
-
-    @classmethod
-    def mlp(cls, mlp_k: float = 1.0, mlp_theta: float = 0.0) -> "KernelSpec":
-        return cls("mlp", mlp_k=mlp_k, mlp_theta=mlp_theta)
 
 
 def kernel_column(spec: KernelSpec, rows: np.ndarray, x) -> np.ndarray:
@@ -146,6 +131,21 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b, (n, m), summed from the differences: never negative."""
     diff = a[:, None, :] - b[None, :, :]
     return np.sum(diff * diff, axis=2)
+
+
+def gaussian_weights(points: np.ndarray, rows: np.ndarray, betas) -> np.ndarray:
+    """exp(-betas * |x - row|^2) for each point x (one row of the result)
+    and each row, divided by the point's largest weight so that the
+    weights cannot all underflow to zero.  betas is one sharpness or one
+    per row.  An exponent that overflows gives a weight of 0; raises
+    DomainError when every exponent of a point overflows.
+    """
+    with np.errstate(over="ignore"):
+        e = -betas * sq_dists(points, rows)
+    top = e.max(axis=1, keepdims=True)
+    if not np.all(np.isfinite(top)):
+        raise DomainError("an input is too far from every stored row: the exponents overflow")
+    return np.exp(e - top)
 
 
 def gram_sq_dists(rows: np.ndarray) -> np.ndarray:

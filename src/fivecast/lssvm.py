@@ -33,7 +33,6 @@ class LssvmModel:
     inputs: np.ndarray
     coefs: np.ndarray  # one per training sample, sums to ~0
     bias: float
-    gamma: float
     kkt_residual: float  # max-norm residual of the solved system
 
 
@@ -67,7 +66,6 @@ def fit(inputs, targets, kernel: KernelSpec, gamma: float = 100.0) -> LssvmModel
         inputs=x.copy(),
         coefs=sol[1:],
         bias=float(sol[0]),
-        gamma=float(gamma),
         kkt_residual=residual,
     )
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, ShapeError
-from .kernels import sq_dists
+from .kernels import gaussian_weights, sq_dists
 from .timeseries import as_rows, as_samples
 
 KMEANS_MAX_ITER = 50
@@ -91,10 +91,7 @@ def _widths(centers: np.ndarray) -> np.ndarray:
 
 
 def _normalized_activations(points: np.ndarray, centers: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    # Shift exponents by their row max before exp so far queries cannot
-    # underflow the denominator to zero.
-    e = -betas[None, :] * sq_dists(points, centers)
-    w = np.exp(e - e.max(axis=1, keepdims=True))
+    w = gaussian_weights(points, centers, betas)
     return w / w.sum(axis=1, keepdims=True)
 
 

@@ -208,13 +208,25 @@ def _smo_solve(kmat, y, eps, c, tol, max_passes):
     return beta, bias, passes, converged, max(gap, 0.0)
 
 
+def check_settings(epsilon: float, c_reg: float) -> None:
+    """Raise DomainError unless epsilon is finite and >= 0 and c_reg is
+    finite and wide enough for the solver to take a step."""
+    if not 0.0 <= epsilon < math.inf:
+        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon}")
+    if not 0.0 < c_reg < math.inf:
+        raise DomainError(f"c_reg must be finite and > 0, got {c_reg}")
+    if 2.0 * c_reg < _MIN_STEP_WIDTH:
+        raise DomainError(
+            f"c_reg must be >= {_MIN_STEP_WIDTH / 2:g} for the solver to take a step, got {c_reg}"
+        )
+
+
 @dataclass(frozen=True)
 class SvrModel:
     kernel: KernelSpec
     inputs: np.ndarray  # training rows the expansion sums over
     coefs: np.ndarray  # net dual coefficients, |coef| <= c_reg, sum ~ 0
     bias: float
-    epsilon: float
     c_reg: float
     converged: bool
     passes: int
@@ -236,14 +248,7 @@ def fit(
     violation above ``TOL``.
     """
     x, y = as_samples(inputs, targets)
-    if not 0.0 <= epsilon < math.inf:
-        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon}")
-    if not 0.0 < c_reg < math.inf:
-        raise DomainError(f"c_reg must be finite and > 0, got {c_reg}")
-    if 2.0 * c_reg < _MIN_STEP_WIDTH:
-        raise DomainError(
-            f"c_reg must be >= {_MIN_STEP_WIDTH / 2:g} for the solver to take a step, got {c_reg}"
-        )
+    check_settings(epsilon, c_reg)
     kmat = gram(kernel, x)
     beta, bias, passes, converged, viol = _smo_solve(
         kmat, y, float(epsilon), float(c_reg), TOL, MAX_PASSES
@@ -260,7 +265,6 @@ def fit(
         inputs=x.copy(),
         coefs=beta,
         bias=float(bias),
-        epsilon=float(epsilon),
         c_reg=float(c_reg),
         converged=bool(converged),
         passes=int(passes),

@@ -137,7 +137,8 @@ def as_samples(inputs, targets) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class MinMaxScaler:
     """Affine map sending [lo, hi] onto [0, 1]; values outside pass through
-    the same formula without clamping."""
+    the same formula without clamping.  Both directions raise DomainError
+    when a result is not finite."""
 
     lo: float
     hi: float
@@ -149,10 +150,18 @@ class MinMaxScaler:
             raise DomainError(f"scaler needs hi > lo, got [{self.lo}, {self.hi}]")
 
     def transform(self, values):
-        return (np.asarray(values, dtype=np.float64) - self.lo) / (self.hi - self.lo)
+        with np.errstate(over="ignore"):
+            return _finite((np.asarray(values, dtype=np.float64) - self.lo) / (self.hi - self.lo))
 
     def inverse(self, values):
-        return np.asarray(values, dtype=np.float64) * (self.hi - self.lo) + self.lo
+        with np.errstate(over="ignore"):
+            return _finite(np.asarray(values, dtype=np.float64) * (self.hi - self.lo) + self.lo)
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise DomainError("scaled values overflow float64")
+    return values
 
 
 def load_csv(path: str | Path, ticker: str | None = None) -> PriceSeries:

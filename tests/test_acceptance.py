@@ -94,7 +94,7 @@ class TestAcceptance:
             x = rng.uniform(-2.0, 2.0, (n, d))
             y = rng.uniform(-3.0, 3.0, n)
             gamma = float(rng.choice([1.0, 100.0, 1e4]))
-            kernel = (KernelSpec.linear(), KernelSpec.rbf(1.0), KernelSpec.polynomial(2))[trial % 3]
+            kernel = (KernelSpec("linear"), KernelSpec("rbf", sigma=1.0), KernelSpec("poly", degree=2))[trial % 3]
             m = lssvm.fit(x, y, kernel, gamma=gamma)
             bound = 1e-8 * max(1.0, float(np.max(np.abs(y))))
             # assemble the system again, entry by entry
@@ -137,9 +137,9 @@ class TestAcceptance:
             y = rng.uniform(-2.0, 2.0, size=n)
             kind = ("linear", "poly", "rbf")[trial % 3]
             spec = {
-                "linear": KernelSpec.linear(),
-                "poly": KernelSpec.polynomial(2),
-                "rbf": KernelSpec.rbf(1.5),
+                "linear": KernelSpec("linear"),
+                "poly": KernelSpec("poly", degree=2),
+                "rbf": KernelSpec("rbf", sigma=1.5),
             }[kind]
             m = svr.fit(x, y, spec, epsilon=eps, c_reg=c)
             kmat = oracle_gram(kind, x, sigma=1.5)
@@ -284,7 +284,7 @@ class TestAcceptance:
         prices = 100.0 + 0.5 * np.arange(120)
         ds = timeseries.split(timeseries.make_windows(weekly_series(prices), 3), 0.8)
         lin = evaluate.benchmark(
-            ds, ["svr"], evaluate.HarnessConfig(kernel=KernelSpec.linear())
+            ds, ["svr"], evaluate.HarnessConfig(kernel=KernelSpec("linear"))
         )[0]
         rbf = evaluate.benchmark(ds, ["svr"], evaluate.HarnessConfig())[0]
         elapsed = time.perf_counter() - start

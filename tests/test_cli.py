@@ -2,21 +2,27 @@
 
 import argparse
 import ast
+import contextlib
 import io
+import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import make_ar_series, weekly_series, write_price_csv
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fivecast
 from fivecast import cli, evaluate, svr
 from fivecast.cli import _cmd_stability, _config_from_args, _csv, _table, build_parser, main
 from fivecast.evaluate import HarnessConfig, StabilityReport
+from fivecast.kernels import KERNEL_KINDS
 
 
 @pytest.fixture()
@@ -293,6 +299,15 @@ class TestLag:
         assert (a / "lag_bp.csv").read_bytes() == (b / "lag_bp.csv").read_bytes()
         assert (a / "lag_summary.csv").read_bytes() == (b / "lag_summary.csv").read_bytes()
 
+    @pytest.mark.parametrize("model", evaluate.MODEL_NAMES)
+    def test_one_point_test_block_is_data_error(self, model, tmp_path, capsys):
+        # 8 prices, 3 lags -> 5 windows; train 4, test 1: no pair to compare
+        short = write_price_csv(tmp_path / "short.csv", make_ar_series(11, n=8))
+        out = tmp_path / "out"
+        assert run(["lag", "--data", str(short), "--out", str(out), "--models", model]) == 2
+        assert capsys.readouterr().err == "data error: need at least 2 points for a lag-one comparison\n"
+        assert not out.exists()
+
     def test_rbf_sigma_applies_without_kernel_flag(self, price_csv, tmp_path):
         argv = ["lag", "--data", str(price_csv), "--models", "lssvm"]
         auto, fixed = tmp_path / "auto", tmp_path / "fixed"
@@ -387,6 +402,16 @@ class TestBadFlagValues:
         assert "RuntimeWarning" not in proc.stderr
         row = (out / "results.csv").read_text().splitlines()[2]
         assert row.startswith("svr,") and "nan" not in row
+
+    def test_out_below_a_regular_file_is_data_error(self, price_csv, tmp_path):
+        out = tmp_path / "file" / "x"
+        out.parent.write_text("not a directory\n", encoding="utf-8")
+        proc = self.run_cli(["kernels", "--data", str(price_csv), "--out", str(out)])
+        assert proc.returncode == 2
+        # one line, naming the path: "[Errno 20] Not a directory: '...'" on Linux
+        assert proc.stderr.startswith("data error: cannot write output: ")
+        assert proc.stderr.count("\n") == 1 and str(out) in proc.stderr
+        assert not list(tmp_path.rglob("*.tmp"))
 
     @staticmethod
     def run_cli(argv):
@@ -637,3 +662,61 @@ class TestImports:
         loaded = self.loaded(f"from fivecast.cli import main; assert main({argv!r}) == 0")
         assert {"fivecast.lssvm", "fivecast.linalg"} <= loaded
         assert not loaded & {"fivecast.bpnn", "fivecast.rbfnn", "fivecast.grnn"}
+
+
+# Values for the setting flags: out of every range, at the float64 limits,
+# and ordinary.  Each int flag also meets the float spellings, a usage error.
+_ODD_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e-320", "1e308", "1", "3", str(10**20))
+_SETTING_FLAGS = tuple(
+    flag for flag, dest, options in cli._FLAGS if "type" in options and dest not in ("models", "runs")
+)
+
+
+@st.composite
+def invocations(draw):
+    """A price series of 4 to 40 rows and the argv of one command on it,
+    with at most two setting flags at odd values.  Training is held to at
+    most 20 epochs and 5 runs, so every example is quick."""
+    prices = draw(
+        st.lists(st.one_of(st.floats(0.5, 2.0), st.floats(1e-300, 1e300)), min_size=4, max_size=40)
+    )
+    command = draw(st.sampled_from(tuple(cli._COMMANDS)))
+    argv = [command, "--epochs", "20"]
+    if command in cli._ONLY["--models"]:
+        models = draw(st.lists(st.sampled_from(evaluate.MODEL_NAMES), min_size=1, max_size=5, unique=True))
+        argv += ["--models", ",".join(models)]
+    if command in cli._ONLY["--kernel"] and draw(st.booleans()):
+        argv += ["--kernel", draw(st.sampled_from(KERNEL_KINDS))]
+    if command in cli._ONLY["--runs"]:
+        argv += ["--runs", str(draw(st.integers(2, 5)))]
+    for flag in draw(st.lists(st.sampled_from(_SETTING_FLAGS), max_size=2, unique=True)):
+        values = [v for v in _ODD_VALUES if not (flag == "--epochs" and v == str(10**20))]
+        argv += [flag, draw(st.sampled_from(values))]
+    return prices, argv
+
+
+class TestAnyInvocation:
+    """Whatever the series and settings, main returns an exit code, and
+    every number it writes is finite unless its row reports an error."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(invocations())
+    def test_ends_in_a_code_and_finite_output(self, case):
+        prices, argv = case
+        with tempfile.TemporaryDirectory() as tmp:
+            data = write_price_csv(Path(tmp) / "prices.csv", weekly_series(prices))
+            out = Path(tmp) / "out"
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                code = main([*argv, "--data", str(data), "--out", str(out)])
+            assert code in (0, 1, 2, 3)
+            # a failed model prints "-" for both scores, then its error
+            failed = {
+                cells[0] for cells in map(str.split, stdout.getvalue().splitlines())
+                if cells[1:3] == ["-", "-"]
+            }
+            for path in out.glob("*.csv"):
+                for row in path.read_text(encoding="utf-8").splitlines()[2:]:
+                    label, *numbers = row.split(",")
+                    if label not in failed:
+                        assert all(math.isfinite(float(v)) for v in numbers), (path.name, row)

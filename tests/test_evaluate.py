@@ -40,8 +40,8 @@ _FIT = {
     "bp": lambda x, y: bpnn.new_network((3, 2, 1)),
     "rbf": rbfnn.fit,
     "grnn": lambda x, y: grnn.fit(x, y, beta=1.0),
-    "svr": lambda x, y: svr.fit(x, y, KernelSpec.linear()),
-    "lssvm": lambda x, y: lssvm.fit(x, y, KernelSpec.linear()),
+    "svr": lambda x, y: svr.fit(x, y, KernelSpec("linear")),
+    "lssvm": lambda x, y: lssvm.fit(x, y, KernelSpec("linear")),
 }
 _PREDICT = {
     "bp": bpnn.predict_batch,
@@ -117,6 +117,13 @@ class TestMetrics:
             with pytest.raises(DomainError, match="overflows float64"):
                 mse([5e307, 1.0], [-5e307, 1.0])
 
+    def test_mape_overflow_is_a_domain_error(self):
+        # every input is finite, but an error of 1e300 on an actual of 1e-10 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows float64"):
+                mape([1e-10, 1.0], [1e300, 1.0])
+
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
             mse([1.0, 2.0], [1.0])
@@ -141,7 +148,6 @@ class TestBenchmark:
             assert r.error is None
             assert np.isfinite(r.mse) and np.isfinite(r.mape)
             assert r.mape < 0.2
-            assert r.n_test == ds.test_targets.shape[0]
 
     def test_failing_model_yields_error_entry(self):
         ds = constant_dataset(n=24)  # 21 windows, train block 16
@@ -215,9 +221,9 @@ class TestHarnessConfig:
             "bp_epochs": lambda v: bpnn.SgdConfig(epochs=v),
             "rbf_centers": lambda v: rbfnn.fit(x, y, v),
             "grnn_beta": lambda v: grnn.fit(x, y, v),
-            "svr_epsilon": lambda v: svr.fit(x, y, KernelSpec.linear(), epsilon=v),
-            "svr_c": lambda v: svr.fit(x, y, KernelSpec.linear(), c_reg=v),
-            "lssvm_gamma": lambda v: lssvm.fit(x, y, KernelSpec.linear(), gamma=v),
+            "svr_epsilon": lambda v: svr.fit(x, y, KernelSpec("linear"), epsilon=v),
+            "svr_c": lambda v: svr.fit(x, y, KernelSpec("linear"), c_reg=v),
+            "lssvm_gamma": lambda v: lssvm.fit(x, y, KernelSpec("linear"), gamma=v),
         }[field]
         with pytest.raises(DomainError) as exc:
             fail(value)
@@ -226,9 +232,6 @@ class TestHarnessConfig:
             assert str(exc.value) == f"n_centers must be in [1, 8], got {value}"
         else:
             assert str(exc.value) == message
-
-    def test_svr_floor_is_the_solvers(self):
-        assert evaluate._SVR_MIN_C == svr._MIN_STEP_WIDTH / 2
 
     def test_edges_of_each_range_are_legal(self):
         cfg = HarnessConfig(
@@ -289,6 +292,17 @@ class TestStability:
         assert rep.mse_std > 0.0
         assert rep.mse_mean > 0.0
 
+    def test_overflowing_spread_is_a_domain_error(self, monkeypatch):
+        # the runs' mses, 0 and 1e200, are finite, but the square of their spread is not
+        monkeypatch.setattr(
+            evaluate, "_bp_predictions",
+            lambda ds, scaler, cfg, seeds: [ds.test_targets, ds.test_targets + 1e100],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="the spread of the runs' scores overflows float64"):
+                stability(constant_dataset(), seeds=[0, 1])
+
     def test_too_few_runs(self):
         ds = constant_dataset()
         with pytest.raises(DomainError, match="need at least 2 runs, got 1"):
@@ -342,6 +356,15 @@ class TestLagOneAnalysis:
         with pytest.raises(ShapeError):
             lag_one_analysis([1.0], [1.0])
 
+    def test_overflowing_errors_are_a_domain_error(self):
+        # finite inputs whose errors' squares, and then their sum, overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="lag-one errors overflow float64"):
+                lag_one_analysis([1e300, 1.0, 1.0], [1.0, 1.0, 1e300])
+            with pytest.raises(DomainError, match="lag-one errors overflow float64"):
+                lag_one_analysis([1e308, 1e308, 1.0], [1.0, -1e308, -1e308])
+
 
 def stability_output(monkeypatch, report):
     """The files and text of the stability command when the sweep gives report."""
@@ -363,15 +386,15 @@ class TestSerialization:
 
     def test_results_csv_exact(self):
         reports = [
-            EvalReport("bp", 0.25, 0.1, 5),
-            EvalReport("rbf", float("nan"), float("nan"), 5, error="DomainError: no"),
+            EvalReport("bp", 0.25, 0.1),
+            EvalReport("rbf", float("nan"), float("nan"), error="DomainError: no"),
         ]
         body, _ = cli._scores("model", reports)
         assert body == "model,mse,mape\nbp,0.25,0.1\nrbf,nan,nan\n"
 
     def test_results_csv_custom_label(self, monkeypatch):
         # the kernels command labels each svr report with its kernel
-        report = EvalReport("svr", 0.5, 0.25, 4)
+        report = EvalReport("svr", 0.5, 0.25)
         monkeypatch.setattr(evaluate, "benchmark", lambda ds, models, cfg: [report])
         files, _ = cli._cmd_kernels(argparse.Namespace(), HarnessConfig(), None)
         assert files["kernels.csv"] == (
@@ -380,15 +403,15 @@ class TestSerialization:
 
     def test_results_csv_full_precision(self):
         value = 0.1234567890123456789
-        body, _ = cli._scores("model", [EvalReport("bp", value, value, 4)])
+        body, _ = cli._scores("model", [EvalReport("bp", value, value)])
         row = body.splitlines()[1]
         assert row == f"bp,{value!r},{value!r}"
         assert float(row.split(",")[1]) == value
 
     def test_results_table_layout(self):
         reports = [
-            EvalReport("bp", 0.009, 0.019, 85),
-            EvalReport("rbf", float("nan"), float("nan"), 85, error="DomainError: no"),
+            EvalReport("bp", 0.009, 0.019),
+            EvalReport("rbf", float("nan"), float("nan"), error="DomainError: no"),
         ]
         _, table = cli._scores("model", reports)
         lines = table.splitlines()
@@ -398,7 +421,7 @@ class TestSerialization:
         assert lines[2].endswith("DomainError: no")
 
     def test_results_table_three_significant_digits(self):
-        _, table = cli._scores("model", [EvalReport("bp", 0.123456, 12345.6, 3)])
+        _, table = cli._scores("model", [EvalReport("bp", 0.123456, 12345.6)])
         assert table.splitlines()[1].split() == ["bp", "0.123", "1.23e+04"]
 
     def test_stability_csv_exact(self, monkeypatch):

@@ -90,6 +90,20 @@ class TestPredict:
             v = predict(m, rng.uniform(-5.0, 5.0, 2))
             assert targets.min() <= v <= targets.max()
 
+    def test_overflowing_distance_is_a_zero_weight(self):
+        # the squared distance to the first sample overflows; the second decides
+        m = fit([[-1e200], [1.0]], [5.0, 7.0], beta=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert predict(m, [2.0]) == 7.0
+
+    def test_input_too_far_from_every_sample_is_a_domain_error(self):
+        m = fit([[0.0], [1.0]], [5.0, 7.0], beta=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="too far from every stored row"):
+                predict(m, [1e200])
+
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(32)
         m = fit(rng.standard_normal((7, 3)), rng.standard_normal(7), beta=1.3)

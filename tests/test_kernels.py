@@ -17,13 +17,13 @@ from fivecast.kernels import (
 )
 
 ALL_SPECS = (
-    KernelSpec.linear(),
-    KernelSpec.polynomial(2),
-    KernelSpec.polynomial(3, poly_c=2.5),
-    KernelSpec.rbf(1.0),
-    KernelSpec.rbf(0.3),
-    KernelSpec.mlp(),
-    KernelSpec.mlp(mlp_k=0.5, mlp_theta=-1.0),
+    KernelSpec("linear"),
+    KernelSpec("poly", degree=2),
+    KernelSpec("poly", degree=3, poly_c=2.5),
+    KernelSpec("rbf", sigma=1.0),
+    KernelSpec("rbf", sigma=0.3),
+    KernelSpec("mlp"),
+    KernelSpec("mlp", mlp_k=0.5, mlp_theta=-1.0),
 )
 
 
@@ -51,28 +51,28 @@ def evaluate(spec, a, b) -> float:
 
 class TestEvaluate:
     def test_linear_by_hand(self):
-        assert evaluate(KernelSpec.linear(), [1.0, 2.0], [3.0, 4.0]) == 11.0
+        assert evaluate(KernelSpec("linear"), [1.0, 2.0], [3.0, 4.0]) == 11.0
 
     def test_poly_by_hand(self):
         # (1 + 1/1)^2 = 4
-        v = evaluate(KernelSpec.polynomial(2), [1.0, 0.0], [1.0, 0.0])
+        v = evaluate(KernelSpec("poly", degree=2), [1.0, 0.0], [1.0, 0.0])
         assert v == 4.0
 
     def test_poly_offset_by_hand(self):
         # (1 + 6/2)^3 = 64
-        v = evaluate(KernelSpec.polynomial(3, poly_c=2.0), [1.0, 1.0], [2.0, 4.0])
+        v = evaluate(KernelSpec("poly", degree=3, poly_c=2.0), [1.0, 1.0], [2.0, 4.0])
         npt.assert_allclose(v, 64.0)
 
     def test_rbf_same_point(self):
-        assert evaluate(KernelSpec.rbf(0.7), [1.0, 2.0], [1.0, 2.0]) == 1.0
+        assert evaluate(KernelSpec("rbf", sigma=0.7), [1.0, 2.0], [1.0, 2.0]) == 1.0
 
     def test_rbf_by_hand(self):
         # |a-b|^2 = 4, sigma^2 = 4
-        v = evaluate(KernelSpec.rbf(2.0), [0.0, 0.0], [2.0, 0.0])
+        v = evaluate(KernelSpec("rbf", sigma=2.0), [0.0, 0.0], [2.0, 0.0])
         npt.assert_allclose(v, math.exp(-1.0))
 
     def test_mlp_by_hand(self):
-        v = evaluate(KernelSpec.mlp(mlp_k=2.0, mlp_theta=0.5), [1.0], [3.0])
+        v = evaluate(KernelSpec("mlp", mlp_k=2.0, mlp_theta=0.5), [1.0], [3.0])
         npt.assert_allclose(v, math.tanh(6.5))
 
     def test_symmetry(self):
@@ -88,18 +88,18 @@ class TestEvaluate:
         for _ in range(50):
             a = rng.standard_normal(4)
             b = rng.standard_normal(4)
-            v = evaluate(KernelSpec.rbf(1.3), a, b)
+            v = evaluate(KernelSpec("rbf", sigma=1.3), a, b)
             assert 0.0 < v <= 1.0
             if v == 1.0:
                 npt.assert_array_equal(a, b)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            evaluate(KernelSpec.linear(), [1.0], [1.0, 2.0])
+            evaluate(KernelSpec("linear"), [1.0], [1.0, 2.0])
 
     def test_non_vector(self):
         with pytest.raises(ShapeError):
-            evaluate(KernelSpec.linear(), [[1.0]], [[1.0]])
+            evaluate(KernelSpec("linear"), [[1.0]], [[1.0]])
 
 
 class TestKernelColumn:
@@ -114,12 +114,12 @@ class TestKernelColumn:
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
-            kernel_column(KernelSpec.linear(), np.ones((3, 2)), np.ones(3))
+            kernel_column(KernelSpec("linear"), np.ones((3, 2)), np.ones(3))
 
 
 class TestGram:
     def test_linear_by_hand(self):
-        g = gram(KernelSpec.linear(), np.array([[0.0], [2.0]]))
+        g = gram(KernelSpec("linear"), np.array([[0.0], [2.0]]))
         npt.assert_array_equal(g, [[0.0, 0.0], [0.0, 4.0]])
 
     def test_exactly_symmetric(self):
@@ -142,14 +142,14 @@ class TestGram:
 
     def test_rbf_unit_diagonal(self):
         rng = np.random.default_rng(13)
-        g = gram(KernelSpec.rbf(0.9), rng.standard_normal((8, 3)))
+        g = gram(KernelSpec("rbf", sigma=0.9), rng.standard_normal((8, 3)))
         npt.assert_array_equal(np.diag(g), np.ones(8))
 
     def test_positive_semidefinite(self):
         # quadratic form stays nonnegative for the psd families
         rng = np.random.default_rng(14)
         rows = rng.standard_normal((10, 3))
-        for spec in (KernelSpec.linear(), KernelSpec.rbf(1.0)):
+        for spec in (KernelSpec("linear"), KernelSpec("rbf", sigma=1.0)):
             g = gram(spec, rows)
             for _ in range(20):
                 x = rng.standard_normal(10)
@@ -157,7 +157,7 @@ class TestGram:
 
     def test_non_matrix(self):
         with pytest.raises(ShapeError):
-            gram(KernelSpec.linear(), np.ones(3))
+            gram(KernelSpec("linear"), np.ones(3))
 
     def test_overflow_is_a_domain_error_naming_the_kernel(self):
         # (1 + 10 * 20)^600 is far beyond float64
@@ -165,13 +165,13 @@ class TestGram:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="poly kernel"):
-                gram(KernelSpec.polynomial(600), rows)
+                gram(KernelSpec("poly", degree=600), rows)
 
 
 class TestExpansion:
     def test_by_hand(self):
         rows = np.array([[1.0, 2.0], [3.0, -1.0]])
-        got = expansion(KernelSpec.linear(), rows, np.array([0.5, -2.0]), 0.25, [[2.0, 1.0]])
+        got = expansion(KernelSpec("linear"), rows, np.array([0.5, -2.0]), 0.25, [[2.0, 1.0]])
         assert got.tolist() == [0.5 * 4.0 - 2.0 * 5.0 + 0.25]
 
     def test_column_overflow_is_a_domain_error_naming_the_kernel(self):
@@ -179,13 +179,13 @@ class TestExpansion:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="poly kernel column has non-finite entries"):
-                expansion(KernelSpec.polynomial(600), np.array([[10.0]]), np.ones(1), 0.0, [[20.0]])
+                expansion(KernelSpec("poly", degree=600), np.array([[10.0]]), np.ones(1), 0.0, [[20.0]])
 
     def test_sum_overflow_is_a_domain_error(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="linear kernel expansion overflows"):
-                expansion(KernelSpec.linear(), np.ones((2, 1)), np.full(2, 1e308), 0.0, [[1.0]])
+                expansion(KernelSpec("linear"), np.ones((2, 1)), np.full(2, 1e308), 0.0, [[1.0]])
 
 
 class TestKernelSpec:
@@ -195,40 +195,40 @@ class TestKernelSpec:
 
     def test_bad_poly(self):
         with pytest.raises(DomainError):
-            KernelSpec.polynomial(0)
+            KernelSpec("poly", degree=0)
         with pytest.raises(DomainError):
-            KernelSpec.polynomial(2, poly_c=0.0)
+            KernelSpec("poly", degree=2, poly_c=0.0)
 
     def test_bad_rbf(self):
         with pytest.raises(DomainError):
-            KernelSpec.rbf(0.0)
+            KernelSpec("rbf", sigma=0.0)
         with pytest.raises(DomainError):
-            KernelSpec.rbf(-1.0)
+            KernelSpec("rbf", sigma=-1.0)
 
     def test_rbf_width_whose_square_underflows(self):
         # 1e-300 ** 2 is 0.0, so the kernel would divide by zero
         with pytest.raises(DomainError, match="nonzero square"):
-            KernelSpec.rbf(1e-300)
-        assert KernelSpec.rbf(1e-150).sigma == 1e-150
+            KernelSpec("rbf", sigma=1e-300)
+        assert KernelSpec("rbf", sigma=1e-150).sigma == 1e-150
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_parameters_of_the_kind_in_use(self, value):
         with pytest.raises(DomainError, match="polynomial offset must be finite"):
-            KernelSpec.polynomial(2, poly_c=value)
+            KernelSpec("poly", degree=2, poly_c=value)
         with pytest.raises(DomainError, match="rbf width"):
-            KernelSpec.rbf(value)
+            KernelSpec("rbf", sigma=value)
         with pytest.raises(DomainError, match="tanh kernel slope and offset must be finite"):
-            KernelSpec.mlp(mlp_k=value)
+            KernelSpec("mlp", mlp_k=value)
         with pytest.raises(DomainError, match="tanh kernel slope and offset must be finite"):
-            KernelSpec.mlp(mlp_theta=value)
+            KernelSpec("mlp", mlp_theta=value)
         # parameters of other kinds are not read, so they are not checked
         assert KernelSpec("linear", poly_c=value, sigma=value, mlp_k=value).kind == "linear"
 
     def test_rbf_width_whose_square_overflows(self):
         # 1e200 ** 2 is inf, so every kernel entry would be exp(-0) = 1
         with pytest.raises(DomainError, match="finite square"):
-            KernelSpec.rbf(1e200)
-        assert KernelSpec.rbf(1e150).sigma == 1e150
+            KernelSpec("rbf", sigma=1e200)
+        assert KernelSpec("rbf", sigma=1e150).sigma == 1e150
 
 
 class TestMedianPairwiseDistance:

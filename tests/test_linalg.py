@@ -165,7 +165,7 @@ class TestRowLoopReference:
         a = np.zeros((m + 1, m + 1))
         a[0, 1:] = 1.0
         a[1:, 0] = 1.0
-        a[1:, 1:] = gram(KernelSpec.rbf(1.5), x) + np.eye(m) / 100.0
+        a[1:, 1:] = gram(KernelSpec("rbf", sigma=1.5), x) + np.eye(m) / 100.0
         b = np.concatenate([[0.0], rng.standard_normal(m)])
         assert_same_as_row_loop(a, b)
 

@@ -1,6 +1,7 @@
 """Normalized RBF network: prediction formula and two-stage fitting."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -33,6 +34,13 @@ class TestPredict:
         net = RbfNetwork(np.array([[0.3, -1.0]]), np.array([2.0]), np.array([7.0]))
         for x in ([0.0, 0.0], [5.0, 5.0], [0.3, -1.0]):
             assert predict_batch(net, [x])[0] == 7.0
+
+    def test_input_too_far_from_every_center_is_a_domain_error(self):
+        net = RbfNetwork(np.array([[0.0], [1.0]]), np.array([1.5, 1.5]), np.array([1.0, 3.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="too far from every stored row"):
+                predict_batch(net, [[0.5], [1e200]])
 
     def test_symmetric_pair_averages(self):
         net = RbfNetwork(

@@ -310,10 +310,10 @@ def reference_smo_solve(kmat, y, eps, c, tol, max_passes):
 
 
 _SPECS = (
-    KernelSpec.linear(),
-    KernelSpec.polynomial(2),
-    KernelSpec.rbf(1.0),
-    KernelSpec.mlp(1.0, 0.0),
+    KernelSpec("linear"),
+    KernelSpec("poly", degree=2),
+    KernelSpec("rbf", sigma=1.0),
+    KernelSpec("mlp", mlp_k=1.0, mlp_theta=0.0),
 )
 
 
@@ -398,7 +398,7 @@ class TestLoopReferences:
         assert int(np.argmax(dn)) == 2
         # duplicate rows: every pair curvature is 0, so partners 2 and 3
         # tie on the gain estimate
-        kmat = gram(KernelSpec.linear(), np.ones((4, 1)))
+        kmat = gram(KernelSpec("linear"), np.ones((4, 1)))
         got = svr._smo_partner(svr._smo_curvatures(kmat)[0], dn, up[0])
         assert got == loop_partner(kmat, beta, y, f, 0.01, 10.0, 0, up[0]) == 2
 
@@ -500,7 +500,7 @@ class TestSolveReference:
         ],
     )
     def test_gain_rounding_cases(self, x, y, eps, c, max_passes):
-        kmat = gram(KernelSpec.polynomial(2), np.array(x)[:, None])
+        kmat = gram(KernelSpec("poly", degree=2), np.array(x)[:, None])
         problem = (kmat, np.array(y), eps, c, 1e-4, max_passes)
         assert_same_solution(svr._smo_solve(*problem), reference_smo_solve(*problem))
 
@@ -532,7 +532,7 @@ class TestOracleSelfChecks:
 class TestFit:
     def test_flat_targets(self):
         x = np.arange(5.0)[:, None]
-        m = fit(x, np.full(5, 3.0), KernelSpec.linear())
+        m = fit(x, np.full(5, 3.0), KernelSpec("linear"))
         npt.assert_array_equal(m.coefs, np.zeros(5))
         assert m.bias == 3.0
         assert m.converged
@@ -540,14 +540,14 @@ class TestFit:
             assert predict_batch(m, [[q]])[0] == 3.0
 
     def test_single_sample(self):
-        m = fit(np.array([[1.5]]), np.array([2.0]), KernelSpec.rbf(1.0))
+        m = fit(np.array([[1.5]]), np.array([2.0]), KernelSpec("rbf", sigma=1.0))
         npt.assert_array_equal(m.coefs, [0.0])
         assert m.bias == 2.0
 
     def test_line_within_tube(self):
         x = np.linspace(-1.0, 1.0, 9)[:, None]
         y = 2.0 * x[:, 0] + 1.0
-        m = fit(x, y, KernelSpec.linear(), epsilon=0.01, c_reg=100.0)
+        m = fit(x, y, KernelSpec("linear"), epsilon=0.01, c_reg=100.0)
         assert m.converged
         npt.assert_allclose(predict_batch(m, x), y, atol=0.01 + 1e-3)
 
@@ -561,9 +561,9 @@ class TestFit:
             y = rng.uniform(-2.0, 2.0, size=n)
             kind = ("linear", "poly", "rbf")[trial % 3]
             spec = {
-                "linear": KernelSpec.linear(),
-                "poly": KernelSpec.polynomial(2),
-                "rbf": KernelSpec.rbf(1.5),
+                "linear": KernelSpec("linear"),
+                "poly": KernelSpec("poly", degree=2),
+                "rbf": KernelSpec("rbf", sigma=1.5),
             }[kind]
             m = fit(x, y, spec, epsilon=eps, c_reg=c)
             kmat = oracle_gram(kind, x, sigma=1.5)
@@ -576,7 +576,7 @@ class TestFit:
         x = rng.uniform(-1.0, 1.0, (25, 2))
         y = rng.uniform(-2.0, 2.0, 25)
         for c in (0.5, 10.0):
-            m = fit(x, y, KernelSpec.rbf(1.0), c_reg=c)
+            m = fit(x, y, KernelSpec("rbf", sigma=1.0), c_reg=c)
             assert np.all(np.abs(m.coefs) <= c + 1e-12)
             assert abs(m.coefs.sum()) <= 1e-6
 
@@ -586,7 +586,7 @@ class TestFit:
         y = np.sin(x[:, 0]) + 0.3 * rng.standard_normal(30)
         counts = []
         for eps in (0.01, 0.05, 0.1, 0.5):
-            m = fit(x, y, KernelSpec.rbf(1.0), epsilon=eps)
+            m = fit(x, y, KernelSpec("rbf", sigma=1.0), epsilon=eps)
             counts.append(int(np.count_nonzero(np.abs(m.coefs) > 1e-10)))
         assert counts == [28, 27, 27, 9]
         assert counts == sorted(counts, reverse=True)
@@ -595,8 +595,8 @@ class TestFit:
         rng = np.random.default_rng(52)
         x = rng.uniform(-1.0, 1.0, (15, 3))
         y = rng.uniform(-1.0, 1.0, 15)
-        a = fit(x, y, KernelSpec.rbf(1.2), epsilon=0.05, c_reg=5.0)
-        b = fit(x, y, KernelSpec.rbf(1.2), epsilon=0.05, c_reg=5.0)
+        a = fit(x, y, KernelSpec("rbf", sigma=1.2), epsilon=0.05, c_reg=5.0)
+        b = fit(x, y, KernelSpec("rbf", sigma=1.2), epsilon=0.05, c_reg=5.0)
         npt.assert_array_equal(a.coefs, b.coefs)
         assert a.bias == b.bias
         assert a.passes == b.passes
@@ -608,7 +608,7 @@ class TestFit:
         monkeypatch.setattr(svr, "MAX_PASSES", 1)
         monkeypatch.setattr(svr, "TOL", 1e-12)
         with pytest.warns(ConvergenceWarning):
-            m = fit(x, y, KernelSpec.rbf(1.0))
+            m = fit(x, y, KernelSpec("rbf", sigma=1.0))
         assert not m.converged
         assert m.passes == 1
         assert m.max_violation > 1e-12
@@ -617,7 +617,7 @@ class TestFit:
     def test_validation(self):
         x = np.ones((3, 1)) * np.arange(3.0)[:, None]
         y = np.arange(3.0)
-        spec = KernelSpec.linear()
+        spec = KernelSpec("linear")
         with pytest.raises(DomainError):
             fit(np.empty((0, 1)), np.empty(0), spec)
         with pytest.raises(DomainError):
@@ -644,7 +644,7 @@ class TestFit:
         # both rates of the best pair sit near -1e308, so their sum overflows;
         # no pair can move, and the fit converges at zero coefficients
         x = np.arange(6.0)[:, None]
-        m = fit(x, np.sin(x[:, 0]), KernelSpec.rbf(1.0), epsilon=1e308)
+        m = fit(x, np.sin(x[:, 0]), KernelSpec("rbf", sigma=1.0), epsilon=1e308)
         assert m.converged
         assert m.passes == 0
         assert not np.any(m.coefs)
@@ -654,11 +654,10 @@ class TestFit:
 class TestPredict:
     def test_zero_coefs_give_bias(self):
         m = SvrModel(
-            kernel=KernelSpec.rbf(1.0),
+            kernel=KernelSpec("rbf", sigma=1.0),
             inputs=np.array([[0.0], [1.0]]),
             coefs=np.zeros(2),
             bias=1.5,
-            epsilon=0.01,
             c_reg=10.0,
             converged=True,
             passes=0,
@@ -668,11 +667,10 @@ class TestPredict:
 
     def test_single_term_linear_expansion(self):
         m = SvrModel(
-            kernel=KernelSpec.linear(),
+            kernel=KernelSpec("linear"),
             inputs=np.array([[2.0, -1.0]]),
             coefs=np.array([1.0]),
             bias=0.0,
-            epsilon=0.01,
             c_reg=10.0,
             converged=True,
             passes=0,
@@ -686,11 +684,10 @@ class TestPredict:
         coefs = rng.standard_normal(6)
         bias = float(rng.standard_normal())
         m = SvrModel(
-            kernel=KernelSpec.rbf(1.3),
+            kernel=KernelSpec("rbf", sigma=1.3),
             inputs=inputs,
             coefs=coefs,
             bias=bias,
-            epsilon=0.01,
             c_reg=10.0,
             converged=True,
             passes=0,
@@ -706,14 +703,14 @@ class TestPredict:
         rng = np.random.default_rng(54)
         x = rng.uniform(-1.0, 1.0, (12, 2))
         y = rng.uniform(-1.0, 1.0, 12)
-        m = fit(x, y, KernelSpec.rbf(1.0))
+        m = fit(x, y, KernelSpec("rbf", sigma=1.0))
         probe = rng.uniform(-1.0, 1.0, (5, 2))
         # each row is the kernel expansion, bit for bit
         loop = [float(m.coefs @ kernel_column(m.kernel, m.inputs, p) + m.bias) for p in probe]
         assert predict_batch(m, probe).tolist() == loop
 
     def test_batch_shape(self):
-        m = fit(np.arange(3.0)[:, None], np.arange(3.0), KernelSpec.linear())
+        m = fit(np.arange(3.0)[:, None], np.arange(3.0), KernelSpec("linear"))
         with pytest.raises(ShapeError):
             predict_batch(m, np.ones((2, 2)))
 

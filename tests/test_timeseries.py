@@ -330,7 +330,7 @@ def _grnn_model():
 # Every entry point whose vector argument goes through as_vector, called
 # with v where a vector of 3 entries belongs.
 _VECTOR_ARGUMENTS = {
-    "kernel_column": lambda v: kernel_column(KernelSpec.linear(), np.ones((4, 3)), v),
+    "kernel_column": lambda v: kernel_column(KernelSpec("linear"), np.ones((4, 3)), v),
     "grnn.predict": lambda v: grnn.predict(_grnn_model(), v),
     "grnn.observe": lambda v: grnn.observe(_grnn_model(), v, 1.0),
     "linalg.solve": lambda v: linalg.solve(np.eye(3), v),
@@ -376,6 +376,15 @@ class TestScaler:
         sc = MinMaxScaler(0.0, 1.0)
         assert sc.transform(2.0) == 2.0
         assert sc.transform(-1.0) == -1.0
+
+    def test_overflow_is_a_domain_error(self):
+        sc = MinMaxScaler(0.0, 1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="scaled values overflow float64"):
+                sc.transform([0.5e-300, 1e10])
+            with pytest.raises(DomainError, match="scaled values overflow float64"):
+                MinMaxScaler(0.0, 1e300).inverse([0.5, 1e10])
 
     def test_degenerate_input(self):
         with pytest.raises(DomainError):

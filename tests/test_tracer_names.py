@@ -53,7 +53,7 @@ def test_train_takes_its_config_fourth():
 
 def test_fitted_svr_model_has_the_noted_fields():
     x = np.arange(4.0)[:, None]
-    model = svr.fit(x, x[:, 0], KernelSpec.linear())
+    model = svr.fit(x, x[:, 0], KernelSpec("linear"))
     assert isinstance(model.kernel.kind, str)
     assert isinstance(model.passes, int)
     assert isinstance(model.converged, bool)
