@@ -19,9 +19,11 @@ and the fully resolved configuration, is written atomically (temp file
 then rename), and is byte-identical when the same command runs again with
 the same seed.  Exit codes: 0 success, 1 usage, 3 numerical failure (a
 ``SingularError`` or ``DivergenceError``), and 2 for every other
-``FivecastError``, an output that cannot be written included.  ``main``
-returns the code; ``run``, the ``fivecast`` command and ``python -m
-fivecast.cli``, exits with it as soon as the output is flushed.
+``FivecastError``, an output that cannot be written included.  A warning
+raised while a command runs is printed as one ``warning: <message>``
+line on stderr.  ``main`` returns the code; ``run``, the ``fivecast``
+command and ``python -m fivecast.cli``, exits with it as soon as the
+output is flushed.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import argparse
 import os
 import sys
 import tempfile
+import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -315,19 +318,26 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    sys.stderr.write(f"warning: {message}\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        return _run(parser.parse_args(argv))
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (SingularError, DivergenceError) as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return 3
-    except FivecastError as exc:
-        sys.stderr.write(f"data error: {exc}\n")
-        return 2
+    with warnings.catch_warnings():
+        # a shown warning is one stderr line, without the source location
+        warnings.showwarning = _show_warning
+        try:
+            return _run(parser.parse_args(argv))
+        except _UsageError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 1
+        except (SingularError, DivergenceError) as exc:
+            sys.stderr.write(f"numerical failure: {exc}\n")
+            return 3
+        except FivecastError as exc:
+            sys.stderr.write(f"data error: {exc}\n")
+            return 2
 
 
 def run(argv=None) -> None:

@@ -113,24 +113,50 @@ def gram(spec: KernelSpec, rows: np.ndarray) -> np.ndarray:
 def median_pairwise_distance(rows: np.ndarray) -> float:
     """Median Euclidean distance over all unordered row pairs.
 
-    The usual width heuristic for the rbf kernel.  Falls back to 1.0 when
-    every pair coincides.
+    The usual width heuristic for the rbf kernel.  The middle one or two
+    squared distances are found by selection (one partition, then the
+    largest entry below it); distance is sqrt(max(d2, 0)), a
+    non-decreasing map, so theirs are the middle distances, and their
+    mean (lo + hi) / 2 is np.median's, bit for bit.  Falls back to 1.0
+    when every pair coincides or when a squared distance is NaN (rows
+    whose squares overflow).
     """
     rows = as_rows(rows)
     n = rows.shape[0]
     if n < 2:
         raise DomainError("need at least two rows")
-    d2 = gram_sq_dists(rows)
-    iu = np.triu_indices(n, k=1)
-    med = float(np.median(np.sqrt(np.maximum(d2[iu], 0.0))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = gram_sq_dists(rows)
+    pairs = np.concatenate([d2[i, i + 1 :] for i in range(n - 1)])
+    if np.isnan(pairs.max()):
+        return 1.0
+    half = pairs.size // 2
+    pairs.partition(half)  # one kth: numpy partitions at two several times slower
+    hi = pairs[half]
+    lo = pairs[:half].max() if pairs.size % 2 == 0 else hi
+    lo, hi = np.sqrt(np.maximum([lo, hi], 0.0))
+    med = float((lo + hi) / 2)
     return med if med > 0.0 else 1.0
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between every row of a and every row of
-    b, (n, m), summed from the differences: never negative."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sum(diff * diff, axis=2)
+    b, (n, m), summed from the differences: never negative.
+
+    The columns' squared differences are summed left to right, one (n, m)
+    block at a time.  numpy sums fewer than 8 terms in that order too, so
+    up to 7 columns this equals np.sum(diff * diff, axis=2) over the
+    (n, m, d) differences bit for bit; from 8 columns the last bit may
+    differ from that form.
+    """
+    if a.shape[1] == 0:
+        return np.zeros((a.shape[0], b.shape[0]))
+    diff = a[:, 0, None] - b[:, 0]
+    out = diff * diff
+    for j in range(1, a.shape[1]):
+        diff = a[:, j, None] - b[:, j]
+        out += diff * diff
+    return out
 
 
 def gaussian_weights(points: np.ndarray, rows: np.ndarray, betas) -> np.ndarray:

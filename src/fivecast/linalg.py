@@ -4,13 +4,16 @@
 ``_PANEL`` columns (the panel/trailing split of LAPACK's blocked LU, with
 the unblocked arithmetic), then substitution for the right-hand side.  An
 :class:`Elimination` keeps the reduced matrix and the pivot rows, so one
-elimination serves any number of right-hand sides.  Within a panel each
-step searches its pivot, swaps whole rows and updates the panel's own
-columns at once; it stores its multipliers in the eliminated column, so a
-later row swap carries them along with the row's stale trailing entries.
-When the panel ends, its pivot rows and then tiles of ``_ROW_BLOCK`` rows
-below take the panel's steps in order on the trailing columns, each tile
-staying in cache across those steps.  Every entry goes through the same
+elimination serves any number of right-hand sides.  A panel is factored
+in a transposed contiguous copy, where each step's column is one
+contiguous row: each step searches its pivot, swaps the two rows (columns
+of the copy, plus the rows' parts left and right of the panel) and
+updates the panel's own columns at once; it stores its multipliers in the
+eliminated column, so a later row swap carries them along with the row's
+stale trailing entries.  The copy is written back once the panel ends;
+then its pivot rows and then tiles of ``_ROW_BLOCK`` rows below take the
+panel's steps in order on the trailing columns, each tile staying in
+cache across those steps.  Every entry goes through the same
 multiply-then-subtract operations in the same step order as a row-at-a-time
 elimination, so the solution is bit-identical to it; a row whose
 multiplier is zero is skipped at that step, as there.  No temporary is
@@ -57,21 +60,29 @@ def _eliminate(a: np.ndarray, pivots: list[int]) -> int:
     n = a.shape[0]
     for p0 in range(0, n, _PANEL):
         p1 = min(p0 + _PANEL, n)
-        for k in range(p0, p1):
-            p = k + int(np.argmax(np.abs(a[k:, k])))
-            if abs(a[p, k]) < PIVOT_TOL:
+        # the panel a[p0:, p0:p1], transposed and contiguous: step k's
+        # column is row k - p0 of pt, and a row of a is a column of pt
+        pt = a[p0:, p0:p1].T.copy()
+        for c in range(p1 - p0):
+            k = p0 + c
+            q = c + int(np.argmax(np.abs(pt[c, c:])))
+            if abs(pt[c, q]) < PIVOT_TOL:
                 return k + 1
+            p = p0 + q
             pivots.append(p)
             if p != k:
-                a[[k, p]] = a[[p, k]]
-            lam = a[k + 1 :, k] / a[k, k]
-            a[k + 1 :, k] = lam  # column k below the pivot is never read again
-            rows = slice(k + 1, n)
+                pt[:, [c, q]] = pt[:, [q, c]]
+                a[[k, p], :p0] = a[[p, k], :p0]
+                a[[k, p], p1:] = a[[p, k], p1:]
+            lam = pt[c, c + 1 :] / pt[c, c]
+            pt[c, c + 1 :] = lam  # column k below the pivot is never read again
+            cols = slice(c + 1, None)
             if not lam.all():
                 keep = np.flatnonzero(lam)
-                rows = k + 1 + keep
+                cols = c + 1 + keep
                 lam = lam[keep]
-            a[rows, k + 1 : p1] -= lam[:, None] * a[k, k + 1 : p1]
+            pt[c + 1 :, cols] -= pt[c + 1 :, c, None] * lam
+        a[p0:, p0:p1] = pt.T
         if p1 == n:
             break
         trailing = slice(p1, n)

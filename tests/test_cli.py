@@ -156,9 +156,35 @@ class TestBenchmark:
         )
         assert proc.returncode == 0
         assert "RuntimeWarning" not in proc.stderr
+        assert "encountered" not in proc.stderr  # numpy's wording, as a "warning:" line shows it
         assert proc.stdout.count("DomainError: poly kernel column has non-finite entries") == 2
         rows = (out / "results.csv").read_text().splitlines()[2:]
         assert rows == ["svr,nan,nan", "lssvm,nan,nan"]
+
+    def test_a_warning_is_one_stderr_line(self, tmp_path):
+        # a box bound this small stops the pair solver with a
+        # ConvergenceWarning; the CLI prints it as one line, without the
+        # source location or line, and the output is what the same run
+        # prints and writes with warnings ignored
+        data = write_price_csv(tmp_path / "prices.csv", make_ar_series(3, n=60))
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(Path(fivecast.__file__).parents[1]))
+        argv = ["-m", "fivecast.cli", "benchmark", "--models", "svr", "--svr-c", "1e-13",
+                "--data", str(data), "--out", str(out)]
+        runs = []
+        for flags in ([], ["-W", "ignore"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, *argv], capture_output=True, text=True, env=env, timeout=120
+            )
+            assert proc.returncode == 0
+            runs.append((proc.stdout, (out / "results.csv").read_bytes(), proc.stderr))
+        (stdout, body, stderr), (quiet_stdout, quiet_body, quiet_stderr) = runs
+        assert stderr.splitlines() == [
+            "warning: pairwise solver stopped after 1 passes with KKT violation 0.98 > tol 0.0001"
+        ]
+        assert quiet_stderr == ""
+        assert stdout == quiet_stdout
+        assert body == quiet_body
 
     def test_rbf_sigma_applies_without_kernel_flag(self, price_csv, tmp_path):
         # rbf is the default kernel, so --rbf-sigma alone sets its width
@@ -204,6 +230,7 @@ class TestKernels:
         )
         assert proc.returncode == 0
         assert "RuntimeWarning" not in proc.stderr
+        assert "encountered" not in proc.stderr  # numpy's wording, as a "warning:" line shows it
         assert "DomainError: poly kernel" in proc.stdout
         rows = (out / "kernels.csv").read_text().splitlines()[2:]
         assert rows[1] == "poly,nan,nan"
@@ -640,7 +667,7 @@ class TestImports:
     @staticmethod
     def loaded(code: str) -> set[str]:
         env = dict(os.environ, PYTHONPATH=str(Path(fivecast.__file__).parents[1]))
-        code += "; import sys; print(sorted(m for m in sys.modules if m.startswith('fivecast.')))"
+        code += "; import sys; print(sorted(m for m in sys.modules if m.startswith(('fivecast.', 'numpy.'))))"
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
             check=True,
@@ -656,6 +683,13 @@ class TestImports:
         argv = ["kernels", "--data", str(price_csv), "--out", str(tmp_path / "out")]
         loaded = self.loaded(f"from fivecast.cli import main; assert main({argv!r}) == 0")
         assert not loaded & {f"fivecast.{m}" for m in self.MODELS}
+        assert "numpy.ma" not in loaded  # the rbf width's median
+
+    def test_long_lag_models_load_no_masked_arrays(self, price_csv, tmp_path):
+        argv = ["lag", "--models", "lssvm,rbf,grnn", "--data", str(price_csv), "--out", str(tmp_path / "out")]
+        loaded = self.loaded(f"from fivecast.cli import main; assert main({argv!r}) == 0")
+        assert {"fivecast.lssvm", "fivecast.rbfnn", "fivecast.grnn"} <= loaded
+        assert "numpy.ma" not in loaded
 
     def test_lssvm_loads_the_solver(self, price_csv, tmp_path):
         argv = ["lag", "--models", "lssvm", "--data", str(price_csv), "--out", str(tmp_path / "out")]

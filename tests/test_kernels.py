@@ -6,14 +6,19 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fivecast.errors import DomainError, ShapeError
 from fivecast.kernels import (
     KernelSpec,
     expansion,
     gram,
+    gram_sq_dists,
     kernel_column,
     median_pairwise_distance,
+    sq_dists,
 )
 
 ALL_SPECS = (
@@ -247,3 +252,89 @@ class TestMedianPairwiseDistance:
     def test_single_row(self):
         with pytest.raises(DomainError):
             median_pairwise_distance(np.ones((1, 2)))
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_matches_median_of_all_distances(self, n):
+        # n (n - 1) / 2 pairs: odd and even counts; rounded entries make
+        # duplicate rows and tied distances
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((n, 3))
+        if n % 3 == 0:
+            rows = np.round(rows, 1)
+        if n % 4 == 0:
+            rows[n // 2 :] = rows[: n - n // 2]
+        assert median_pairwise_distance(rows) == reference_median(rows)
+
+    def test_negative_rounded_squares(self):
+        # large, nearly equal rows: the product form leaves negative
+        # squared distances, which count as zero
+        rng = np.random.default_rng(3)
+        rows = 1e8 + rng.standard_normal((30, 3)) * 1e-4
+        assert (gram_sq_dists(rows)[np.triu_indices(30, k=1)] < 0.0).any()
+        assert median_pairwise_distance(rows) == reference_median(rows)
+
+    def test_mostly_coincident_rows_fall_back(self):
+        rows = np.zeros((6, 2))
+        rows[0] = 1.0  # 5 of the 15 pairs are apart: the median is 0
+        assert reference_median(rows) == 1.0
+        assert median_pairwise_distance(rows) == 1.0
+
+    def test_overflowing_squares_fall_back(self):
+        # the rows' squares overflow, so d2 holds NaN and np.median is NaN
+        rows = np.array([[1e200, 0.0], [2e200, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert median_pairwise_distance(rows) == 1.0
+        assert reference_median(rows) == 1.0
+
+
+def reference_median(rows) -> float:
+    """median_pairwise_distance's former expression over every pair's
+    index, the reference for its selection.  Overflowing rows warn in
+    gram_sq_dists, so the warnings are silenced here only."""
+    n = rows.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = gram_sq_dists(rows)
+        iu = np.triu_indices(n, k=1)
+        med = float(np.median(np.sqrt(np.maximum(d2[iu], 0.0))))
+    return med if med > 0.0 else 1.0
+
+
+def reference_sq_dists(a, b):
+    """sq_dists over the (n, m, d) differences, the reference for its
+    column-by-column sum."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sum(diff * diff, axis=2)
+
+
+# zeros of both signs, squares that overflow to inf, subnormals and
+# ordinary values
+_DIST_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e200, -1e200, 1.5e-320, -5e-324, 2.2e-308]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def row_blocks(draw):
+    d = draw(st.integers(0, 7))
+    a = draw(arrays(np.float64, (draw(st.integers(1, 60)), d), elements=_DIST_ENTRIES))
+    b = draw(arrays(np.float64, (draw(st.integers(1, 60)), d), elements=_DIST_ENTRIES))
+    return a, b
+
+
+class TestSqDists:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(row_blocks())
+    def test_same_bytes_as_the_differences_form(self, blocks):
+        a, b = blocks
+        with np.errstate(over="ignore"):
+            got = sq_dists(a, b)
+            want = reference_sq_dists(a, b)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_by_hand(self):
+        a = np.array([[0.0, 0.0], [1.0, 1.0]])
+        b = np.array([[3.0, 4.0]])
+        assert sq_dists(a, b).tolist() == [[25.0], [13.0]]

@@ -138,6 +138,47 @@ class TestRowLoopReference:
         assert row_loop_solve(a, b) == 160
         assert_same_as_row_loop(a, b)
 
+    @pytest.mark.parametrize("dependent", [False, True])
+    @pytest.mark.parametrize("col", [64, 127, 199])
+    def test_pivotless_column_at_a_panel_edge(self, col, dependent):
+        # the first and last columns of the second panel (64..127) and the
+        # matrix's last column, zero or dependent as above
+        rng = np.random.default_rng(col)
+        n = 200
+        a = rng.standard_normal((n, n)) + n * np.eye(n)
+        a[:, col] = (a[:, 3] - 0.5 * a[:, 50]) if dependent else 0.0
+        b = rng.standard_normal(n)
+        assert row_loop_solve(a, b) == col
+        assert_same_as_row_loop(a, b)
+
+    def test_pivot_in_the_last_row_mid_panel(self):
+        # step 100, inside the second panel, takes its pivot from row 199,
+        # so the swap moves that row's parts left of the panel (earlier
+        # multipliers) and right of it (stale trailing entries) as well
+        rng = np.random.default_rng(43)
+        n = 200
+        a = rng.standard_normal((n, n)) + n * np.eye(n)
+        a[n - 1, 100] = 4.0 * n
+        b = rng.standard_normal(n)
+        pivots = []
+        assert linalg._eliminate(a.copy(), pivots) == 0
+        assert pivots[100] == n - 1
+        assert [p for k, p in enumerate(pivots) if p != k] == [n - 1]
+        assert_same_as_row_loop(a, b)
+
+    def test_zero_multiplier_keeps_signed_zero_in_panel_column(self):
+        # the panel's own update skips row 1 at step 0 too: subtracting
+        # 0 * a[0, 2] (= -0.0) from its -0.0 in column 2 would give +0.0,
+        # and x[1] = (-0.0 - a[1, 2] * x[2]) / 2 shows that sign
+        a = 2.0 * np.eye(3)
+        a[0, 2] = -1.0
+        a[1, 2] = -0.0
+        a[2, 0] = 0.5
+        b = np.array([0.0, -0.0, 2.0])
+        x = solve(a, b)
+        assert x[1] == 0.0 and not np.signbit(x[1])
+        assert_same_as_row_loop(a, b)
+
     def test_zero_multiplier_keeps_signed_zero_in_trailing_column(self):
         # Row 128 has a zero multiplier at step 5, so the deferred update
         # of its trailing columns must skip it.  Subtracting 0 * a[5, 129]
