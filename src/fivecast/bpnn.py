@@ -8,11 +8,13 @@ and gated by the sigmoid slope.
 
 Training shuffles the sample order every epoch with a seeded generator,
 walks the batches, and subtracts the batch-mean gradient scaled by the
-learning rate.  :func:`train` runs a list of networks, each with its own
-shuffle seed, as one stacked network of any depth; each ends bit for bit
-as it would if trained alone.  The stack keeps its parameters in one flat
-buffer and its gradients in another, so each batch updates every layer
-with one scale and one subtraction.  Training stops on a non-finite cost,
+learning rate.  :func:`train` takes a list of networks, each with its
+own shuffle seed, and runs them as one stacked network of any depth; each
+ends bit for bit as it would if trained alone, and one network trains as
+a list of one.  :func:`new_network` takes the seed of the initial weights
+and :func:`train` the shuffle seeds; bp reads no other seed.  The stack
+keeps its parameters in one flat buffer and its gradients in another, so
+each batch updates every layer with one scale and one subtraction.  Training stops on a non-finite cost,
 but an epoch computes the cost only when a layer-by-layer bound on the
 outputs could let it overflow, and at the last epoch.
 """
@@ -48,7 +50,6 @@ class SgdConfig:
     eta: float = 0.01
     batch_size: int = 16
     epochs: int = 500
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.eta < math.inf:
@@ -134,13 +135,11 @@ def _samples(net: BpNetwork, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
     return x, t
 
 
-def training_cost(nets, inputs, targets):
-    """Mean half squared error over the sample block: a float for one
-    network, an array of costs for a list of networks of one shape."""
-    group = [nets] if isinstance(nets, BpNetwork) else list(nets)
-    x, t = _samples(group[0], inputs, targets)
-    costs = 0.5 * np.mean(np.sum((t - _forward_batch(group, x)) ** 2, axis=2), axis=1)
-    return float(costs[0]) if isinstance(nets, BpNetwork) else costs
+def training_cost(nets: list[BpNetwork], inputs, targets) -> np.ndarray:
+    """Mean half squared error over the sample block of each network in a
+    list of networks of one shape."""
+    x, t = _samples(nets[0], inputs, targets)
+    return 0.5 * np.mean(np.sum((t - _forward_batch(nets, x)) ** 2, axis=2), axis=1)
 
 
 def _transposed(a: np.ndarray) -> np.ndarray:
@@ -224,33 +223,30 @@ def _stacked_epoch(params, grads, sizes, xs, ts, batch_size, eta):
         params -= grads
 
 
-def train(nets, inputs, targets, cfg: SgdConfig, seeds=None):
-    """Mini-batch SGD in place on one network, or on a list of networks of
-    one shape trained as one stack with a shuffle seed each (default
-    ``cfg.seed``); returns what it was given.  When an epoch-end cost is
-    not finite, DivergenceError reports the lowest-index network that ever
-    diverges, as training one by one would, and no network is changed.
+def train(nets: list[BpNetwork], inputs, targets, cfg: SgdConfig, seeds) -> None:
+    """Mini-batch SGD in place on a list of networks of one shape, trained
+    as one stack with one shuffle seed per network.  When an epoch-end cost
+    is not finite, DivergenceError reports the lowest-index network that
+    ever diverges, as training one by one would, and no network is changed.
     """
-    group = [nets] if isinstance(nets, BpNetwork) else list(nets)
-    seeds = [cfg.seed] * len(group) if seeds is None else [int(s) for s in seeds]
-    if not group or len(seeds) != len(group) or len({net.layer_sizes for net in group}) > 1:
-        raise ShapeError(f"need networks of one shape, one seed each: {len(group)}, {len(seeds)}")
-    x, t = _samples(group[0], inputs, targets)
+    if not nets or len(seeds) != len(nets) or len({net.layer_sizes for net in nets}) > 1:
+        raise ShapeError(f"need networks of one shape, one seed each: {len(nets)}, {len(seeds)}")
+    x, t = _samples(nets[0], inputs, targets)
     if x.shape[0] == 0:
         raise DomainError("no training samples")
-    sizes = group[0].layer_sizes
-    params = _pack(group)
+    sizes = nets[0].layer_sizes
+    params = _pack(nets)
     grads = np.empty_like(params)
     weights, biases = _layers(params, sizes)
     views = [
         BpNetwork(sizes, [w[k] for w in weights], [b[k, 0] for b in biases])
-        for k in range(len(group))
+        for k in range(len(nets))
     ]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     x_max, t_max = float(np.abs(x).max()), float(np.abs(t).max())
     # Only networks below a diverged one still matter: they are the prefix
     # params[:live], so dropping the rest copies nothing.
-    live, failure = len(group), None
+    live, failure = len(nets), None
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             order = np.stack([rng.permutation(x.shape[0]) for rng in rngs[:live]])
@@ -259,7 +255,7 @@ def train(nets, inputs, targets, cfg: SgdConfig, seeds=None):
             )
             # A NaN bound is not below the limit either, so NaN reaches the
             # full cost.  The last epoch always computes it: what train
-            # returns is checked exactly, not only through the bound.
+            # leaves is checked exactly, not only through the bound.
             bound = _squared_error_bound(params[:live], sizes, x_max, t_max, x.shape[0])
             if bound < _COST_LIMIT and epoch < cfg.epochs - 1:
                 continue
@@ -272,7 +268,6 @@ def train(nets, inputs, targets, cfg: SgdConfig, seeds=None):
                 break
     if failure is not None:
         raise failure
-    for net, view in zip(group, views):
+    for net, view in zip(nets, views):
         for mine, trained in zip(net.weights + net.biases, view.weights + view.biases):
             mine[...] = trained
-    return nets

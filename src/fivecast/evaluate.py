@@ -1,11 +1,15 @@
 """Benchmark harness, error metrics, and the two follow-up experiments.
 
-Every model satisfies the same contract: ``module.fit(...) -> model`` and
-``module.predict_batch(model, inputs) -> ndarray``, one prediction per row
-of an (n, lags) input block.  The harness trains each requested model on
-the chronological training block, predicts the test block, and scores
-mean squared error and mean absolute percentage error in original price
-units.  It returns reports and leaves their text to :mod:`fivecast.cli`.
+Every model predicts through ``module.predict_batch(model, inputs) ->
+ndarray``, one prediction per row of an (n, lags) input block.  Four
+models are built by ``module.fit(...) -> model``; bp trains through
+``bpnn.train`` on a stack of networks, one per seed, built by
+``bpnn.new_network`` from the same seed.  The harness trains each
+requested model on the chronological training block, predicts the test
+block, and scores mean squared error and mean absolute percentage error
+in original price units.  It returns reports and leaves their text to
+:mod:`fivecast.cli`.  An allocation that fails while a model runs is a
+DomainError.
 
 Scaling policy: inputs and targets are min-max scaled to [0, 1] on
 statistics from the training block only, and predictions are inverse
@@ -34,8 +38,6 @@ from . import svr
 from .errors import DomainError, FivecastError, ShapeError
 from .kernels import KernelSpec, median_pairwise_distance
 from .timeseries import MinMaxScaler, WindowedDataset, as_vector, fit_scaler
-
-MODEL_NAMES = ("bp", "rbf", "grnn", "svr", "lssvm")
 
 
 def mse(actual, predicted) -> float:
@@ -177,6 +179,17 @@ def _scaled_blocks(ds: WindowedDataset, scaler: MinMaxScaler):
     )
 
 
+def _bp_sizes(ds: WindowedDataset, cfg: HarnessConfig) -> tuple[int, int, int]:
+    """Layer sizes of the backprop network: one hidden layer, one output."""
+    from . import bpnn
+
+    n_in = ds.inputs.shape[1]
+    hidden = cfg.bp_hidden
+    if hidden is None:
+        hidden = bpnn.hidden_size_rule(1, n_in)
+    return n_in, hidden, 1
+
+
 def _bp_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfig, seeds) -> list[np.ndarray]:
     """Raw-unit test-block predictions of one backprop network per seed.
 
@@ -185,14 +198,9 @@ def _bp_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfi
     """
     from . import bpnn
 
-    n_in = ds.inputs.shape[1]
-    hidden = cfg.bp_hidden
-    if hidden is None:
-        hidden = bpnn.hidden_size_rule(1, n_in)
-    nets = [bpnn.new_network((n_in, hidden, 1), seed=seed) for seed in seeds]
-    sgd = bpnn.SgdConfig(
-        eta=cfg.bp_eta, batch_size=cfg.bp_batch, epochs=cfg.bp_epochs, seed=cfg.seed
-    )
+    sizes = _bp_sizes(ds, cfg)
+    nets = [bpnn.new_network(sizes, seed=seed) for seed in seeds]
+    sgd = bpnn.SgdConfig(eta=cfg.bp_eta, batch_size=cfg.bp_batch, epochs=cfg.bp_epochs)
     xs_tr, ys_tr, xs_te = _scaled_blocks(ds, scaler)
     bpnn.train(nets, xs_tr, ys_tr, sgd, seeds)
     return [scaler.inverse(bpnn.predict_batch(net, xs_te)) for net in nets]
@@ -239,7 +247,8 @@ def _lssvm_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessCo
     return scaler.inverse(lssvm.predict_batch(model, xs_te))
 
 
-# Raw-unit test-block predictions of each model in MODEL_NAMES, by name.
+# Raw-unit test-block predictions of each model, by name; the keys, in
+# order, are MODEL_NAMES.
 _TEST_PREDICTIONS = {
     "bp": lambda ds, scaler, cfg: _bp_predictions(ds, scaler, cfg, [cfg.seed])[0],
     "rbf": _rbf_predictions,
@@ -247,6 +256,16 @@ _TEST_PREDICTIONS = {
     "svr": _svr_predictions,
     "lssvm": _lssvm_predictions,
 }
+MODEL_NAMES = tuple(_TEST_PREDICTIONS)
+
+
+def _run_model(predict, *args):
+    """predict(*args), where an allocation that fails is a DomainError
+    naming it, as new_network reports layers it cannot allocate."""
+    try:
+        return predict(*args)
+    except MemoryError as exc:
+        raise DomainError(f"out of memory: {str(exc) or 'an allocation failed'}") from exc
 
 
 def model_predictions(ds: WindowedDataset, name: str, cfg: HarnessConfig | None = None) -> np.ndarray:
@@ -254,7 +273,7 @@ def model_predictions(ds: WindowedDataset, name: str, cfg: HarnessConfig | None 
     cfg = cfg or HarnessConfig()
     if name not in MODEL_NAMES:
         raise DomainError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
-    return _TEST_PREDICTIONS[name](ds, _train_scaler(ds), cfg)
+    return _run_model(_TEST_PREDICTIONS[name], ds, _train_scaler(ds), cfg)
 
 
 def benchmark(ds: WindowedDataset, models, cfg: HarnessConfig | None = None) -> list[EvalReport]:
@@ -275,7 +294,7 @@ def benchmark(ds: WindowedDataset, models, cfg: HarnessConfig | None = None) -> 
     reports = []
     for name in names:
         try:
-            preds = _TEST_PREDICTIONS[name](ds, scaler, cfg)
+            preds = _run_model(_TEST_PREDICTIONS[name], ds, scaler, cfg)
             reports.append(EvalReport(name, mse(y_test, preds), mape(y_test, preds)))
         except FivecastError as exc:
             nan = float("nan")
@@ -286,10 +305,19 @@ def benchmark(ds: WindowedDataset, models, cfg: HarnessConfig | None = None) -> 
 def stability(ds: WindowedDataset, cfg: HarnessConfig | None = None, seeds=range(100)) -> StabilityReport:
     """Retrain the backprop model once per seed and summarize the spread.
 
-    All seeds train together as one stacked network, each exactly as it
-    would alone.  Spreads are sample standard deviations.
+    seeds is a sequence.  All seeds train together as one stacked network,
+    each exactly as it would alone.  Spreads are sample standard deviations.
     """
     cfg = cfg or HarnessConfig()
+    # Size the sweep before listing it: len() of a range past sys.maxsize
+    # raises and min() walks it, but a slice and a truth test do neither.
+    # numpy must shape the stack's parameters, runs x parameters float64;
+    # a network too large on its own is new_network's error.
+    sizes = _bp_sizes(ds, cfg)
+    parameters = sum(nxt * (cur + 1) for cur, nxt in zip(sizes, sizes[1:]))
+    most = np.iinfo(np.intp).max // (8 * parameters)
+    if most and seeds[most:]:
+        raise DomainError(f"cannot stack more than {most} networks of sizes {sizes}")
     seeds = [int(s) for s in seeds]
     if len(seeds) < 2:
         raise DomainError(f"need at least 2 runs, got {len(seeds)}")
@@ -298,7 +326,7 @@ def stability(ds: WindowedDataset, cfg: HarnessConfig | None = None, seeds=range
         raise DomainError(f"seeds must be >= 0, got {min(seeds)}")
     scaler = _train_scaler(ds)
     y_test = ds.test_targets
-    preds = _bp_predictions(ds, scaler, cfg, seeds)
+    preds = _run_model(_bp_predictions, ds, scaler, cfg, seeds)
     mses = np.array([mse(y_test, p) for p in preds])
     mapes = np.array([mape(y_test, p) for p in preds])
     with np.errstate(over="ignore"):

@@ -34,7 +34,6 @@ def _frozen(values: np.ndarray) -> np.ndarray:
 class PriceSeries:
     """A dated, strictly positive weekly close series for one instrument."""
 
-    ticker: str
     dates: tuple[date, ...]
     prices: np.ndarray
 
@@ -149,12 +148,15 @@ class MinMaxScaler:
         if not self.hi > self.lo:
             raise DomainError(f"scaler needs hi > lo, got [{self.lo}, {self.hi}]")
 
+    # A span past float64's range (hi - lo overflows) makes inf / inf or
+    # 0 * inf, a NaN that _finite refuses like any overflow.
+
     def transform(self, values):
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             return _finite((np.asarray(values, dtype=np.float64) - self.lo) / (self.hi - self.lo))
 
     def inverse(self, values):
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             return _finite(np.asarray(values, dtype=np.float64) * (self.hi - self.lo) + self.lo)
 
 
@@ -164,7 +166,7 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def load_csv(path: str | Path, ticker: str | None = None) -> PriceSeries:
+def load_csv(path: str | Path) -> PriceSeries:
     """Read a ``date,close`` CSV into a validated :class:`PriceSeries`.
 
     Row numbers in error messages count the header as row 1.
@@ -212,8 +214,7 @@ def load_csv(path: str | Path, ticker: str | None = None) -> PriceSeries:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not dates:
         raise DomainError(f"{path}: no data rows")
-    name = ticker if ticker is not None else path.stem
-    return PriceSeries(name, tuple(dates), np.asarray(closes))
+    return PriceSeries(tuple(dates), np.asarray(closes))
 
 
 def make_windows(series: PriceSeries, lags: int = 3) -> WindowedDataset:

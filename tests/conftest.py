@@ -19,10 +19,10 @@ def pytest_configure(config):
         )
 
 
-def weekly_series(prices, start=date(2014, 1, 3), ticker="t"):
+def weekly_series(prices, start=date(2014, 1, 3)):
     """Wrap raw values in a PriceSeries with consecutive weekly dates."""
     dates = tuple(start + timedelta(weeks=k) for k in range(len(prices)))
-    return PriceSeries(ticker, dates, np.asarray(prices, dtype=np.float64))
+    return PriceSeries(dates, np.asarray(prices, dtype=np.float64))
 
 
 def make_ar_series(seed, n=427, mu=10.0, sigma=0.05, s0=10.0):
@@ -32,7 +32,7 @@ def make_ar_series(seed, n=427, mu=10.0, sigma=0.05, s0=10.0):
     s[0] = s0
     for t in range(1, n):
         s[t] = 0.95 * s[t - 1] + 0.05 * mu + sigma * rng.standard_normal()
-    return weekly_series(s, ticker="synth")
+    return weekly_series(s)
 
 
 def write_price_csv(path, series):

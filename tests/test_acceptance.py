@@ -69,9 +69,9 @@ class TestAcceptance:
                     orig = params[k, idx]
                     params[k, idx] = orig + h
                     # training_cost is the batch mean, the gradient's the sum
-                    up = x.shape[1] * bpnn.training_cost(view, x[k], y[k])
+                    up = x.shape[1] * bpnn.training_cost([view], x[k], y[k])[0]
                     params[k, idx] = orig - h
-                    dn = x.shape[1] * bpnn.training_cost(view, x[k], y[k])
+                    dn = x.shape[1] * bpnn.training_cost([view], x[k], y[k])[0]
                     params[k, idx] = orig
                     fd = (up - dn) / (2.0 * h)
                     g = grads[k, idx]

@@ -2,7 +2,6 @@
 
 import math
 import sys
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -47,7 +46,7 @@ def fd_gradients(net, x, y, h=1e-5):
     """
 
     def cost():
-        return training_cost(net, [x], [np.atleast_1d(y)])
+        return training_cost([net], [x], [np.atleast_1d(y)])[0]
 
     grads = []
     for params in (net.weights, net.biases):
@@ -98,14 +97,15 @@ def full_batch_backprop_step(net, xs, ys, eta):
     )
 
 
-def one_hidden_layer_reference(net, xs, ys, cfg):
-    """Per-network mini-batch SGD for input->hidden->output nets, written
-    as plain 2-D products batch by batch; training must equal it exactly."""
+def one_hidden_layer_reference(net, xs, ys, cfg, seed):
+    """Per-network mini-batch SGD for input->hidden->output nets, shuffled
+    by seed, written as plain 2-D products batch by batch; training must
+    equal it exactly."""
     wh, wo = (w.copy() for w in net.weights)
     bh, bo = (b.copy() for b in net.biases)
     x = np.ascontiguousarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64).reshape(x.shape[0], -1)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     for _ in range(cfg.epochs):
         order = rng.permutation(x.shape[0])
         for start in range(0, x.shape[0], cfg.batch_size):
@@ -152,23 +152,21 @@ def _stack(nets):
     return weights, biases
 
 
-def reference_train(nets, inputs, targets, cfg, seeds=None):
+def reference_train(nets, inputs, targets, cfg, seeds):
     """train before the gated cost check and the flat buffers, verbatim:
     the cost is computed after every epoch."""
-    group = [nets] if isinstance(nets, BpNetwork) else list(nets)
-    seeds = [cfg.seed] * len(group) if seeds is None else [int(s) for s in seeds]
-    if not group or len(seeds) != len(group) or len({net.layer_sizes for net in group}) > 1:
-        raise ShapeError(f"need networks of one shape, one seed each: {len(group)}, {len(seeds)}")
-    x, t = bpnn._samples(group[0], inputs, targets)
+    if not nets or len(seeds) != len(nets) or len({net.layer_sizes for net in nets}) > 1:
+        raise ShapeError(f"need networks of one shape, one seed each: {len(nets)}, {len(seeds)}")
+    x, t = bpnn._samples(nets[0], inputs, targets)
     if x.shape[0] == 0:
         raise DomainError("no training samples")
-    weights, biases = _stack(group)
+    weights, biases = _stack(nets)
     views = [
         BpNetwork(net.layer_sizes, [w[k] for w in weights], [b[k, 0] for b in biases])
-        for k, net in enumerate(group)
+        for k, net in enumerate(nets)
     ]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    live, failure = len(group), None  # only networks below a diverged one still matter
+    live, failure = len(nets), None  # only networks below a diverged one still matter
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
             order = np.stack([rng.permutation(x.shape[0]) for rng in rngs[:live]])
@@ -185,10 +183,9 @@ def reference_train(nets, inputs, targets, cfg, seeds=None):
                 break
     if failure is not None:
         raise failure
-    for net, view in zip(group, views):
+    for net, view in zip(nets, views):
         for mine, trained in zip(net.weights + net.biases, view.weights + view.biases):
             mine[...] = trained
-    return nets
 
 
 def assert_same_params(a, b):
@@ -339,7 +336,7 @@ class TestBackprop:
     def test_target_shape(self):
         net = new_network((3, 3, 1))
         with pytest.raises(ShapeError):
-            train(net, np.ones((1, 3)), np.ones((1, 2)), SgdConfig(epochs=1))
+            train([net], np.ones((1, 3)), np.ones((1, 2)), SgdConfig(epochs=1), [0])
 
 
 class TestTrainingCost:
@@ -350,13 +347,13 @@ class TestTrainingCost:
             [np.array([[0.0]]), np.array([[10.0]])],
             [np.zeros(1), np.zeros(1)],
         )
-        assert training_cost(net, [[0.0]], [4.0]) == 0.5
+        assert training_cost([net], [[0.0]], [4.0])[0] == 0.5
 
     def test_zero_at_fit(self):
         net = new_network((2, 2, 1), seed=1)
         xs = np.array([[0.1, 0.2], [0.3, 0.4]])
         ys = predict_batch(net, xs)
-        assert training_cost(net, xs, ys) == 0.0
+        assert training_cost([net], xs, ys)[0] == 0.0
 
 
 class TestTrain:
@@ -366,10 +363,11 @@ class TestTrain:
         before_b = [b.copy() for b in net.biases]
         rng = np.random.default_rng(1)
         train(
-            net,
+            [net],
             rng.uniform(0, 1, (10, 3)),
             rng.uniform(0, 1, 10),
-            SgdConfig(eta=0.0, batch_size=10, epochs=1, seed=0),
+            SgdConfig(eta=0.0, batch_size=10, epochs=1),
+            [0],
         )
         for w, orig in zip(net.weights, before_w):
             npt.assert_array_equal(w, orig)
@@ -380,9 +378,10 @@ class TestTrain:
         rng = np.random.default_rng(2)
         xs = rng.uniform(0, 1, (20, 3))
         ys = rng.uniform(0, 1, 20)
-        cfg = SgdConfig(eta=0.05, batch_size=4, epochs=10, seed=3)
-        a = train(new_network((3, 3, 1), seed=7), xs, ys, cfg)
-        b = train(new_network((3, 3, 1), seed=7), xs, ys, cfg)
+        cfg = SgdConfig(eta=0.05, batch_size=4, epochs=10)
+        a, b = new_network((3, 3, 1), seed=7), new_network((3, 3, 1), seed=7)
+        train([a], xs, ys, cfg, [3])
+        train([b], xs, ys, cfg, [3])
         for wa, wb in zip(a.weights, b.weights):
             npt.assert_array_equal(wa, wb)
         for ba, bb in zip(a.biases, b.biases):
@@ -407,7 +406,7 @@ class TestTrain:
             [np.array([[wh]]), np.array([[wo]])],
             [np.array([bh]), np.array([bo])],
         )
-        train(net, [[x]], [y], SgdConfig(eta=eta, batch_size=1, epochs=1, seed=0))
+        train([net], [[x]], [y], SgdConfig(eta=eta, batch_size=1, epochs=1), [0])
         got = (
             net.weights[0][0, 0],
             net.biases[0][0],
@@ -422,7 +421,7 @@ class TestTrain:
         ys = rng.uniform(-1, 1, 8)
         net = new_network((3, 4, 1), seed=11)
         expected_w, expected_b = full_batch_backprop_step(net, xs, ys, 0.5)
-        train(net, xs, ys, SgdConfig(eta=0.5, batch_size=8, epochs=1, seed=0))
+        train([net], xs, ys, SgdConfig(eta=0.5, batch_size=8, epochs=1), [0])
         for got, exp in zip(net.weights + net.biases, expected_w + expected_b):
             npt.assert_allclose(got, exp, atol=1e-12)
 
@@ -433,16 +432,16 @@ class TestTrain:
         ys = rng.uniform(-1, 1, 5)
         net = new_network((2, 3, 3, 1), seed=12)
         expected_w, expected_b = full_batch_backprop_step(net, xs, ys, 0.2)
-        train(net, xs, ys, SgdConfig(eta=0.2, batch_size=5, epochs=1, seed=0))
+        train([net], xs, ys, SgdConfig(eta=0.2, batch_size=5, epochs=1), [0])
         for got, exp in zip(net.weights + net.biases, expected_w + expected_b):
             npt.assert_allclose(got, exp, atol=1e-12)
 
     def test_cost_decreases_on_scaled_data(self):
         xs, ys = scaled_ar_dataset()
         net = new_network((3, 3, 1), seed=0)
-        start = training_cost(net, xs, ys)
-        train(net, xs, ys, SgdConfig(eta=0.01, batch_size=16, epochs=200, seed=0))
-        assert training_cost(net, xs, ys) < start
+        start = training_cost([net], xs, ys)[0]
+        train([net], xs, ys, SgdConfig(eta=0.01, batch_size=16, epochs=200), [0])
+        assert training_cost([net], xs, ys)[0] < start
 
     def test_divergence_detected(self):
         rng = np.random.default_rng(0)
@@ -450,30 +449,29 @@ class TestTrain:
         ys = rng.uniform(0, 1, 30)
         net = new_network((3, 3, 1), seed=1)
         with pytest.raises(DivergenceError):
-            train(net, xs, ys, SgdConfig(eta=1e6, batch_size=4, epochs=50, seed=0))
+            train([net], xs, ys, SgdConfig(eta=1e6, batch_size=4, epochs=50), [0])
 
     def test_validation(self):
         net = new_network((3, 3, 1))
         cfg = SgdConfig()
         with pytest.raises(DomainError):
-            train(net, np.empty((0, 3)), np.empty(0), cfg)
+            train([net], np.empty((0, 3)), np.empty(0), cfg, [0])
         with pytest.raises(ShapeError):
-            train(net, np.ones((4, 2)), np.ones(4), cfg)
+            train([net], np.ones((4, 2)), np.ones(4), cfg, [0])
         with pytest.raises(ShapeError):
-            train(net, np.ones((4, 3)), np.ones(5), cfg)
+            train([net], np.ones((4, 3)), np.ones(5), cfg, [0])
 
 
 class TestStackedTrain:
     def test_seven_seeds_equal_seven_single_trainings(self):
         xs, ys = scaled_ar_dataset()
         seeds = [3, 7, 7, 0, 11, 2, 5]  # a duplicate pair trains identically
-        cfg = SgdConfig(eta=0.05, batch_size=16, epochs=40, seed=0)
+        cfg = SgdConfig(eta=0.05, batch_size=16, epochs=40)
         stacked = [new_network((3, 3, 1), seed=s) for s in seeds]
-        assert train(stacked, xs, ys, cfg, seeds=seeds) is stacked
+        train(stacked, xs, ys, cfg, seeds)
         for seed, net in zip(seeds, stacked):
-            alone = train(
-                new_network((3, 3, 1), seed=seed), xs, ys, replace(cfg, seed=seed)
-            )
+            alone = new_network((3, 3, 1), seed=seed)
+            train([alone], xs, ys, cfg, [seed])
             assert_same_params(net, alone)
         assert_same_params(stacked[1], stacked[2])
 
@@ -487,10 +485,11 @@ class TestStackedTrain:
         ys = rng.uniform(0, 1, (n, sizes[-1]))
         seeds = [0, 5]
         cfg = SgdConfig(eta=0.3, batch_size=batch, epochs=4)
-        nets = train([new_network(sizes, seed=s) for s in seeds], xs, ys, cfg, seeds)
+        nets = [new_network(sizes, seed=s) for s in seeds]
+        train(nets, xs, ys, cfg, seeds)
         for seed, net in zip(seeds, nets):
             exp_w, exp_b = one_hidden_layer_reference(
-                new_network(sizes, seed=seed), xs, ys, replace(cfg, seed=seed)
+                new_network(sizes, seed=seed), xs, ys, cfg, seed
             )
             for got, exp in zip(net.weights + net.biases, exp_w + exp_b):
                 assert np.array_equal(got, exp)
@@ -500,10 +499,12 @@ class TestStackedTrain:
         xs = rng.uniform(-1, 1, (11, 2))
         ys = rng.uniform(-1, 1, 11)
         seeds = [12, 4, 9]
-        cfg = SgdConfig(eta=0.2, batch_size=4, epochs=6, seed=0)
-        stacked = train([new_network((2, 3, 3, 1), seed=s) for s in seeds], xs, ys, cfg, seeds)
+        cfg = SgdConfig(eta=0.2, batch_size=4, epochs=6)
+        stacked = [new_network((2, 3, 3, 1), seed=s) for s in seeds]
+        train(stacked, xs, ys, cfg, seeds)
         for seed, net in zip(seeds, stacked):
-            alone = train(new_network((2, 3, 3, 1), seed=seed), xs, ys, replace(cfg, seed=seed))
+            alone = new_network((2, 3, 3, 1), seed=seed)
+            train([alone], xs, ys, cfg, [seed])
             assert_same_params(net, alone)
         # one full-batch epoch of the stack is each net's backprop mean step
         nets = [new_network((2, 3, 3, 1), seed=s) for s in seeds]
@@ -513,32 +514,36 @@ class TestStackedTrain:
             for got, exp in zip(net.weights + net.biases, exp_w + exp_b):
                 npt.assert_allclose(got, exp, atol=1e-12)
 
-    def test_default_seeds_come_from_the_config(self):
+    def test_one_shuffle_seed_for_two_networks(self):
         xs, ys = scaled_ar_dataset()
-        cfg = SgdConfig(eta=0.05, batch_size=16, epochs=5, seed=4)
-        pair = train([new_network((3, 3, 1), seed=1), new_network((3, 3, 1), seed=2)], xs, ys, cfg)
-        assert_same_params(pair[0], train(new_network((3, 3, 1), seed=1), xs, ys, cfg))
-        assert_same_params(pair[1], train(new_network((3, 3, 1), seed=2), xs, ys, cfg))
+        cfg = SgdConfig(eta=0.05, batch_size=16, epochs=5)
+        pair = [new_network((3, 3, 1), seed=1), new_network((3, 3, 1), seed=2)]
+        train(pair, xs, ys, cfg, [4, 4])
+        for seed, net in zip((1, 2), pair):
+            alone = new_network((3, 3, 1), seed=seed)
+            train([alone], xs, ys, cfg, [4])
+            assert_same_params(net, alone)
 
-    def divergence_case(self, seed):
-        """Data and config near the divergence threshold: at eta 4 seeds 3
-        and 5 train, seed 11 diverges with an infinite cost by epoch 21
-        and seed 2 with a NaN cost at epoch 36."""
+    def divergence_case(self):
+        """Data and config near the divergence threshold: at eta 4, with the
+        same seed for the weights and the shuffle, seeds 3 and 5 train,
+        seed 11 diverges with an infinite cost by epoch 21 and seed 2 with
+        a NaN cost at epoch 36."""
         rng = np.random.default_rng(0)
         xs = rng.uniform(0, 1, (30, 3))
         ys = rng.uniform(0, 1, 30)
-        return xs, ys, SgdConfig(eta=4.0, batch_size=4, epochs=40, seed=seed)
+        return xs, ys, SgdConfig(eta=4.0, batch_size=4, epochs=40)
 
     def divergence_message(self, seeds):
-        xs, ys, cfg = self.divergence_case(0)
+        xs, ys, cfg = self.divergence_case()
         with pytest.raises(DivergenceError) as info:
             train([new_network((3, 3, 1), seed=s) for s in seeds], xs, ys, cfg, seeds)
         return str(info.value)
 
     def test_divergence_of_a_later_seed_raises(self):
+        xs, ys, cfg = self.divergence_case()
         for seed in (3, 5):
-            xs, ys, cfg = self.divergence_case(seed)
-            train(new_network((3, 3, 1), seed=seed), xs, ys, cfg)  # trains alone
+            train([new_network((3, 3, 1), seed=seed)], xs, ys, cfg, [seed])  # trains alone
         assert self.divergence_message([11]) == "training cost became non-finite (inf)"
         assert self.divergence_message([3, 5, 11]) == "training cost became non-finite (inf)"
 
@@ -548,7 +553,7 @@ class TestStackedTrain:
         assert self.divergence_message([3, 11, 2]) == "training cost became non-finite (inf)"
 
     def test_networks_unchanged_after_divergence(self):
-        xs, ys, cfg = self.divergence_case(0)
+        xs, ys, cfg = self.divergence_case()
         nets = [new_network((3, 3, 1), seed=s) for s in (3, 11)]
         with pytest.raises(DivergenceError):
             train(nets, xs, ys, cfg, seeds=[3, 11])
@@ -559,7 +564,7 @@ class TestStackedTrain:
         xs, ys = np.ones((4, 3)), np.ones(4)
         cfg = SgdConfig(epochs=1)
         with pytest.raises(ShapeError):
-            train([], xs, ys, cfg)
+            train([], xs, ys, cfg, [])
         with pytest.raises(ShapeError):
             train([new_network((3, 3, 1)), new_network((3, 3, 1))], xs, ys, cfg, seeds=[1])
         with pytest.raises(ShapeError):
@@ -645,10 +650,10 @@ class TestGatedCostCheck:
         # seed 11 at eta 4 diverges by epoch 21 of 40: the bound fails in
         # time for training to stop there
         calls = self.count_cost_calls(monkeypatch)
-        xs, ys, cfg = TestStackedTrain().divergence_case(11)
+        xs, ys, cfg = TestStackedTrain().divergence_case()
         with mock.patch.object(bpnn, "_stacked_epoch", wraps=bpnn._stacked_epoch) as epoch:
             with pytest.raises(DivergenceError):
-                train(new_network((3, 3, 1), seed=11), xs, ys, cfg)
+                train([new_network((3, 3, 1), seed=11)], xs, ys, cfg, [11])
         assert len(calls) >= 1
         assert epoch.call_count < cfg.epochs
 
@@ -660,7 +665,7 @@ class TestGatedCostCheck:
         )
         xs, ys = np.ones((5, 1)), -np.ones((5, 3))
         bound = bpnn._squared_error_bound(bpnn._pack([net]), net.layer_sizes, 1.0, 1.0, 5)
-        summed = 2 * 5 * training_cost(net, xs, ys)
+        summed = 2 * 5 * training_cost([net], xs, ys)[0]
         assert summed == 5 * 3 * 9.0
         assert summed <= bound
 

@@ -6,6 +6,7 @@ import contextlib
 import io
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -447,6 +448,68 @@ class TestBadFlagValues:
             [sys.executable, "-m", "fivecast.cli", *argv],
             capture_output=True, text=True, env=env, timeout=120,
         )
+
+
+class TestOutOfMemory:
+    """Arrays that do not fit in memory are a data error, not a traceback.
+
+    Each command runs in a process whose address space is limited to
+    1 GiB, so no allocation can reach the host's memory: at 2e6 hidden
+    units the bp network's activations on the 85-row test block need
+    1.27 GiB.
+    """
+
+    LIMIT = 2**30
+
+    @pytest.fixture()
+    def long_csv(self, tmp_path):
+        return write_price_csv(tmp_path / "prices.csv", make_ar_series(11))
+
+    def run_limited(self, argv, long_csv, out):
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (self.LIMIT, self.LIMIT))
+
+        env = dict(
+            os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(Path(fivecast.__file__).parents[1])
+        )
+        argv = [*argv, "--hidden", "2000000", "--epochs", "0", "--data", str(long_csv), "--out", str(out)]
+        return subprocess.run(
+            [sys.executable, "-m", "fivecast.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=limit_address_space,
+        )
+
+    def test_benchmark_gives_an_error_row_and_the_other_rows(self, long_csv, tmp_path):
+        out = tmp_path / "out"
+        proc = self.run_limited(["benchmark", "--models", "bp,grnn"], long_csv, out)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert lines[1].split()[:4] == ["bp", "-", "-", "DomainError:"]
+        assert "out of memory: Unable to allocate 1.27 GiB" in lines[1]
+        assert lines[2].split()[:2] != ["grnn", "-"] and lines[2].startswith("grnn ")
+        rows = (out / "results.csv").read_text().splitlines()[2:]
+        assert rows[0] == "bp,nan,nan" and rows[1].startswith("grnn,")
+
+    @pytest.mark.parametrize(
+        "argv", [["stability", "--runs", "2"], ["lag", "--models", "bp,grnn"]], ids=["stability", "lag"]
+    )
+    def test_commands_without_error_rows_exit_2(self, argv, long_csv, tmp_path):
+        out = tmp_path / "out"
+        proc = self.run_limited(argv, long_csv, out)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("data error: out of memory: Unable to allocate 1.27 GiB")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_too_many_runs_exit_2_at_once(self, price_csv, tmp_path, capsys):
+        # in process: listing these seeds would exhaust memory
+        out = tmp_path / "out"
+        argv = ["stability", "--runs", str(10**20), "--data", str(price_csv), "--out", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "data error: cannot stack more than 72057594037927935 networks of sizes (3, 3, 1)\n"
+        assert not out.exists()
 
 
 class TestOutputText:

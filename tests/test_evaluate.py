@@ -317,6 +317,55 @@ class TestStability:
         with pytest.raises(DomainError, match="seeds must be >= 0, got -1"):
             stability(ds, seeds=[-1, 0])
 
+    def test_too_many_runs_fail_before_the_seeds_are_listed(self):
+        # len() of this range raises OverflowError, and listing it would
+        # exhaust memory; 16 parameters of 8 bytes a network
+        message = r"cannot stack more than 72057594037927935 networks of sizes \(3, 3, 1\)"
+        with pytest.raises(DomainError, match=message):
+            stability(constant_dataset(), seeds=range(10**20))
+
+    def test_most_runs_numpy_can_shape(self):
+        # 5h + 1 parameters a network: at this width two networks are the
+        # most numpy can shape, and even one cannot be allocated
+        hidden = np.iinfo(np.intp).max // 80 - 1
+        cfg = HarnessConfig(bp_hidden=hidden)
+        with pytest.raises(DomainError, match="cannot stack more than 2 networks"):
+            stability(constant_dataset(), cfg, seeds=[0, 1, 2])
+        with pytest.raises(DomainError, match="cannot allocate layers of sizes"):
+            stability(constant_dataset(), cfg, seeds=[0, 1])
+
+
+class TestOutOfMemory:
+    """A failed allocation while a model runs is a DomainError naming it."""
+
+    NUMPY_MESSAGE = "Unable to allocate 2.53 GiB for an array with shape (1, 339, 1000000)"
+
+    @staticmethod
+    def fail_training(monkeypatch, *message):
+        def train(*args):
+            raise MemoryError(*message)
+
+        monkeypatch.setattr(bpnn, "train", train)
+
+    def test_benchmark_reports_an_error_row_and_the_other_models(self, monkeypatch):
+        self.fail_training(monkeypatch, self.NUMPY_MESSAGE)
+        bad, good = benchmark(constant_dataset(), ["bp", "grnn"])
+        assert bad.error == "DomainError: out of memory: " + self.NUMPY_MESSAGE
+        assert np.isnan(bad.mse) and np.isnan(bad.mape)
+        assert good.error is None
+
+    def test_stability_and_model_predictions_raise(self, monkeypatch):
+        self.fail_training(monkeypatch, self.NUMPY_MESSAGE)
+        with pytest.raises(DomainError, match=r"out of memory: Unable to allocate 2\.53 GiB"):
+            stability(constant_dataset(), seeds=[0, 1])
+        with pytest.raises(DomainError, match=r"out of memory: Unable to allocate 2\.53 GiB"):
+            model_predictions(constant_dataset(), "bp")
+
+    def test_a_bare_memory_error_still_has_a_message(self, monkeypatch):
+        self.fail_training(monkeypatch)
+        with pytest.raises(DomainError, match="out of memory: an allocation failed$"):
+            model_predictions(constant_dataset(), "bp")
+
 
 class TestLagOneAnalysis:
     def test_aligned_shift(self):

@@ -452,6 +452,24 @@ def solver_problems(draw):
     return kmat, y, eps, c, tol, max_passes
 
 
+@st.composite
+def fit_problems(draw):
+    """Rows, targets, kernel, eps and C of a small fit, drawn like
+    solver_problems."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 3))
+    coord = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), st.floats(-2.0, 2.0))
+    rows = draw(arrays(np.float64, (n, d), elements=coord))
+    value = st.one_of(
+        st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-2.0, 2.0)
+    )
+    y = draw(arrays(np.float64, n, elements=value))
+    spec = draw(st.sampled_from(_SPECS))
+    eps = draw(st.sampled_from([0.0, 0.01, 0.1]))
+    c = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    return rows, y, spec, eps, c
+
+
 def assert_same_solution(got, want):
     beta, bias, passes, converged, viol = got
     assert beta.dtype == np.float64
@@ -571,14 +589,23 @@ class TestFit:
             best = oracle_dual_opt(kmat, y, eps, c)
             assert abs(reached - best) / max(1.0, abs(best)) < 1e-3
 
-    def test_dual_feasibility(self):
-        rng = np.random.default_rng(51)
-        x = rng.uniform(-1.0, 1.0, (25, 2))
-        y = rng.uniform(-2.0, 2.0, 25)
-        for c in (0.5, 10.0):
-            m = fit(x, y, KernelSpec("rbf", sigma=1.0), c_reg=c)
-            assert np.all(np.abs(m.coefs) <= c + 1e-12)
-            assert abs(m.coefs.sum()) <= 1e-6
+    @settings(REFERENCE_SETTINGS, max_examples=150)
+    @given(fit_problems())
+    def test_dual_feasibility(self, problem):
+        # a converged fit satisfies the KKT conditions of the dual: the box,
+        # the equality, and a pair gap within TOL on a fresh f = K @ coefs
+        x, y, spec, eps, c = problem
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            m = fit(x, y, spec, epsilon=eps, c_reg=c)
+        if not m.converged:
+            return
+        assert np.all(np.abs(m.coefs) <= c)
+        assert abs(m.coefs.sum()) <= 1e-12 * max(1.0, c)
+        f = gram(spec, x) @ m.coefs
+        up, _ = loop_best_up(m.coefs, y, f, eps, c)
+        down, _ = loop_best_down(m.coefs, y, f, eps, c)
+        assert up + down <= svr.TOL
 
     def test_epsilon_widens_support_shrinks(self):
         rng = np.random.default_rng(3)

@@ -3,6 +3,7 @@
 import math
 import warnings
 from datetime import date, timedelta
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -52,7 +53,6 @@ class TestPriceSeries:
         s = weekly_series([2.0, 2.1, 2.2])
         npt.assert_array_equal(s.prices, [2.0, 2.1, 2.2])
         assert len(s) == 3
-        assert s.ticker == "t"
 
     def test_prices_read_only(self):
         s = weekly_series([1.0, 2.0])
@@ -61,7 +61,7 @@ class TestPriceSeries:
 
     def test_date_count_must_match(self):
         with pytest.raises(ShapeError):
-            PriceSeries("t", (date(2020, 1, 1),), np.array([1.0, 2.0]))
+            PriceSeries((date(2020, 1, 1),), np.array([1.0, 2.0]))
 
     def test_rejects_nonpositive_price(self):
         with pytest.raises(DomainError):
@@ -78,11 +78,9 @@ class TestPriceSeries:
     def test_rejects_unordered_dates(self):
         d = date(2020, 1, 1)
         with pytest.raises(OrderError):
-            PriceSeries("t", (d, d), np.array([1.0, 2.0]))
+            PriceSeries((d, d), np.array([1.0, 2.0]))
         with pytest.raises(OrderError):
-            PriceSeries(
-                "t", (d, d - timedelta(days=1)), np.array([1.0, 2.0])
-            )
+            PriceSeries((d, d - timedelta(days=1)), np.array([1.0, 2.0]))
 
 
 class TestLoadCsv:
@@ -90,7 +88,6 @@ class TestLoadCsv:
         p = write_csv(tmp_path / "boc.csv", ["2006-01-03,2.00", "2006-01-10,2.10"])
         s = load_csv(p)
         assert len(s) == 2
-        assert s.ticker == "boc"
         npt.assert_array_equal(s.prices, [2.0, 2.1])
         assert s.dates == (date(2006, 1, 3), date(2006, 1, 10))
 
@@ -100,10 +97,6 @@ class TestLoadCsv:
         s = load_csv(write_csv(tmp_path / "a.csv", rows))
         assert s.prices.min() == 2.00
         assert s.prices.max() == 5.01
-
-    def test_ticker_override(self, tmp_path):
-        p = write_csv(tmp_path / "x.csv", ["2006-01-03,2.00"])
-        assert load_csv(p, ticker="BOC").ticker == "BOC"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
@@ -337,7 +330,7 @@ _VECTOR_ARGUMENTS = {
     "mse": lambda v: mse(np.ones(3), v),
     "mape": lambda v: mape(np.ones(3), v),
     "lag_one_analysis": lambda v: lag_one_analysis(np.ones(3), v),
-    "PriceSeries": lambda v: PriceSeries("t", weekly_series(np.ones(3)).dates, v),
+    "PriceSeries": lambda v: PriceSeries(weekly_series(np.ones(3)).dates, v),
     "WindowedDataset": lambda v: WindowedDataset(np.ones((3, 2)), v),
 }
 
@@ -351,6 +344,15 @@ def test_vector_arguments_are_checked(entry, bad):
     assert type(info.value) is ShapeError
 
 
+EPS = float(np.finfo(np.float64).eps)
+TINY = float(np.finfo(np.float64).smallest_subnormal)
+MAX = float(np.finfo(np.float64).max)
+# scaler bounds and values: magnitudes from 1e-300 to 1e300, either sign
+signed_magnitudes = st.builds(
+    lambda sign, m: sign * m, st.sampled_from([-1.0, 1.0]), st.floats(1e-300, 1e300)
+)
+
+
 class TestScaler:
     def test_endpoints(self):
         sc = fit_scaler(np.array([3.1, 2.00, 5.01, 4.2]))
@@ -361,16 +363,43 @@ class TestScaler:
         sc = fit_scaler(np.array([2.0, 5.01]))
         npt.assert_allclose(sc.inverse(sc.transform(3.3)), 3.3, rtol=1e-12)
 
-    def test_round_trip_sweep(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            lo = rng.uniform(-100.0, 100.0)
-            width = rng.uniform(1e-3, 1e3)
-            sample = rng.uniform(lo, lo + width, size=20)
-            sample[0], sample[1] = lo, lo + width
-            sc = fit_scaler(sample)
-            values = rng.uniform(lo - width, lo + 2 * width, size=100)
-            npt.assert_allclose(sc.inverse(sc.transform(values)), values, rtol=1e-12)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        st.lists(signed_magnitudes, min_size=2, max_size=2, unique=True),
+        st.lists(signed_magnitudes, max_size=8),
+    )
+    def test_round_trip_sweep(self, bounds, values):
+        lo, hi = sorted(bounds)
+        sc = MinMaxScaler(lo, hi)
+        assert sc.transform(lo) == 0.0
+        assert sc.transform(hi) == 1.0
+        span = hi - lo  # as the scaler rounds it; it cannot overflow here
+        for v in [lo, hi, *values]:
+            d = v - lo
+            # the transform rounds d / span once: past the largest float64
+            # (2**1024 less half its last place) the scaler must refuse
+            if abs(Fraction(d) / Fraction(span)) >= 2**1024 - 2**970:
+                with pytest.raises(DomainError, match="scaled values overflow float64"):
+                    sc.transform(v)
+                continue
+            back = float(sc.inverse(sc.transform(v)))
+            # five roundings of at most half an ulp each, relative to |d| or
+            # |v|, plus absolute half-subnormal ones where the scaled value
+            # or its product underflow; the latter are magnified by the span
+            bound = 4 * EPS * (abs(d) + abs(v)) + TINY * (span + 2)
+            assert abs(back - v) <= bound, (lo, hi, v, back)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(st.floats(9e307, MAX), st.floats(9e307, MAX), st.floats(0.0, 1.0))
+    def test_overflowing_span_is_a_domain_error(self, minus_lo, hi, t):
+        sc = MinMaxScaler(-minus_lo, hi)
+        assert hi - (-minus_lo) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="scaled values overflow float64"):
+                sc.transform(hi)
+            with pytest.raises(DomainError, match="scaled values overflow float64"):
+                sc.inverse(t)
 
     def test_no_clamping(self):
         sc = MinMaxScaler(0.0, 1.0)
