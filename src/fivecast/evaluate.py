@@ -318,6 +318,17 @@ def stability(ds: WindowedDataset, cfg: HarnessConfig | None = None, seeds=range
     most = np.iinfo(np.intp).max // (8 * parameters)
     if most and seeds[most:]:
         raise DomainError(f"cannot stack more than {most} networks of sizes {sizes}")
+    # A sweep that numpy can shape but memory cannot hold fails here, at
+    # once, before one entry per run is listed: the stack's parameter
+    # block is asked for and released, and nothing touches its pages.
+    if most:
+        try:
+            np.empty((len(seeds), parameters))
+        except MemoryError as exc:
+            raise DomainError(
+                f"out of memory: cannot allocate layers of sizes {sizes} "
+                f"for {len(seeds)} networks: {exc}"
+            ) from exc
     seeds = [int(s) for s in seeds]
     if len(seeds) < 2:
         raise DomainError(f"need at least 2 runs, got {len(seeds)}")

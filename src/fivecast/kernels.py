@@ -18,6 +18,8 @@ from .errors import DomainError
 from .timeseries import as_rows, as_vector
 
 KERNEL_KINDS = ("linear", "poly", "rbf", "mlp")
+# rows of gram_sq_dists written at once: the only other temporary is _SQ_BLOCK x n
+_SQ_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -90,8 +92,9 @@ def expansion(spec: KernelSpec, rows: np.ndarray, coefs: np.ndarray, bias: float
     return np.array(values)
 
 
-def gram(spec: KernelSpec, rows: np.ndarray) -> np.ndarray:
-    """The n x n kernel matrix over the rows.
+def gram(spec: KernelSpec, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The n x n kernel matrix over the rows, written into out when given
+    (any float64 (n, n) array or view, as for a numpy ufunc) and returned.
 
     Each unordered pair is evaluated once and mirrored, so the result is
     symmetric by construction.  Raises DomainError, naming the kernel,
@@ -99,7 +102,8 @@ def gram(spec: KernelSpec, rows: np.ndarray) -> np.ndarray:
     """
     rows = as_rows(rows)
     n = rows.shape[0]
-    out = np.empty((n, n), dtype=np.float64)
+    if out is None:
+        out = np.empty((n, n), dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
             col = kernel_column(spec, rows[i:], rows[i])
@@ -176,7 +180,18 @@ def gaussian_weights(points: np.ndarray, rows: np.ndarray, betas) -> np.ndarray:
 
 def gram_sq_dists(rows: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between every pair of rows, (n, n), from
-    one matrix product as |a|^2 + |b|^2 - 2 a.b.  Rounding can leave small
-    negative entries, the diagonal included."""
+    one matrix product as (|a|^2 + |b|^2) - 2 a.b.  Rounding can leave small
+    negative entries, the diagonal included.
+
+    The product is doubled in place and each block of _SQ_BLOCK rows is
+    overwritten with the distances, so the only n x n array is the
+    result; every entry takes the same operations as the whole-matrix
+    expression, bit for bit.
+    """
     sq = np.sum(rows * rows, axis=1)
-    return sq[:, None] + sq[None, :] - 2.0 * (rows @ rows.T)
+    out = rows @ rows.T
+    out *= 2.0
+    for i in range(0, out.shape[0], _SQ_BLOCK):
+        block = out[i : i + _SQ_BLOCK]
+        np.subtract(sq[i : i + _SQ_BLOCK, None] + sq[None, :], block, out=block)
+    return out

@@ -7,9 +7,13 @@ coefficients:
     | 0   1'              |  | bias |     | 0 |
     | 1   K + I / gamma   |  | coef |  =  | y |
 
-solved by the package's pivoted elimination.  A round or two of
+solved by the package's pivoted elimination.  The kernel matrix is
+written straight into the system's lower-right block and the ridge
+``1 / gamma`` added to its diagonal in place, so the system and the
+elimination's working copy are the only n x n arrays.  A round or two of
 iterative refinement, each a substitution through the same elimination,
-keeps the residual near machine level even for large gamma.  Prediction is the kernel expansion plus the bias.
+keeps the residual near machine level even for large gamma.  Prediction
+is the kernel expansion plus the bias.
 """
 
 from __future__ import annotations
@@ -47,7 +51,12 @@ def fit(inputs, targets, kernel: KernelSpec, gamma: float = 100.0) -> LssvmModel
     a = np.zeros((n + 1, n + 1))
     a[0, 1:] = 1.0
     a[1:, 0] = 1.0
-    a[1:, 1:] = gram(kernel, x) + np.eye(n) / gamma
+    # K + I / gamma, built in the block that keeps it: adding 0.0 turns a
+    # kernel's -0.0 into +0.0, as adding the identity's zeros did
+    block = gram(kernel, x, out=a[1:, 1:])
+    block += 0.0
+    diag = np.arange(n)
+    block[diag, diag] += 1.0 / float(gamma)
     rhs = np.zeros(n + 1)
     rhs[1:] = y
     # The first solve eliminates, inside linalg.solve where perfbench's

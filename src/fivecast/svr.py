@@ -244,8 +244,9 @@ def fit(
 
     The solver is deterministic: repeat calls with fixed arguments
     reproduce the same model bit for bit.  Emits ConvergenceWarning (and
-    still returns the model) when ``MAX_PASSES`` passes end with a KKT
-    violation above ``TOL``.
+    still returns the model) when the solver stops with a KKT violation
+    above ``TOL``; the warning says so when every coefficient is still 0
+    and the model predicts its bias alone.
     """
     x, y = as_samples(inputs, targets)
     check_settings(epsilon, c_reg)
@@ -254,9 +255,14 @@ def fit(
         kmat, y, float(epsilon), float(c_reg), TOL, MAX_PASSES
     )
     if not converged:
+        # with no step taken the expansion is empty: say so, or the row
+        # would pass for a trained model
+        bias_only = (
+            "" if beta.any() else "; every coefficient is 0, so the model predicts its bias alone"
+        )
         warnings.warn(
             f"pairwise solver stopped after {passes} passes with KKT violation "
-            f"{viol:.3g} > tol {TOL:.3g}",
+            f"{viol:.3g} > tol {TOL:.3g}{bias_only}",
             ConvergenceWarning,
             stacklevel=2,
         )

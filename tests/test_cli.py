@@ -163,10 +163,11 @@ class TestBenchmark:
         assert rows == ["svr,nan,nan", "lssvm,nan,nan"]
 
     def test_a_warning_is_one_stderr_line(self, tmp_path):
-        # a box bound this small stops the pair solver with a
-        # ConvergenceWarning; the CLI prints it as one line, without the
-        # source location or line, and the output is what the same run
-        # prints and writes with warnings ignored
+        # a box bound this small stops the pair solver before its first
+        # step with a ConvergenceWarning that names the bias-only model;
+        # the CLI prints it as one line, without the source location or
+        # line, and the output is what the same run prints and writes with
+        # warnings ignored
         data = write_price_csv(tmp_path / "prices.csv", make_ar_series(3, n=60))
         out = tmp_path / "out"
         env = dict(os.environ, PYTHONPATH=str(Path(fivecast.__file__).parents[1]))
@@ -181,7 +182,8 @@ class TestBenchmark:
             runs.append((proc.stdout, (out / "results.csv").read_bytes(), proc.stderr))
         (stdout, body, stderr), (quiet_stdout, quiet_body, quiet_stderr) = runs
         assert stderr.splitlines() == [
-            "warning: pairwise solver stopped after 1 passes with KKT violation 0.98 > tol 0.0001"
+            "warning: pairwise solver stopped after 1 passes with KKT violation 0.98 > tol 0.0001; "
+            "every coefficient is 0, so the model predicts its bias alone"
         ]
         assert quiet_stderr == ""
         assert stdout == quiet_stdout
@@ -465,14 +467,14 @@ class TestOutOfMemory:
     def long_csv(self, tmp_path):
         return write_price_csv(tmp_path / "prices.csv", make_ar_series(11))
 
-    def run_limited(self, argv, long_csv, out):
+    def run_limited(self, argv, long_csv, out, bp_flags=("--hidden", "2000000", "--epochs", "0")):
         def limit_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (self.LIMIT, self.LIMIT))
 
         env = dict(
             os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(Path(fivecast.__file__).parents[1])
         )
-        argv = [*argv, "--hidden", "2000000", "--epochs", "0", "--data", str(long_csv), "--out", str(out)]
+        argv = [*argv, *bp_flags, "--data", str(long_csv), "--out", str(out)]
         return subprocess.run(
             [sys.executable, "-m", "fivecast.cli", *argv],
             capture_output=True, text=True, env=env, timeout=120,
@@ -500,6 +502,20 @@ class TestOutOfMemory:
         assert proc.returncode == 2
         assert proc.stderr.startswith("data error: out of memory: Unable to allocate 1.27 GiB")
         assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_runs_that_memory_cannot_hold_exit_2_at_once(self, long_csv, tmp_path):
+        # numpy can shape 10**12 networks of sizes (3, 3, 1), but their
+        # parameters alone need 116 TiB: the sweep fails before its seeds
+        # are listed, which would fill the address space first
+        out = tmp_path / "out"
+        proc = self.run_limited(["stability", "--runs", str(10**12)], long_csv, out, bp_flags=())
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "data error: out of memory: cannot allocate layers of sizes (3, 3, 1) for 1000000000000 "
+            "networks: Unable to allocate 116. TiB for an array with shape (1000000000000, 16) "
+            "and data type float64\n"
+        )
         assert not out.exists()
 
     def test_too_many_runs_exit_2_at_once(self, price_csv, tmp_path, capsys):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -321,6 +321,41 @@ def row_blocks(draw):
     a = draw(arrays(np.float64, (draw(st.integers(1, 60)), d), elements=_DIST_ENTRIES))
     b = draw(arrays(np.float64, (draw(st.integers(1, 60)), d), elements=_DIST_ENTRIES))
     return a, b
+
+
+def reference_gram_sq_dists(rows):
+    """gram_sq_dists's former whole-matrix expression, the reference for
+    its blocks written in place."""
+    sq = np.sum(rows * rows, axis=1)
+    return sq[:, None] + sq[None, :] - 2.0 * (rows @ rows.T)
+
+
+@st.composite
+def gram_rows(draw):
+    """Row counts on both sides of the 64-row block edges, with repeated
+    rows drawn by index."""
+    n = draw(st.sampled_from([1, 63, 64, 65, 129]))
+    rows = draw(arrays(np.float64, (n, draw(st.integers(0, 4))), elements=_DIST_ENTRIES))
+    return rows[draw(arrays(np.intp, n, elements=st.integers(0, n - 1)))]
+
+
+class TestGramSqDists:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(gram_rows())
+    # squares that overflow: inf - inf is NaN on the diagonal, inf elsewhere
+    @example(np.array([[1e200], [1e200], [1.0], [-0.0], [5e-324]]))
+    def test_same_bytes_as_the_whole_matrix_form(self, rows):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = gram_sq_dists(rows)
+            want = reference_gram_sq_dists(rows)
+        assert got.shape == want.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    def test_by_hand(self):
+        rows = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 0.0]])
+        assert gram_sq_dists(rows).tolist() == [[0.0, 25.0, 1.0], [25.0, 0.0, 20.0], [1.0, 20.0, 0.0]]
 
 
 class TestSqDists:

@@ -12,10 +12,10 @@ from hypothesis.extra.numpy import arrays
 from test_kernels import kernel_value
 
 from fivecast import linalg
-from fivecast.errors import DomainError, ShapeError
+from fivecast.errors import DomainError, FivecastError, ShapeError
 from fivecast.kernels import KernelSpec, gram, kernel_column, median_pairwise_distance
 from fivecast.lssvm import LssvmModel, fit, predict_batch
-from fivecast.timeseries import fit_scaler, make_windows, split
+from fivecast.timeseries import as_samples, fit_scaler, make_windows, split
 
 
 KERNELS = (
@@ -53,6 +53,104 @@ def saddle_system(kernel, x, y, gamma):
     rhs = np.zeros(n + 1)
     rhs[1:] = y
     return a, rhs
+
+
+def reference_fit(inputs, targets, kernel, gamma):
+    """lssvm.fit as it assembled the saddle system from whole-matrix
+    temporaries, the reference for its in-place assembly: the coefs, bias
+    and kkt_residual it returned."""
+    x, y = as_samples(inputs, targets)
+    n = x.shape[0]
+    a = np.zeros((n + 1, n + 1))
+    a[0, 1:] = 1.0
+    a[1:, 0] = 1.0
+    a[1:, 1:] = gram(kernel, x) + np.eye(n) / gamma
+    rhs = np.zeros(n + 1)
+    rhs[1:] = y
+    system = linalg.Elimination(a)
+    sol = linalg.solve(system, rhs)
+    bound = 1e-8 * max(1.0, float(np.max(np.abs(y))))
+    residual = float(np.max(np.abs(a @ sol - rhs)))
+    for _ in range(2):
+        if residual <= bound:
+            break
+        sol = sol + system.solve(rhs - a @ sol)
+        residual = float(np.max(np.abs(a @ sol - rhs)))
+    return sol[1:], float(sol[0]), residual
+
+
+def fit_and_system(fit_fn, *args):
+    """fit_fn(*args), or the type of the FivecastError it raises, and a
+    copy of the saddle matrix it hands to the elimination."""
+    systems = []
+
+    class Recorded(linalg.Elimination):
+        def __init__(self, a):
+            systems.append(a.copy())
+            super().__init__(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "Elimination", Recorded)
+        try:
+            result = fit_fn(*args)
+        except FivecastError as exc:
+            result = type(exc)
+    return result, systems[0]
+
+
+def assert_same_fit_bytes(x, y, kernel, gamma):
+    model, system = fit_and_system(fit, x, y, kernel, gamma)
+    want, want_system = fit_and_system(reference_fit, x, y, kernel, gamma)
+    assert system.tobytes() == want_system.tobytes()
+    if isinstance(want, type):
+        assert model is want
+    else:
+        coefs, bias, residual = want
+        assert model.coefs.tobytes() == coefs.tobytes()
+        assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
+        assert np.float64(model.kkt_residual).tobytes() == np.float64(residual).tobytes()
+
+
+# the tanh kernel with a negative slope and offset -0.0 is -0.0 wherever
+# a.b = 0, which the system stores as +0.0
+ASSEMBLY_KERNELS = KERNELS + (
+    KernelSpec("poly", degree=3, poly_c=2.5),
+    KernelSpec("rbf", sigma=0.3),
+    KernelSpec("mlp", mlp_k=-1.0, mlp_theta=-0.0),
+)
+
+
+@st.composite
+def assembly_problems(draw):
+    """saddle_problems' rows and targets with more kernels and gammas,
+    some of whose reciprocals are inexact."""
+    x, y, _, _ = draw(saddle_problems())
+    kernel = draw(st.sampled_from(ASSEMBLY_KERNELS))
+    return x, y, kernel, draw(st.sampled_from([3.0, 7.0, 0.1, 100.0, 1e8]))
+
+
+class TestAssembly:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(assembly_problems())
+    def test_same_bytes_as_the_whole_matrix_assembly(self, problem):
+        assert_same_fit_bytes(*problem)
+
+    @pytest.mark.parametrize("kernel", ASSEMBLY_KERNELS, ids=lambda k: k.kind)
+    def test_negative_inputs_at_inexact_gamma(self, kernel):
+        x = np.array([[0.0, -1.0], [-0.5, 0.0], [-2.0, -1.5], [0.0, 0.0], [1.0, -0.25]])
+        y = np.array([0.3, -1.0, 0.5, 0.0, 2.0])
+        assert_same_fit_bytes(x, y, kernel, 3.0)
+
+    def test_negative_zero_kernel_entries_are_stored_as_positive_zero(self):
+        kernel = KernelSpec("mlp", mlp_k=-1.0, mlp_theta=-0.0)
+        x = np.array([[0.0], [-1.0], [2.0]])
+        y = np.array([1.0, 0.0, -1.0])
+        k = gram(kernel, x)
+        zero = k == 0.0
+        assert zero.any() and np.signbit(k[zero]).all()
+        _, system = fit_and_system(fit, x, y, kernel, 3.0)
+        assert not np.signbit(system[1:, 1:][zero]).any()
+        assert_same_fit_bytes(x, y, kernel, 3.0)
 
 
 class TestFit:

@@ -634,8 +634,9 @@ class TestFit:
         y = np.sin(x[:, 0]) + 0.3 * rng.standard_normal(30)
         monkeypatch.setattr(svr, "MAX_PASSES", 1)
         monkeypatch.setattr(svr, "TOL", 1e-12)
-        with pytest.warns(ConvergenceWarning):
+        with pytest.warns(ConvergenceWarning) as caught:
             m = fit(x, y, KernelSpec("rbf", sigma=1.0))
+        assert "bias alone" not in str(caught[0].message)  # the pass did step
         assert not m.converged
         assert m.passes == 1
         assert m.max_violation > 1e-12
