@@ -12,11 +12,14 @@ learning rate.  :func:`train` takes a list of networks, each with its
 own shuffle seed, and runs them as one stacked network of any depth; each
 ends bit for bit as it would if trained alone, and one network trains as
 a list of one.  :func:`new_network` takes the seed of the initial weights
-and :func:`train` the shuffle seeds; bp reads no other seed.  The stack
-keeps its parameters in one flat buffer and its gradients in another, so
-each batch updates every layer with one scale and one subtraction.  Training stops on a non-finite cost,
-but an epoch computes the cost only when a layer-by-layer bound on the
-outputs could let it overflow, and at the last epoch.
+and :func:`train` the shuffle seeds; bp reads no other seed.
+
+A network is one flat float64 row of parameters, and a stack is those
+rows stacked, so each batch updates every layer of every network with one
+scale and one subtraction.  One forward pass serves training, prediction
+and the cost check.  Training stops on a non-finite cost, but an epoch
+computes the cost only when a layer-by-layer bound on the outputs could
+let it overflow, and at the last epoch.
 """
 
 from __future__ import annotations
@@ -28,12 +31,6 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, ShapeError
 from .timeseries import as_rows
-
-
-def sigmoid(z):
-    z = np.asarray(z, dtype=np.float64)
-    with np.errstate(over="ignore"):  # saturation is well-defined
-        return 1.0 / (1.0 + np.exp(-z))
 
 
 def hidden_size_rule(n_outputs: int, n_inputs: int) -> int:
@@ -62,25 +59,26 @@ class SgdConfig:
 
 @dataclass
 class BpNetwork:
-    """Weights and biases, one pair per non-input layer.
-
-    ``weights[l]`` has shape (size of layer l+1, size of layer l) and acts
-    on activations from the left.  Mutated in place by :func:`train`.
-    """
+    """One flat float64 row of parameters, each layer's weights row-major
+    then its biases; ``weights[l]``, (size of layer l+1, size of layer l),
+    and ``biases[l]`` are views of it.  Mutated in place by :func:`train`."""
 
     layer_sizes: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray
 
     def __post_init__(self) -> None:
-        sizes = _check_sizes(self.layer_sizes)
-        object.__setattr__(self, "layer_sizes", sizes)
-        expected = list(zip(sizes[1:], sizes[:-1]))
-        shapes = [w.shape for w in self.weights]
-        if shapes != expected:
-            raise ShapeError(f"weight shapes {shapes} do not match layers {sizes}")
-        if [b.shape for b in self.biases] != [(s,) for s in sizes[1:]]:
-            raise ShapeError("bias shapes do not match layers")
+        self.layer_sizes = sizes = _check_sizes(self.layer_sizes)
+        self.params = np.asarray(self.params, dtype=np.float64)
+        if self.params.shape != (parameter_count(sizes),):
+            raise ShapeError(f"parameters {self.params.shape} do not match layers {sizes}")
+
+    @property
+    def weights(self) -> list[np.ndarray]:
+        return [w[0] for w in _layers(self.params[None], self.layer_sizes)[0]]
+
+    @property
+    def biases(self) -> list[np.ndarray]:
+        return [b[0, 0] for b in _layers(self.params[None], self.layer_sizes)[1]]
 
 
 def _check_sizes(layer_sizes) -> tuple[int, ...]:
@@ -92,37 +90,33 @@ def _check_sizes(layer_sizes) -> tuple[int, ...]:
     return sizes
 
 
+def parameter_count(layer_sizes) -> int:
+    """Length of the flat parameter row of a network with these layers."""
+    return sum(nxt * (cur + 1) for cur, nxt in zip(layer_sizes, layer_sizes[1:]))
+
+
 def new_network(layer_sizes, seed: int = 0) -> BpNetwork:
     """Fresh network: weights uniform on (-0.5, 0.5) from the seeded
-    generator, biases zero."""
+    generator, drawn layer by layer, and biases zero."""
     sizes = _check_sizes(layer_sizes)
     rng = np.random.default_rng(seed)
     try:
-        weights = [rng.uniform(-0.5, 0.5, (nxt, cur)) for cur, nxt in zip(sizes, sizes[1:])]
-        biases = [np.zeros(nxt) for nxt in sizes[1:]]
+        net = BpNetwork(sizes, np.zeros(parameter_count(sizes)))
+        for w in net.weights:
+            w[...] = rng.uniform(-0.5, 0.5, w.shape)
     except (ValueError, MemoryError) as exc:
         # numpy refuses a shape past its index range or an allocation that fails
         raise DomainError(f"cannot allocate layers of sizes {sizes}: {exc}") from exc
-    return BpNetwork(sizes, weights, biases)
-
-
-def _forward_batch(nets: list[BpNetwork], inputs) -> np.ndarray:
-    """Outputs of networks of one shape on the rows of inputs, (S, n, out)."""
-    a = as_rows(inputs, nets[0].layer_sizes[0])
-    weights, biases = _layers(_pack(nets), nets[0].layer_sizes)
-    last = len(weights) - 1
-    for l, (w, b) in enumerate(zip(weights, biases)):
-        z = np.matmul(a, w.transpose(0, 2, 1)) + b
-        a = z if l == last else sigmoid(z)
-    return a
+    return net
 
 
 def predict_batch(net: BpNetwork, inputs) -> np.ndarray:
     """Vectorized forward pass over rows of inputs (one-unit output)."""
-    out = _forward_batch([net], inputs)
-    if out.shape[2] != 1:
+    x = as_rows(inputs, net.layer_sizes[0])
+    if net.layer_sizes[-1] != 1:
         raise ShapeError("predict_batch expects a single output unit")
-    return out[0, :, 0]
+    with np.errstate(over="ignore"):  # the sigmoid saturates
+        return _forward(*_layers(net.params[None], net.layer_sizes), x)[-1][0, :, 0]
 
 
 def _samples(net: BpNetwork, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +133,9 @@ def training_cost(nets: list[BpNetwork], inputs, targets) -> np.ndarray:
     """Mean half squared error over the sample block of each network in a
     list of networks of one shape."""
     x, t = _samples(nets[0], inputs, targets)
-    return 0.5 * np.mean(np.sum((t - _forward_batch(nets, x)) ** 2, axis=2), axis=1)
+    with np.errstate(over="ignore"):  # the sigmoid saturates
+        out = _forward(*_layers(_pack(nets), nets[0].layer_sizes), x)[-1]
+    return 0.5 * np.mean(np.sum((t - out) ** 2, axis=2), axis=1)
 
 
 def _transposed(a: np.ndarray) -> np.ndarray:
@@ -183,24 +179,30 @@ def _squared_error_bound(params, sizes, x_max: float, t_max: float, n: int) -> f
 
 
 def _pack(nets) -> np.ndarray:
-    # one row per network: each layer's weights, row-major, then its biases
-    return np.stack([
-        np.concatenate([a.ravel() for pair in zip(net.weights, net.biases) for a in pair])
-        for net in nets
-    ])
+    return np.stack([net.params for net in nets])
 
 
-def _batch_gradients(weights, biases, x, t, grad_w, grad_b):
-    # The gradient of each stacked network's half squared error summed over
-    # one batch: a forward pass over x (S, n, in), then the deltas against
-    # t (S, n, out) pulled back layer by layer into grad_w and grad_b,
-    # shaped like the weights (S, out, in) and biases (S, 1, out).
+def _forward(weights, biases, x) -> list[np.ndarray]:
+    # The activations of stacked networks, weights (S, out, in) and biases
+    # (S, 1, out), on x (S, n, in) or on one block (n, in) shared by all:
+    # x first, each sigmoid layer, then the identity output (S, n, out).
+    # The caller silences exp's overflow: it saturates.
     last = len(weights) - 1
     acts = [x]
     for l, (w, b) in enumerate(zip(weights, biases)):
         z = np.matmul(acts[-1], _transposed(w))
         z += b
         acts.append(z if l == last else 1.0 / (1.0 + np.exp(-z)))
+    return acts
+
+
+def _batch_gradients(weights, biases, x, t, grad_w, grad_b):
+    # The gradient of each stacked network's half squared error summed over
+    # one batch: the forward pass over x (S, n, in), then the deltas against
+    # t (S, n, out) pulled back layer by layer into grad_w and grad_b,
+    # shaped like the weights (S, out, in) and biases (S, 1, out).
+    last = len(weights) - 1
+    acts = _forward(weights, biases, x)
     delta = acts[-1] - t
     for l in range(last, -1, -1):
         np.matmul(_transposed(delta), acts[l], out=grad_w[l])
@@ -237,11 +239,6 @@ def train(nets: list[BpNetwork], inputs, targets, cfg: SgdConfig, seeds) -> None
     sizes = nets[0].layer_sizes
     params = _pack(nets)
     grads = np.empty_like(params)
-    weights, biases = _layers(params, sizes)
-    views = [
-        BpNetwork(sizes, [w[k] for w in weights], [b[k, 0] for b in biases])
-        for k in range(len(nets))
-    ]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     x_max, t_max = float(np.abs(x).max()), float(np.abs(t).max())
     # Only networks below a diverged one still matter: they are the prefix
@@ -259,7 +256,7 @@ def train(nets: list[BpNetwork], inputs, targets, cfg: SgdConfig, seeds) -> None
             bound = _squared_error_bound(params[:live], sizes, x_max, t_max, x.shape[0])
             if bound < _COST_LIMIT and epoch < cfg.epochs - 1:
                 continue
-            costs = training_cost(views[:live], x, t)
+            costs = training_cost([BpNetwork(sizes, p) for p in params[:live]], x, t)
             bad = np.flatnonzero(~np.isfinite(costs))
             if bad.size:
                 live = int(bad[0])
@@ -268,6 +265,5 @@ def train(nets: list[BpNetwork], inputs, targets, cfg: SgdConfig, seeds) -> None
                 break
     if failure is not None:
         raise failure
-    for net, view in zip(nets, views):
-        for mine, trained in zip(net.weights + net.biases, view.weights + view.biases):
-            mine[...] = trained
+    for net, trained in zip(nets, params):
+        net.params[...] = trained

@@ -21,20 +21,27 @@ the same seed.  Exit codes: 0 success, 1 usage, 3 numerical failure (a
 ``SingularError`` or ``DivergenceError``), and 2 for every other
 ``FivecastError``, an output that cannot be written included.  A warning
 raised while a command runs is printed as one ``warning: <message>``
-line on stderr.  ``main`` returns the code; ``run``, the ``fivecast``
-command and ``python -m fivecast.cli``, exits with it as soon as the
-output is flushed.
+line on stderr.  ``main`` runs the command with numpy's bundled OpenBLAS
+pinned to one thread, so the bytes do not depend on the BLAS thread
+count, and restores the caller's count afterwards.  ``main`` returns the
+code; ``run``, the ``fivecast`` command and ``python -m fivecast.cli``,
+exits with it as soon as the output is flushed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import functools
 import os
 import sys
 import tempfile
 import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import evaluate, svr
 from .errors import DivergenceError, FivecastError, IoError, SingularError
@@ -322,13 +329,56 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
     sys.stderr.write(f"warning: {message}\n")
 
 
+UNPINNED_WARNING = (
+    "no known OpenBLAS thread setter in this numpy build: "
+    "output bytes may depend on the BLAS thread count"
+)
+_unpinned_warned = False
+
+
+@functools.cache
+def _blas_threads():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
+    or None when this numpy build ships no library that has them."""
+    for lib in sorted(Path(np.__file__).parents[1].glob("numpy.libs/libscipy_openblas64_*")):
+        try:
+            blas = ctypes.CDLL(str(lib))
+            return blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    # Products and solves may round differently on more threads; without a
+    # setter the run goes on unpinned and says so once per process.
+    global _unpinned_warned
+    threads = _blas_threads()
+    if threads is None:
+        if not _unpinned_warned:
+            _unpinned_warned = True
+            warnings.warn(UNPINNED_WARNING)
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     with warnings.catch_warnings():
         # a shown warning is one stderr line, without the source location
         warnings.showwarning = _show_warning
         try:
-            return _run(parser.parse_args(argv))
+            args = parser.parse_args(argv)
+            with _one_blas_thread():
+                return _run(args)
         except _UsageError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 1

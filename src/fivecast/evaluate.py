@@ -313,8 +313,10 @@ def stability(ds: WindowedDataset, cfg: HarnessConfig | None = None, seeds=range
     # raises and min() walks it, but a slice and a truth test do neither.
     # numpy must shape the stack's parameters, runs x parameters float64;
     # a network too large on its own is new_network's error.
+    from . import bpnn
+
     sizes = _bp_sizes(ds, cfg)
-    parameters = sum(nxt * (cur + 1) for cur, nxt in zip(sizes, sizes[1:]))
+    parameters = bpnn.parameter_count(sizes)
     most = np.iinfo(np.intp).max // (8 * parameters)
     if most and seeds[most:]:
         raise DomainError(f"cannot stack more than {most} networks of sizes {sizes}")

@@ -118,12 +118,16 @@ def median_pairwise_distance(rows: np.ndarray) -> float:
     """Median Euclidean distance over all unordered row pairs.
 
     The usual width heuristic for the rbf kernel.  The middle one or two
-    squared distances are found by selection (one partition, then the
-    largest entry below it); distance is sqrt(max(d2, 0)), a
+    squared distances are found by selection in the n x n distance matrix
+    itself: its diagonal is set to +inf, so the n self-distances sort
+    last, and the whole matrix is partitioned in place at m = n(n-1)/2.
+    The matrix is exactly symmetric, so each pair appears twice, and the
+    median of that doubled multiset is the pairs' median: the entry at m
+    and the largest entry below it.  Distance is sqrt(max(d2, 0)), a
     non-decreasing map, so theirs are the middle distances, and their
-    mean (lo + hi) / 2 is np.median's, bit for bit.  Falls back to 1.0
-    when every pair coincides or when a squared distance is NaN (rows
-    whose squares overflow).
+    mean (lo + hi) / 2 is np.median's over the pairs, bit for bit.  Falls
+    back to 1.0 when every pair coincides or when a squared distance is
+    NaN (rows whose squares overflow).
     """
     rows = as_rows(rows)
     n = rows.shape[0]
@@ -131,14 +135,13 @@ def median_pairwise_distance(rows: np.ndarray) -> float:
         raise DomainError("need at least two rows")
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = gram_sq_dists(rows)
-    pairs = np.concatenate([d2[i, i + 1 :] for i in range(n - 1)])
-    if np.isnan(pairs.max()):
+    np.fill_diagonal(d2, np.inf)
+    if np.isnan(d2.max()):
         return 1.0
-    half = pairs.size // 2
-    pairs.partition(half)  # one kth: numpy partitions at two several times slower
-    hi = pairs[half]
-    lo = pairs[:half].max() if pairs.size % 2 == 0 else hi
-    lo, hi = np.sqrt(np.maximum([lo, hi], 0.0))
+    flat = d2.reshape(-1)
+    half = n * (n - 1) // 2
+    flat.partition(half)  # one kth: numpy partitions at two several times slower
+    lo, hi = np.sqrt(np.maximum([flat[:half].max(), flat[half]], 0.0))
     med = float((lo + hi) / 2)
     return med if med > 0.0 else 1.0
 

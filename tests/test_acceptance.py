@@ -64,7 +64,7 @@ class TestAcceptance:
             y = rng.uniform(-1.0, 1.0, (2, 4, 1))
             bpnn._batch_gradients(weights, biases, x, y, grad_w, grad_b)
             for k in range(2):
-                view = bpnn.BpNetwork(sizes, [w[k] for w in weights], [b[k, 0] for b in biases])
+                view = bpnn.BpNetwork(sizes, params[k])
                 for idx in range(params.shape[1]):
                     orig = params[k, idx]
                     params[k, idx] = orig + h

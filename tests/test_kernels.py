@@ -20,6 +20,7 @@ from fivecast.kernels import (
     median_pairwise_distance,
     sq_dists,
 )
+from fivecast.timeseries import as_rows
 
 ALL_SPECS = (
     KernelSpec("linear"),
@@ -288,6 +289,53 @@ class TestMedianPairwiseDistance:
         assert reference_median(rows) == 1.0
 
 
+def previous_median(rows) -> float:
+    """median_pairwise_distance before it partitioned the whole matrix,
+    verbatim: the pairs above the diagonal, concatenated, then one
+    partition."""
+    rows = as_rows(rows)
+    n = rows.shape[0]
+    if n < 2:
+        raise DomainError("need at least two rows")
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = gram_sq_dists(rows)
+    pairs = np.concatenate([d2[i, i + 1 :] for i in range(n - 1)])
+    if np.isnan(pairs.max()):
+        return 1.0
+    half = pairs.size // 2
+    pairs.partition(half)  # one kth: numpy partitions at two several times slower
+    hi = pairs[half]
+    lo = pairs[:half].max() if pairs.size % 2 == 0 else hi
+    lo, hi = np.sqrt(np.maximum([lo, hi], 0.0))
+    med = float((lo + hi) / 2)
+    return med if med > 0.0 else 1.0
+
+
+@st.composite
+def median_rows(draw):
+    """2 to 150 rows of up to 4 columns, some of them repeated, from a
+    few distinct values, so that distances tie; some entries' squares
+    overflow."""
+    n = draw(st.integers(2, 150))
+    d = draw(st.integers(1, 4))
+    values = draw(st.lists(_DIST_ENTRIES, min_size=1, max_size=6))
+    rows = draw(arrays(np.float64, (n, d), elements=st.sampled_from(values)))
+    return rows[draw(arrays(np.intp, n, elements=st.integers(0, n - 1)))]
+
+
+class TestMedianAgainstPreviousSelection:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(median_rows())
+    def test_same_bits_as_the_pairs_partition(self, rows):
+        got = median_pairwise_distance(rows)
+        assert np.float64(got).tobytes() == np.float64(previous_median(rows)).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 200, 1117])
+    def test_same_bits_on_uniform_lag_windows(self, n):
+        rows = np.random.default_rng(n).uniform(0.0, 1.0, (n, 3))
+        assert median_pairwise_distance(rows) == previous_median(rows)
+
+
 def reference_median(rows) -> float:
     """median_pairwise_distance's former expression over every pair's
     index, the reference for its selection.  Overflowing rows warn in
@@ -352,6 +400,8 @@ class TestGramSqDists:
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == want[~nan].tobytes()
+        # exactly symmetric, which median_pairwise_distance relies on
+        assert got.tobytes() == np.ascontiguousarray(got.T).tobytes()
 
     def test_by_hand(self):
         rows = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 0.0]])

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 
 from fivecast import grnn, lssvm
-from fivecast.kernels import KernelSpec, gram_sq_dists
+from fivecast.kernels import KernelSpec, gram_sq_dists, median_pairwise_distance
 
 N = 1117
 
@@ -46,3 +46,4 @@ def test_pairwise_distances_hold_one_matrix():
     x = rows()
     assert peak_bytes(lambda: gram_sq_dists(x)) <= 1.15 * 8 * N * N
     assert peak_bytes(lambda: grnn.default_smoothing(x)) <= 1.15 * 8 * N * N
+    assert peak_bytes(lambda: median_pairwise_distance(x)) <= 1.15 * 8 * N * N
