@@ -257,7 +257,7 @@ def _cmd_kernels(args, cfg, ds) -> tuple[dict[str, str], str]:
 
 
 def _cmd_stability(args, cfg, ds) -> tuple[dict[str, str], str]:
-    report = evaluate.stability(ds, cfg, seeds=range(cfg.seed, cfg.seed + args.runs))
+    report = evaluate.stability(ds, cfg, runs=args.runs)
     cells = asdict(report)  # the run count, then the four float statistics
     body = _csv(tuple(cells), [tuple(cells.values())])
     table = _table(

@@ -159,9 +159,14 @@ def _train_scaler(ds: WindowedDataset) -> MinMaxScaler:
     try:
         return fit_scaler(pool)
     except DomainError:
-        # Degenerate (constant) training block: shift to zero, unit span.
+        # Degenerate (constant) training block: a unit span, or one ulp
+        # where a unit no longer moves lo, placed below lo where lo + span
+        # overflows.
         lo = float(pool[0])
-        return MinMaxScaler(lo, lo + 1.0)
+        span = max(1.0, math.ulp(lo))
+        if lo + span < math.inf:
+            return MinMaxScaler(lo, lo + span)
+        return MinMaxScaler(lo - span, lo)
 
 
 def _resolved_kernel(cfg: HarnessConfig, scaled_inputs: np.ndarray) -> KernelSpec:
@@ -190,8 +195,9 @@ def _bp_sizes(ds: WindowedDataset, cfg: HarnessConfig) -> tuple[int, int, int]:
     return n_in, hidden, 1
 
 
-def _bp_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfig, seeds) -> list[np.ndarray]:
-    """Raw-unit test-block predictions of one backprop network per seed.
+def _bp_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfig, runs: int) -> list[np.ndarray]:
+    """Raw-unit test-block predictions of one backprop network per seed
+    cfg.seed, ..., cfg.seed + runs - 1.
 
     Each seed draws its network's initial weights and its shuffle order;
     the networks train together as one stacked network.
@@ -199,6 +205,7 @@ def _bp_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfi
     from . import bpnn
 
     sizes = _bp_sizes(ds, cfg)
+    seeds = range(cfg.seed, cfg.seed + runs)
     nets = [bpnn.new_network(sizes, seed=seed) for seed in seeds]
     sgd = bpnn.SgdConfig(eta=cfg.bp_eta, batch_size=cfg.bp_batch, epochs=cfg.bp_epochs)
     xs_tr, ys_tr, xs_te = _scaled_blocks(ds, scaler)
@@ -250,7 +257,7 @@ def _lssvm_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessCo
 # Raw-unit test-block predictions of each model, by name; the keys, in
 # order, are MODEL_NAMES.
 _TEST_PREDICTIONS = {
-    "bp": lambda ds, scaler, cfg: _bp_predictions(ds, scaler, cfg, [cfg.seed])[0],
+    "bp": lambda ds, scaler, cfg: _bp_predictions(ds, scaler, cfg, 1)[0],
     "rbf": _rbf_predictions,
     "grnn": _grnn_predictions,
     "svr": _svr_predictions,
@@ -302,51 +309,36 @@ def benchmark(ds: WindowedDataset, models, cfg: HarnessConfig | None = None) -> 
     return reports
 
 
-def stability(ds: WindowedDataset, cfg: HarnessConfig | None = None, seeds=range(100)) -> StabilityReport:
-    """Retrain the backprop model once per seed and summarize the spread.
+def stability(ds: WindowedDataset, cfg: HarnessConfig | None = None, runs: int = 100) -> StabilityReport:
+    """Retrain the backprop model with seeds cfg.seed, ..., cfg.seed +
+    runs - 1 and summarize the spread.
 
-    seeds is a sequence.  All seeds train together as one stacked network,
-    each exactly as it would alone.  Spreads are sample standard deviations.
+    All runs train together as one stacked network, each exactly as it
+    would alone.  Spreads are sample standard deviations.
     """
     cfg = cfg or HarnessConfig()
-    # Size the sweep before listing it: len() of a range past sys.maxsize
-    # raises and min() walks it, but a slice and a truth test do neither.
-    # numpy must shape the stack's parameters, runs x parameters float64;
-    # a network too large on its own is new_network's error.
+    if runs < 2:
+        raise DomainError(f"need at least 2 runs, got {runs}")
     from . import bpnn
 
+    # Ask once for the stack's parameter block, and release it untouched:
+    # a sweep numpy cannot shape or memory cannot hold fails here, before
+    # any network is built.
     sizes = _bp_sizes(ds, cfg)
-    parameters = bpnn.parameter_count(sizes)
-    most = np.iinfo(np.intp).max // (8 * parameters)
-    if most and seeds[most:]:
-        raise DomainError(f"cannot stack more than {most} networks of sizes {sizes}")
-    # A sweep that numpy can shape but memory cannot hold fails here, at
-    # once, before one entry per run is listed: the stack's parameter
-    # block is asked for and released, and nothing touches its pages.
-    if most:
-        try:
-            np.empty((len(seeds), parameters))
-        except MemoryError as exc:
-            raise DomainError(
-                f"out of memory: cannot allocate layers of sizes {sizes} "
-                f"for {len(seeds)} networks: {exc}"
-            ) from exc
-    seeds = [int(s) for s in seeds]
-    if len(seeds) < 2:
-        raise DomainError(f"need at least 2 runs, got {len(seeds)}")
-    # numpy's generators reject negative seeds; fail before any network trains
-    if min(seeds) < 0:
-        raise DomainError(f"seeds must be >= 0, got {min(seeds)}")
+    try:
+        np.empty((runs, bpnn.parameter_count(sizes)))
+    except (ValueError, MemoryError) as exc:
+        raise DomainError(f"cannot allocate layers of sizes {sizes} for {runs} networks: {exc}") from exc
     scaler = _train_scaler(ds)
     y_test = ds.test_targets
-    preds = _run_model(_bp_predictions, ds, scaler, cfg, seeds)
+    preds = _run_model(_bp_predictions, ds, scaler, cfg, runs)
     mses = np.array([mse(y_test, p) for p in preds])
     mapes = np.array([mape(y_test, p) for p in preds])
     with np.errstate(over="ignore"):
         stats = (mses.mean(), mses.std(ddof=1), mapes.mean(), mapes.std(ddof=1))
     if not np.all(np.isfinite(stats)):
         raise DomainError("the spread of the runs' scores overflows float64")
-    return StabilityReport(len(seeds), *map(float, stats))
+    return StabilityReport(runs, *map(float, stats))
 
 
 def lag_one_analysis(actual, predicted) -> LagOneReport:

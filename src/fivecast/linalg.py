@@ -119,7 +119,7 @@ class Elimination:
     right-hand sides.
 
     The matrix is checked and copied here and eliminated by the first
-    :meth:`solve`; the reduced matrix and each step's pivot row are kept,
+    :func:`solve`; the reduced matrix and each step's pivot row are kept,
     so every later right-hand side costs only its substitutions.
     """
 
@@ -135,27 +135,6 @@ class Elimination:
         self._pivots: list[int] = []
         self._status: int | None = None  # _eliminate's result, once run
 
-    def solve(self, b) -> np.ndarray:
-        """The x with a @ x = b.
-
-        Raises SingularError when some pivot column has no entry of
-        magnitude at least 1e-12 after row exchange.
-        """
-        x = as_vector(b, self._lu.shape[0], name="rhs")
-        if not np.all(np.isfinite(x)):
-            raise DomainError("system entries must be finite")
-        if self._status is None:
-            bufsize = np.setbufsize(_UFUNC_BUFSIZE)
-            try:
-                self._status = _eliminate(self._lu, self._pivots)
-            finally:
-                np.setbufsize(bufsize)
-        if self._status != 0:
-            raise SingularError(f"no usable pivot in column {self._status - 1}")
-        x = x.copy()
-        _substitute(self._lu, self._pivots, x)
-        return x
-
 
 def solve(a, b) -> np.ndarray:
     """Solve the square system a @ x = b, where a is a matrix or an
@@ -165,4 +144,17 @@ def solve(a, b) -> np.ndarray:
     at least 1e-12 after row exchange.
     """
     system = a if isinstance(a, Elimination) else Elimination(a)
-    return system.solve(b)
+    x = as_vector(b, system._lu.shape[0], name="rhs")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("system entries must be finite")
+    if system._status is None:
+        bufsize = np.setbufsize(_UFUNC_BUFSIZE)
+        try:
+            system._status = _eliminate(system._lu, system._pivots)
+        finally:
+            np.setbufsize(bufsize)
+    if system._status != 0:
+        raise SingularError(f"no usable pivot in column {system._status - 1}")
+    x = x.copy()
+    _substitute(system._lu, system._pivots, x)
+    return x

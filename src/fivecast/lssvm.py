@@ -59,8 +59,8 @@ def fit(inputs, targets, kernel: KernelSpec, gamma: float = 100.0) -> LssvmModel
     block[diag, diag] += 1.0 / float(gamma)
     rhs = np.zeros(n + 1)
     rhs[1:] = y
-    # The first solve eliminates, inside linalg.solve where perfbench's
-    # tracer times it; each refinement substitutes through that elimination.
+    # The first solve eliminates; each refinement substitutes through
+    # that elimination.
     system = linalg.Elimination(a)
     sol = linalg.solve(system, rhs)
     bound = 1e-8 * max(1.0, float(np.max(np.abs(y))))
@@ -68,7 +68,7 @@ def fit(inputs, targets, kernel: KernelSpec, gamma: float = 100.0) -> LssvmModel
     for _ in range(_REFINE_ROUNDS):
         if residual <= bound:
             break
-        sol = sol + system.solve(rhs - a @ sol)
+        sol = sol + linalg.solve(system, rhs - a @ sol)
         residual = float(np.max(np.abs(a @ sol - rhs)))
     return LssvmModel(
         kernel=kernel,

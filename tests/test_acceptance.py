@@ -231,7 +231,7 @@ class TestAcceptance:
 
     def test_criterion_7_stability(self):
         start = time.perf_counter()
-        rep = evaluate.stability(ar_dataset(), AR_CONFIG, seeds=range(100))
+        rep = evaluate.stability(ar_dataset(), AR_CONFIG, runs=100)  # seeds 0-99
         cv = rep.mse_std / rep.mse_mean
         elapsed = time.perf_counter() - start
         ok = cv < 0.05 and elapsed < 300.0

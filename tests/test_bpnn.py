@@ -730,7 +730,7 @@ class TestGatedCostCheck:
         # epoch computes the cost
         calls = self.count_cost_calls(monkeypatch)
         ds = timeseries.split(timeseries.make_windows(make_ar_series(11), lags=3), 0.8)
-        evaluate.stability(ds, evaluate.HarnessConfig(), seeds=range(5))
+        evaluate.stability(ds, evaluate.HarnessConfig(), runs=5)
         assert len(calls) == 1
 
     def test_cost_runs_before_the_last_epoch_near_divergence(self, monkeypatch):

@@ -506,25 +506,29 @@ class TestOutOfMemory:
 
     def test_runs_that_memory_cannot_hold_exit_2_at_once(self, long_csv, tmp_path):
         # numpy can shape 10**12 networks of sizes (3, 3, 1), but their
-        # parameters alone need 116 TiB: the sweep fails before its seeds
-        # are listed, which would fill the address space first
+        # parameters alone need 116 TiB: the sweep fails before building
+        # one network per run, which would fill the address space first
         out = tmp_path / "out"
         proc = self.run_limited(["stability", "--runs", str(10**12)], long_csv, out, bp_flags=())
         assert proc.returncode == 2
         assert proc.stderr == (
-            "data error: out of memory: cannot allocate layers of sizes (3, 3, 1) for 1000000000000 "
+            "data error: cannot allocate layers of sizes (3, 3, 1) for 1000000000000 "
             "networks: Unable to allocate 116. TiB for an array with shape (1000000000000, 16) "
             "and data type float64\n"
         )
         assert not out.exists()
 
     def test_too_many_runs_exit_2_at_once(self, price_csv, tmp_path, capsys):
-        # in process: listing these seeds would exhaust memory
+        # in process: numpy cannot shape these networks' parameters, and
+        # building one network per run would exhaust memory
         out = tmp_path / "out"
         argv = ["stability", "--runs", str(10**20), "--data", str(price_csv), "--out", str(out)]
         assert run(argv) == 2
         err = capsys.readouterr().err
-        assert err == "data error: cannot stack more than 72057594037927935 networks of sizes (3, 3, 1)\n"
+        assert err == (
+            "data error: cannot allocate layers of sizes (3, 3, 1) for 100000000000000000000 "
+            "networks: Maximum allowed dimension exceeded\n"
+        )
         assert not out.exists()
 
 
@@ -545,7 +549,7 @@ class TestOutputText:
 
     def test_stability_table_exact(self, monkeypatch):
         report = StabilityReport(100, 0.009, 4.8e-05, 0.019, 0.001)
-        monkeypatch.setattr(evaluate, "stability", lambda ds, cfg, seeds: report)
+        monkeypatch.setattr(evaluate, "stability", lambda ds, cfg, runs: report)
         _, text = _cmd_stability(argparse.Namespace(runs=100), HarnessConfig(), None)
         assert text == (
             "runs       100\n"

@@ -2,8 +2,11 @@
 
 import argparse
 import math
+import re
+import sys
 import types
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -140,6 +143,32 @@ class TestBenchmark:
         for r in reports:
             assert r.error is None
             assert r.mape <= 1e-6
+
+    def test_constant_series_past_2_53_is_learned_by_all(self):
+        # lo + 1.0 == lo from 2**53 up, so the scaler's span is one ulp there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = benchmark(constant_dataset(1e16, n=60), list(MODEL_NAMES))
+        assert [(r.model, r.mse, r.mape, r.error) for r in reports] == [
+            (name, 0.0, 0.0, None) for name in MODEL_NAMES
+        ]
+
+    def test_constant_series_at_the_largest_float(self):
+        # lo + ulp(lo) overflows, so the span sits below lo; grnn reads raw
+        # prices, and their squared distances overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = benchmark(constant_dataset(sys.float_info.max, n=60), list(MODEL_NAMES))
+        assert [(r.model, r.mse, r.mape) for r in reports if r.model != "grnn"] == [
+            (name, 0.0, 0.0) for name in MODEL_NAMES if name != "grnn"
+        ]
+        assert [r.error for r in reports] == [
+            None,
+            None,
+            "DomainError: inputs are too large to compute a smoothing width: their squared distances overflow",
+            None,
+            None,
+        ]
 
     def test_ar_series_all_finite(self):
         ds = split_windows(make_ar_series(11))
@@ -278,61 +307,62 @@ class TestModelPredictions:
 
 
 class TestStability:
-    def test_identical_seeds_give_zero_spread(self):
-        ds = split_windows(make_ar_series(11, n=60))
-        rep = stability(ds, seeds=[7, 7])
-        assert rep.runs == 2
-        assert rep.mse_std == 0.0
-        assert rep.mape_std == 0.0
-
     def test_distinct_seeds_give_positive_spread(self):
         ds = split_windows(make_ar_series(11, n=60))
-        rep = stability(ds, seeds=range(1, 4))
+        rep = stability(ds, HarnessConfig(seed=1), runs=3)
         assert rep.runs == 3
         assert rep.mse_std > 0.0
         assert rep.mse_mean > 0.0
+
+    def test_runs_are_the_single_trainings_from_the_config_seed(self):
+        # seeds 4, 5 and 6, each trained alone, give the sweep's bits
+        ds = split_windows(make_ar_series(11, n=60))
+        cfg = HarnessConfig(seed=4, bp_epochs=50)
+        preds = [model_predictions(ds, "bp", replace(cfg, seed=k)) for k in (4, 5, 6)]
+        mses = np.array([mse(ds.test_targets, p) for p in preds])
+        mapes = np.array([mape(ds.test_targets, p) for p in preds])
+        want = StabilityReport(3, mses.mean(), mses.std(ddof=1), mapes.mean(), mapes.std(ddof=1))
+        assert stability(ds, cfg, runs=3) == want
 
     def test_overflowing_spread_is_a_domain_error(self, monkeypatch):
         # the runs' mses, 0 and 1e200, are finite, but the square of their spread is not
         monkeypatch.setattr(
             evaluate, "_bp_predictions",
-            lambda ds, scaler, cfg, seeds: [ds.test_targets, ds.test_targets + 1e100],
+            lambda ds, scaler, cfg, runs: [ds.test_targets, ds.test_targets + 1e100],
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="the spread of the runs' scores overflows float64"):
-                stability(constant_dataset(), seeds=[0, 1])
+                stability(constant_dataset(), runs=2)
 
     def test_too_few_runs(self):
         ds = constant_dataset()
         with pytest.raises(DomainError, match="need at least 2 runs, got 1"):
-            stability(ds, seeds=[4])
+            stability(ds, runs=1)
 
-    def test_negative_seeds_fail_before_training(self, monkeypatch):
+    def test_too_many_runs_fail_before_the_seeds_are_listed(self, monkeypatch):
+        # numpy cannot shape 10**20 rows of 16 parameters
         def no_training(*args, **kwargs):
             raise AssertionError("a network was built")
 
         monkeypatch.setattr(bpnn, "new_network", no_training)
-        ds = constant_dataset()
-        with pytest.raises(DomainError, match="seeds must be >= 0, got -1"):
-            stability(ds, seeds=[-1, 0])
-
-    def test_too_many_runs_fail_before_the_seeds_are_listed(self):
-        # len() of this range raises OverflowError, and listing it would
-        # exhaust memory; 16 parameters of 8 bytes a network
-        message = r"cannot stack more than 72057594037927935 networks of sizes \(3, 3, 1\)"
+        message = (
+            r"^cannot allocate layers of sizes \(3, 3, 1\) for 100000000000000000000 networks: "
+            r"Maximum allowed dimension exceeded$"
+        )
         with pytest.raises(DomainError, match=message):
-            stability(constant_dataset(), seeds=range(10**20))
+            stability(constant_dataset(), runs=10**20)
 
     def test_most_runs_numpy_can_shape(self):
-        # 5h + 1 parameters a network: at this width two networks are the
-        # most numpy can shape, and even one cannot be allocated
+        # 5h + 1 parameters a network: at this width numpy can shape two
+        # networks' parameters but not three, and memory holds neither
         hidden = np.iinfo(np.intp).max // 80 - 1
         cfg = HarnessConfig(bp_hidden=hidden)
-        with pytest.raises(DomainError, match="cannot stack more than 2 networks"):
-            stability(constant_dataset(), cfg, seeds=[0, 1, 2])
-        with pytest.raises(DomainError, match="cannot allocate layers of sizes"):
-            stability(constant_dataset(), cfg, seeds=[0, 1])
+        sizes = re.escape(f"cannot allocate layers of sizes (3, {hidden}, 1)")
+        with pytest.raises(DomainError, match=sizes + " for 3 networks: array is too big"):
+            stability(constant_dataset(), cfg, runs=3)
+        with pytest.raises(DomainError, match=sizes + " for 2 networks: Unable to allocate"):
+            stability(constant_dataset(), cfg, runs=2)
 
 
 class TestOutOfMemory:
@@ -357,7 +387,7 @@ class TestOutOfMemory:
     def test_stability_and_model_predictions_raise(self, monkeypatch):
         self.fail_training(monkeypatch, self.NUMPY_MESSAGE)
         with pytest.raises(DomainError, match=r"out of memory: Unable to allocate 2\.53 GiB"):
-            stability(constant_dataset(), seeds=[0, 1])
+            stability(constant_dataset(), runs=2)
         with pytest.raises(DomainError, match=r"out of memory: Unable to allocate 2\.53 GiB"):
             model_predictions(constant_dataset(), "bp")
 
@@ -417,7 +447,7 @@ class TestLagOneAnalysis:
 
 def stability_output(monkeypatch, report):
     """The files and text of the stability command when the sweep gives report."""
-    monkeypatch.setattr(evaluate, "stability", lambda ds, cfg, seeds: report)
+    monkeypatch.setattr(evaluate, "stability", lambda ds, cfg, runs: report)
     return cli._cmd_stability(argparse.Namespace(runs=report.runs), HarnessConfig(), None)
 
 

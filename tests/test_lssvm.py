@@ -74,7 +74,7 @@ def reference_fit(inputs, targets, kernel, gamma):
     for _ in range(2):
         if residual <= bound:
             break
-        sol = sol + system.solve(rhs - a @ sol)
+        sol = sol + linalg.solve(system, rhs - a @ sol)
         residual = float(np.max(np.abs(a @ sol - rhs)))
     return sol[1:], float(sol[0]), residual
 
@@ -225,12 +225,17 @@ class TestFit:
         sol = np.concatenate([[m.bias], m.coefs])
         npt.assert_allclose(float(np.max(np.abs(a @ sol - rhs))), m.kkt_residual, atol=1e-12)
 
-    def test_refinement_reuses_one_elimination(self, monkeypatch):
-        # 200 scaled AR windows at gamma 1e8 need both refinement rounds
+    @staticmethod
+    def refining_case():
+        """200 scaled AR windows and a kernel that need both refinement
+        rounds at gamma 1e8."""
         ds = split(make_windows(make_ar_series(11, n=200), 3), 0.8)
         scaler = fit_scaler(np.concatenate([ds.train_inputs.ravel(), ds.train_targets]))
         x, y = scaler.transform(ds.train_inputs), scaler.transform(ds.train_targets)
-        kernel = KernelSpec("rbf", sigma=median_pairwise_distance(x))
+        return x, y, KernelSpec("rbf", sigma=median_pairwise_distance(x))
+
+    def test_refinement_reuses_one_elimination(self, monkeypatch):
+        x, y, kernel = self.refining_case()
         eliminations, substitutions = [], []
         for name, log in (("_eliminate", eliminations), ("_substitute", substitutions)):
             real = getattr(linalg, name)
@@ -248,6 +253,16 @@ class TestFit:
             sol = sol + linalg.solve(a, rhs - a @ sol)
         assert m.coefs.tobytes() == sol[1:].tobytes()
         assert m.bias == sol[0]
+
+    def test_every_refinement_is_a_linalg_solve(self, monkeypatch):
+        # the first solve and both refinement rounds, each through the one
+        # entry point a caller can count
+        x, y, kernel = self.refining_case()
+        calls = []
+        real = linalg.solve
+        monkeypatch.setattr(linalg, "solve", lambda *args: calls.append(1) or real(*args))
+        fit(x, y, kernel, gamma=1e8)
+        assert len(calls) == 3
 
     def test_interpolates_at_high_gamma(self):
         x = np.array([[0.0], [1.0], [2.5], [4.0], [6.0]])
