@@ -8,18 +8,19 @@ and gated by the sigmoid slope.
 
 Training shuffles the sample order every epoch with a seeded generator,
 walks the batches, and subtracts the batch-mean gradient scaled by the
-learning rate.  :func:`train` takes a list of networks, each with its
-own shuffle seed, and runs them as one stacked network of any depth; each
-ends bit for bit as it would if trained alone, and one network trains as
-a list of one.  :func:`new_network` takes the seed of the initial weights
-and :func:`train` the shuffle seeds; bp reads no other seed.
+learning rate.  A :class:`BpNetwork` is a stack of networks of one
+shape and any depth, one network a stack of one.  :func:`train` gives
+each network its own shuffle seed and trains the stack as one; each ends
+bit for bit as it would if trained alone.  :func:`new_network` takes the
+seeds of the initial weights and :func:`train` the shuffle seeds; bp
+reads no other seed.
 
-A network is one flat float64 row of parameters, and a stack is those
-rows stacked, so each batch updates every layer of every network with one
-scale and one subtraction.  One forward pass serves training, prediction
-and the cost check.  Training stops on a non-finite cost, but an epoch
-computes the cost only when a layer-by-layer bound on the outputs could
-let it overflow, and at the last epoch.
+The stack's parameters are one float64 block, a row per network, so each
+batch updates every layer of every network with one scale and one
+subtraction.  One forward pass serves training, prediction and the cost
+check.  Training stops on a non-finite cost, but an epoch computes the
+cost only when a layer-by-layer bound on the outputs could let it
+overflow, and at the last epoch.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, DomainError, ShapeError
-from .timeseries import as_rows
+from .timeseries import as_rows, as_seed
 
 
 def hidden_size_rule(n_outputs: int, n_inputs: int) -> int:
@@ -59,26 +60,28 @@ class SgdConfig:
 
 @dataclass
 class BpNetwork:
-    """One flat float64 row of parameters, each layer's weights row-major
-    then its biases; ``weights[l]``, (size of layer l+1, size of layer l),
-    and ``biases[l]`` are views of it.  Mutated in place by :func:`train`."""
+    """A stack of networks of one shape: a float64 (networks, parameter
+    count) block, one network a row, each layer's weights row-major then
+    its biases.  ``weights[l]``, (networks, size of layer l+1, size of
+    layer l), and ``biases[l]``, (networks, 1, size of layer l+1), are
+    views of it.  Mutated in place by :func:`train`."""
 
     layer_sizes: tuple[int, ...]
     params: np.ndarray
 
     def __post_init__(self) -> None:
         self.layer_sizes = sizes = _check_sizes(self.layer_sizes)
-        self.params = np.asarray(self.params, dtype=np.float64)
-        if self.params.shape != (parameter_count(sizes),):
-            raise ShapeError(f"parameters {self.params.shape} do not match layers {sizes}")
+        p = self.params = np.asarray(self.params, dtype=np.float64)
+        if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] != parameter_count(sizes):
+            raise ShapeError(f"parameters {p.shape} do not match layers {sizes}")
 
     @property
     def weights(self) -> list[np.ndarray]:
-        return [w[0] for w in _layers(self.params[None], self.layer_sizes)[0]]
+        return _layers(self.params, self.layer_sizes)[0]
 
     @property
     def biases(self) -> list[np.ndarray]:
-        return [b[0, 0] for b in _layers(self.params[None], self.layer_sizes)[1]]
+        return _layers(self.params, self.layer_sizes)[1]
 
 
 def _check_sizes(layer_sizes) -> tuple[int, ...]:
@@ -95,28 +98,30 @@ def parameter_count(layer_sizes) -> int:
     return sum(nxt * (cur + 1) for cur, nxt in zip(layer_sizes, layer_sizes[1:]))
 
 
-def new_network(layer_sizes, seed: int = 0) -> BpNetwork:
-    """Fresh network: weights uniform on (-0.5, 0.5) from the seeded
-    generator, drawn layer by layer, and biases zero."""
+def new_network(layer_sizes, seeds) -> BpNetwork:
+    """Fresh stack of one network per seed: each network's weights uniform
+    on (-0.5, 0.5) from its seed's generator, drawn layer by layer, and
+    biases zero."""
     sizes = _check_sizes(layer_sizes)
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(as_seed(seed)) for seed in seeds]
     try:
-        net = BpNetwork(sizes, np.zeros(parameter_count(sizes)))
-        for w in net.weights:
-            w[...] = rng.uniform(-0.5, 0.5, w.shape)
+        params = np.zeros((len(rngs), parameter_count(sizes)))
+        for w in _layers(params, sizes)[0]:
+            for row, rng in zip(w, rngs):
+                row[...] = rng.uniform(-0.5, 0.5, row.shape)
     except (ValueError, MemoryError) as exc:
         # numpy refuses a shape past its index range or an allocation that fails
         raise DomainError(f"cannot allocate layers of sizes {sizes}: {exc}") from exc
-    return net
+    return BpNetwork(sizes, params)
 
 
 def predict_batch(net: BpNetwork, inputs) -> np.ndarray:
-    """Vectorized forward pass over rows of inputs (one-unit output)."""
+    """Each network's one-unit output on each row of inputs: (networks, n)."""
     x = as_rows(inputs, net.layer_sizes[0])
     if net.layer_sizes[-1] != 1:
         raise ShapeError("predict_batch expects a single output unit")
     with np.errstate(over="ignore"):  # the sigmoid saturates
-        return _forward(*_layers(net.params[None], net.layer_sizes), x)[-1][0, :, 0]
+        return _forward(net.weights, net.biases, x)[-1][:, :, 0]
 
 
 def _samples(net: BpNetwork, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -129,12 +134,11 @@ def _samples(net: BpNetwork, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
     return x, t
 
 
-def training_cost(nets: list[BpNetwork], inputs, targets) -> np.ndarray:
-    """Mean half squared error over the sample block of each network in a
-    list of networks of one shape."""
-    x, t = _samples(nets[0], inputs, targets)
+def training_cost(net: BpNetwork, inputs, targets) -> np.ndarray:
+    """Mean half squared error over the sample block, one per network."""
+    x, t = _samples(net, inputs, targets)
     with np.errstate(over="ignore"):  # the sigmoid saturates
-        out = _forward(*_layers(_pack(nets), nets[0].layer_sizes), x)[-1]
+        out = _forward(net.weights, net.biases, x)[-1]
     return 0.5 * np.mean(np.sum((t - out) ** 2, axis=2), axis=1)
 
 
@@ -176,10 +180,6 @@ def _squared_error_bound(params, sizes, x_max: float, t_max: float, n: int) -> f
         a_max = 1.0
     err = z_max + t_max
     return err * err * (n * sizes[-1])
-
-
-def _pack(nets) -> np.ndarray:
-    return np.stack([net.params for net in nets])
 
 
 def _forward(weights, biases, x) -> list[np.ndarray]:
@@ -225,25 +225,25 @@ def _stacked_epoch(params, grads, sizes, xs, ts, batch_size, eta):
         params -= grads
 
 
-def train(nets: list[BpNetwork], inputs, targets, cfg: SgdConfig, seeds) -> None:
-    """Mini-batch SGD in place on a list of networks of one shape, trained
-    as one stack with one shuffle seed per network.  When an epoch-end cost
-    is not finite, DivergenceError reports the lowest-index network that
-    ever diverges, as training one by one would, and no network is changed.
+def train(net: BpNetwork, inputs, targets, cfg: SgdConfig, seeds) -> None:
+    """Mini-batch SGD in place on a stack, one shuffle seed per network.
+    When an epoch-end cost is not finite, DivergenceError reports the
+    lowest-index network that ever diverges, as training one by one would,
+    and no network is changed.
     """
-    if not nets or len(seeds) != len(nets) or len({net.layer_sizes for net in nets}) > 1:
-        raise ShapeError(f"need networks of one shape, one seed each: {len(nets)}, {len(seeds)}")
-    x, t = _samples(nets[0], inputs, targets)
+    if len(seeds) != net.params.shape[0]:
+        raise ShapeError(f"need one seed per network: {net.params.shape[0]}, {len(seeds)}")
+    x, t = _samples(net, inputs, targets)
     if x.shape[0] == 0:
         raise DomainError("no training samples")
-    sizes = nets[0].layer_sizes
-    params = _pack(nets)
+    sizes = net.layer_sizes
+    params = net.params.copy()
     grads = np.empty_like(params)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = [np.random.default_rng(as_seed(seed)) for seed in seeds]
     x_max, t_max = float(np.abs(x).max()), float(np.abs(t).max())
     # Only networks below a diverged one still matter: they are the prefix
     # params[:live], so dropping the rest copies nothing.
-    live, failure = len(nets), None
+    live, failure = len(rngs), None
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             order = np.stack([rng.permutation(x.shape[0]) for rng in rngs[:live]])
@@ -256,7 +256,7 @@ def train(nets: list[BpNetwork], inputs, targets, cfg: SgdConfig, seeds) -> None
             bound = _squared_error_bound(params[:live], sizes, x_max, t_max, x.shape[0])
             if bound < _COST_LIMIT and epoch < cfg.epochs - 1:
                 continue
-            costs = training_cost([BpNetwork(sizes, p) for p in params[:live]], x, t)
+            costs = training_cost(BpNetwork(sizes, params[:live]), x, t)
             bad = np.flatnonzero(~np.isfinite(costs))
             if bad.size:
                 live = int(bad[0])
@@ -265,5 +265,4 @@ def train(nets: list[BpNetwork], inputs, targets, cfg: SgdConfig, seeds) -> None
                 break
     if failure is not None:
         raise failure
-    for net, trained in zip(nets, params):
-        net.params[...] = trained
+    net.params[...] = params

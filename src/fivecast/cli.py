@@ -186,10 +186,15 @@ def _config_line(args, cfg: HarnessConfig) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    # mkstemp makes the file 0600 and the rename keeps that mode; give it
+    # the mode open(path, "w") gives a new file
+    umask = os.umask(0)
+    os.umask(umask)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            os.chmod(tmp_name, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp_name, path)
     except BaseException:

@@ -3,8 +3,8 @@
 Every model predicts through ``module.predict_batch(model, inputs) ->
 ndarray``, one prediction per row of an (n, lags) input block.  Four
 models are built by ``module.fit(...) -> model``; bp trains through
-``bpnn.train`` on a stack of networks, one per seed, built by
-``bpnn.new_network`` from the same seed.  The harness trains each
+``bpnn.train`` on one stack of networks, one per seed, built by
+``bpnn.new_network`` from the same seeds.  The harness trains each
 requested model on the chronological training block, predicts the test
 block, and scores mean squared error and mean absolute percentage error
 in original price units.  It returns reports and leaves their text to
@@ -37,7 +37,7 @@ import numpy as np
 from . import svr
 from .errors import DomainError, FivecastError, ShapeError
 from .kernels import KernelSpec, median_pairwise_distance
-from .timeseries import MinMaxScaler, WindowedDataset, as_vector, fit_scaler
+from .timeseries import MinMaxScaler, WindowedDataset, as_seed, as_vector, fit_scaler
 
 
 def mse(actual, predicted) -> float:
@@ -101,9 +101,7 @@ class HarnessConfig:
     kernel: KernelSpec | None = None
 
     def __post_init__(self) -> None:
-        # numpy's generators reject negative seeds; fail before any model runs
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        as_seed(self.seed)  # a seed numpy refuses fails before any model runs
         if self.bp_hidden is not None and self.bp_hidden < 1:
             raise DomainError(f"hidden width must be >= 1, got {self.bp_hidden}")
         if not 0.0 <= self.bp_eta < math.inf:
@@ -195,22 +193,21 @@ def _bp_sizes(ds: WindowedDataset, cfg: HarnessConfig) -> tuple[int, int, int]:
     return n_in, hidden, 1
 
 
-def _bp_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfig, runs: int) -> list[np.ndarray]:
-    """Raw-unit test-block predictions of one backprop network per seed
-    cfg.seed, ..., cfg.seed + runs - 1.
+def _bp_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfig, runs: int) -> np.ndarray:
+    """Raw-unit test-block predictions (runs, n) of one backprop network
+    per seed cfg.seed, ..., cfg.seed + runs - 1.
 
     Each seed draws its network's initial weights and its shuffle order;
-    the networks train together as one stacked network.
+    the networks train together as one stack.
     """
     from . import bpnn
 
-    sizes = _bp_sizes(ds, cfg)
     seeds = range(cfg.seed, cfg.seed + runs)
-    nets = [bpnn.new_network(sizes, seed=seed) for seed in seeds]
+    net = bpnn.new_network(_bp_sizes(ds, cfg), seeds)
     sgd = bpnn.SgdConfig(eta=cfg.bp_eta, batch_size=cfg.bp_batch, epochs=cfg.bp_epochs)
     xs_tr, ys_tr, xs_te = _scaled_blocks(ds, scaler)
-    bpnn.train(nets, xs_tr, ys_tr, sgd, seeds)
-    return [scaler.inverse(bpnn.predict_batch(net, xs_te)) for net in nets]
+    bpnn.train(net, xs_tr, ys_tr, sgd, seeds)
+    return scaler.inverse(bpnn.predict_batch(net, xs_te))
 
 
 def _rbf_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfig) -> np.ndarray:

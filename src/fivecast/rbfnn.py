@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .errors import DomainError, ShapeError
 from .kernels import gaussian_weights, sq_dists
-from .timeseries import as_rows, as_samples
+from .timeseries import as_rows, as_samples, as_seed
 
 KMEANS_MAX_ITER = 50
 WIDTH_FLOOR = 1e-6
@@ -61,7 +61,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     n = points.shape[0]
     if not 1 <= k <= n:
         raise DomainError(f"k must be in [1, {n}], got {k}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_seed(seed))
     centers = points[rng.choice(n, size=k, replace=False)].copy()
     assign = np.full(n, -1)
     for _ in range(KMEANS_MAX_ITER):

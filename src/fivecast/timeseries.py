@@ -6,13 +6,15 @@ A series of N prices becomes N - lags supervised samples; each input is a
 run of consecutive prices and the target is the price that follows it.
 Every model takes such a sample block through :func:`as_rows` and
 :func:`as_samples`, and every single point, target or metric argument
-through :func:`as_vector`, so the package shares one set of input checks.
+through :func:`as_vector`, and every seed through :func:`as_seed`, so the
+package shares one set of input checks.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
@@ -122,6 +124,17 @@ def as_vector(values, length: int | None = None, name: str = "values") -> np.nda
     elif v.ndim != 1 or v.shape[0] != length:
         raise ShapeError(f"{name} must be 1-D with {length} entries")
     return v
+
+
+def as_seed(seed) -> int:
+    """A seed numpy's generators accept: an integer >= 0."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise DomainError(f"seed must be an integer, got {seed!r}") from None
+    if value < 0:
+        raise DomainError(f"seed must be >= 0, got {value}")
+    return value
 
 
 def as_samples(inputs, targets) -> tuple[np.ndarray, np.ndarray]:

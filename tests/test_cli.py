@@ -67,6 +67,19 @@ class TestBenchmark:
         rows = (out / "results.csv").read_text().splitlines()[2:]
         assert [r.split(",")[0] for r in rows] == ["bp", "rbf", "grnn", "svr", "lssvm"]
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_outputs_get_the_mode_open_gives_a_new_file(self, price_csv, tmp_path, umask):
+        out = tmp_path / "out"
+        argv = ["benchmark", "--data", str(price_csv), "--out", str(out), "--models", "grnn"]
+        old = os.umask(umask)
+        try:
+            assert run(argv) == 0
+            (out / "plain.txt").open("w").close()
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+        assert modes == {"results.csv": 0o666 & ~umask, "plain.txt": 0o666 & ~umask}
+
     def test_repeat_run_is_byte_identical(self, price_csv, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         argv = ["benchmark", "--data", str(price_csv), "--models", "bp,grnn,svr", "--seed", "3"]
@@ -458,7 +471,7 @@ class TestOutOfMemory:
     Each command runs in a process whose address space is limited to
     1 GiB, so no allocation can reach the host's memory: at 2e6 hidden
     units the bp network's activations on the 85-row test block need
-    1.27 GiB.
+    1.27 GiB, and a stack of two networks' 2.53 GiB.
     """
 
     LIMIT = 2**30
@@ -494,13 +507,15 @@ class TestOutOfMemory:
         assert rows[0] == "bp,nan,nan" and rows[1].startswith("grnn,")
 
     @pytest.mark.parametrize(
-        "argv", [["stability", "--runs", "2"], ["lag", "--models", "bp,grnn"]], ids=["stability", "lag"]
+        "argv, size",
+        [(["stability", "--runs", "2"], "2.53 GiB"), (["lag", "--models", "bp,grnn"], "1.27 GiB")],
+        ids=["stability", "lag"],
     )
-    def test_commands_without_error_rows_exit_2(self, argv, long_csv, tmp_path):
+    def test_commands_without_error_rows_exit_2(self, argv, size, long_csv, tmp_path):
         out = tmp_path / "out"
         proc = self.run_limited(argv, long_csv, out)
         assert proc.returncode == 2
-        assert proc.stderr.startswith("data error: out of memory: Unable to allocate 1.27 GiB")
+        assert proc.stderr.startswith(f"data error: out of memory: Unable to allocate {size}")
         assert proc.stderr.count("\n") == 1
         assert not out.exists()
 

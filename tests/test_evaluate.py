@@ -40,7 +40,7 @@ def constant_dataset(value=5.0, n=30):
 
 # Fit and batch predict of each model on a sample block with 3 lags.
 _FIT = {
-    "bp": lambda x, y: bpnn.new_network((3, 2, 1)),
+    "bp": lambda x, y: bpnn.new_network((3, 2, 1), [0]),
     "rbf": rbfnn.fit,
     "grnn": lambda x, y: grnn.fit(x, y, beta=1.0),
     "svr": lambda x, y: svr.fit(x, y, KernelSpec("linear")),
@@ -225,8 +225,12 @@ BAD_FIELDS = [
 
 class TestHarnessConfig:
     def test_rejects_negative_seed(self):
-        with pytest.raises(DomainError, match="seed must be >= 0"):
+        with pytest.raises(DomainError, match=r"^seed must be >= 0, got -1$"):
             HarnessConfig(seed=-1)
+
+    def test_rejects_a_seed_that_is_not_an_integer(self):
+        with pytest.raises(DomainError, match=r"^seed must be an integer, got 2\.5$"):
+            HarnessConfig(seed=2.5)
 
     @pytest.mark.parametrize("hidden", [0, -3])
     def test_rejects_empty_hidden_layer(self, hidden):

@@ -156,6 +156,13 @@ class TestKmeans:
         with pytest.raises(DomainError):
             kmeans(pts, 4)
 
+    def test_seeds_numpy_refuses(self):
+        x = np.arange(6.0).reshape(3, 2)
+        with pytest.raises(DomainError, match=r"^seed must be >= 0, got -1$"):
+            fit(x, np.ones(3), seed=-1)
+        with pytest.raises(DomainError, match=r"^seed must be an integer, got 2\.5$"):
+            kmeans(x, 2, seed=2.5)
+
 
 class TestFit:
     def test_interpolates_when_centers_cover_samples(self):
