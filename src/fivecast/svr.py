@@ -14,12 +14,14 @@ handful of closed-form candidates.  Each move works on the current
 maximal violating pair: the coefficient with the steepest feasible
 ascent rate anchors the move, and its partner is chosen among
 opposite-direction candidates by a curvature-aware gain estimate
-(rate squared over pair curvature).  A pass is ``n`` such moves; the
-loop stops when the largest pair gap, the KKT violation of the
-equality-constrained problem, drops to ``tol``, or when the pass budget
-runs out.  Selecting moves by value rather than by stationarity keeps
-each step correct even for the tanh kernel, whose gram matrix need not
-be positive semidefinite.
+(rate squared over pair curvature).  A pass is up to ``n`` such moves,
+ending early when no move helps or the largest pair gap, the KKT
+violation of the equality-constrained problem, is at most ``tol``.
+Before each pass the loop stops when that gap is at most ``tol``, when
+the last pass moved no pair, or when the pass budget is spent.
+Selecting moves by value rather than by stationarity keeps each step
+correct even for the tanh kernel, whose gram matrix need not be
+positive semidefinite.
 
 The bias is recovered from samples strictly inside the box, or from the
 midpoint of the interval the KKT inequalities leave feasible when no
@@ -47,16 +49,13 @@ _PROGRESS_TOL = 1e-12
 _MIN_STEP_WIDTH = 1e-14
 
 
-def _smo_offsets(beta, eps, c):
-    # Per-coefficient offsets from the residuals r = y - f to the
-    # one-sided ascent rates of the dual: up = r + up_off for raising
-    # beta[k], dn = dn_off - r for lowering it, -inf where the box
-    # forbids the move.  r + (-eps) is r - eps bit for bit.
-    hi_thr = c * (1.0 - 1e-10)
-    up_off = np.where(beta >= 0.0, -eps, eps)
-    up_off[beta >= hi_thr] = -np.inf
-    dn_off = np.where(beta > 0.0, eps, -eps)
-    dn_off[beta <= -hi_thr] = -np.inf
+def _smo_offsets(b, eps, hi_thr):
+    # Offsets from the residual r = y - f of a coefficient b to the
+    # one-sided ascent rates of the dual: up = r + up_off for raising b,
+    # dn = dn_off - r for lowering it, -inf where the box forbids the
+    # move.  r + (-eps) is r - eps bit for bit.
+    up_off = -np.inf if b >= hi_thr else (-eps if b >= 0.0 else eps)
+    dn_off = -np.inf if b <= -hi_thr else (eps if b > 0.0 else -eps)
     return up_off, dn_off
 
 
@@ -64,11 +63,8 @@ def _smo_gap(up, dn):
     # Largest feasible pair ascent rate, -inf when no pair can move.
     # When it is positive the two argmax indices are necessarily distinct
     # (one coefficient's up and down rates sum to at most zero), so this
-    # is the true pair gap.  An epsilon near the float64 limit can push
-    # the sum of two very negative rates past it; that overflows to -inf,
-    # which is still "no pair can move".
-    with np.errstate(over="ignore"):
-        return up.max() + dn.max()
+    # is the true pair gap.
+    return up.max() + dn.max()
 
 
 def _smo_curvatures(kmat):
@@ -113,7 +109,7 @@ def _smo_bias(beta, r, eps, c):
     return 0.0
 
 
-def _smo_step(krows, beta, g, i, j, eps, c):
+def _smo_step(kmat, beta, g, i, j, eps, c):
     # Best feasible two-coordinate move (beta[i] + t, beta[j] - t) at pair
     # rate g = r[i] - r[j], on Python floats: the exact objective gain
     # of each of up to 7 candidate steps, clipped to the box.  Returns
@@ -124,8 +120,7 @@ def _smo_step(krows, beta, g, i, j, eps, c):
     hi = min(c - bi, bj + c)
     if hi - lo < _MIN_STEP_WIDTH:
         return None
-    ki = krows[i]
-    kappa = ki[i] + krows[j][j] - 2.0 * ki[j]
+    kappa = kmat.item(i, i) + kmat.item(j, j) - 2.0 * kmat.item(i, j)
     cand = [lo, hi, -bi, bj]
     if kappa > 1e-14:
         cand += [g / kappa, (g - 2.0 * eps) / kappa, (g + 2.0 * eps) / kappa]
@@ -152,60 +147,55 @@ def _smo_step(krows, beta, g, i, j, eps, c):
 def _smo_solve(kmat, y, eps, c, tol, max_passes):
     n = y.shape[0]
     kappa = _smo_curvatures(kmat)
-    krows = kmat.tolist()
     hi_thr = c * (1.0 - 1e-10)
     beta = [0.0] * n
     f = np.zeros(n)
-    up_off, dn_off = _smo_offsets(np.zeros(n), eps, c)
+    up_off, dn_off = (np.full(n, off) for off in _smo_offsets(0.0, eps, hi_thr))
     passes = 0
-    converged = False
-    r = y - f
-    gap = _smo_gap(r + up_off, dn_off - r)
-    if gap <= tol:
-        converged = True
-    else:
-        for p in range(max_passes):
-            stepped_any = False
+    moved = True  # the head stops after a pass that moved no pair
+    # An epsilon near the float64 limit can push the sum of two very
+    # negative rates past it; that overflows to -inf, which is still "no
+    # pair can move".  Targets near it can overflow a positive pair rate,
+    # or its square in the gain estimate, to +inf, which still reads as a
+    # violating pair.
+    with np.errstate(over="ignore"):
+        while True:
+            r = y - f
+            gap = _smo_gap(r + up_off, dn_off - r)
+            if gap <= tol or not moved or passes == max_passes:
+                break
+            passes += 1
+            moved = False
             for _ in range(n):
                 r = y - f
                 up = r + up_off
                 dn = dn_off - r
                 i = int(up.argmax())
                 idn = int(dn.argmax())
-                gap = up[i] + dn[idn]
-                if gap <= tol:
+                if up[i] + dn[idn] <= tol:
                     break
                 j = _smo_partner(kappa[i], dn, up[i])
                 move = None
                 if j >= 0:
-                    move = _smo_step(krows, beta, r.item(i) - r.item(j), i, j, eps, c)
+                    move = _smo_step(kmat, beta, r.item(i) - r.item(j), i, j, eps, c)
                 if move is None and j != idn:
                     j = idn
-                    move = _smo_step(krows, beta, r.item(i) - r.item(j), i, j, eps, c)
+                    move = _smo_step(kmat, beta, r.item(i) - r.item(j), i, j, eps, c)
                 if move is None:
                     # the best pair cannot make numeric progress
                     break
-                stepped_any = True
+                moved = True
                 new_bi, new_bj = move
                 # kmat is symmetric (gram mirrors every pair), so rows
                 # stand in for the columns of i and j
                 f += (new_bi - beta[i]) * kmat[i] + (new_bj - beta[j]) * kmat[j]
                 beta[i] = new_bi
                 beta[j] = new_bj
-                for k, b in ((i, new_bi), (j, new_bj)):
-                    up_off[k] = -np.inf if b >= hi_thr else (-eps if b >= 0.0 else eps)
-                    dn_off[k] = -np.inf if b <= -hi_thr else (eps if b > 0.0 else -eps)
-            passes = p + 1
-            r = y - f
-            gap = _smo_gap(r + up_off, dn_off - r)
-            if gap <= tol:
-                converged = True
-                break
-            if not stepped_any:
-                break
+                up_off[i], dn_off[i] = _smo_offsets(new_bi, eps, hi_thr)
+                up_off[j], dn_off[j] = _smo_offsets(new_bj, eps, hi_thr)
     beta = np.array(beta)
     bias = _smo_bias(beta, y - f, eps, c)
-    return beta, bias, passes, converged, max(gap, 0.0)
+    return beta, bias, passes, gap <= tol, max(gap, 0.0)
 
 
 def check_settings(epsilon: float, c_reg: float) -> None:

@@ -2,14 +2,15 @@
 
 numpy reports its array buffers to ``tracemalloc``, so the traced peak of
 one call, above what was held before it, counts every temporary the call
-makes.  The sizes are long-lag's: 1117 training rows of 3 lags.
+makes.  The sizes are long-lag's, 1117 training rows of 3 lags, but for
+svr's: its count is the same at 200 rows, where a fit is quick.
 """
 
 import tracemalloc
 
 import numpy as np
 
-from fivecast import grnn, lssvm
+from fivecast import grnn, lssvm, svr
 from fivecast.kernels import KernelSpec, gram_sq_dists, median_pairwise_distance
 
 N = 1117
@@ -47,3 +48,13 @@ def test_pairwise_distances_hold_one_matrix():
     assert peak_bytes(lambda: gram_sq_dists(x)) <= 1.15 * 8 * N * N
     assert peak_bytes(lambda: grnn.default_smoothing(x)) <= 1.15 * 8 * N * N
     assert peak_bytes(lambda: median_pairwise_distance(x)) <= 1.15 * 8 * N * N
+
+
+def test_svr_fit_holds_the_kernel_matrix_and_the_pair_curvatures():
+    # the kernel matrix and two more n x n arrays while the pair
+    # curvatures are built; the pair steps read the kernel matrix itself
+    n = 200
+    x = rows(n)
+    y = np.sin(x.sum(axis=1))
+    peak = peak_bytes(lambda: svr.fit(x, y, KernelSpec("rbf", sigma=0.5)))
+    assert peak <= 3.25 * 8 * n * n

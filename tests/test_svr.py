@@ -348,8 +348,10 @@ def solver_states(draw):
 
 
 def solver_rates(beta, r, eps, c):
-    """The solver's up and down rates: residuals plus box offsets."""
-    up_off, dn_off = svr._smo_offsets(beta, eps, c)
+    """The solver's up and down rates: residuals plus each coefficient's
+    box offsets."""
+    hi_thr = c * (1.0 - 1e-10)
+    up_off, dn_off = np.array([svr._smo_offsets(b, eps, hi_thr) for b in beta.tolist()]).T
     return r + up_off, dn_off - r
 
 
@@ -448,7 +450,7 @@ def solver_problems(draw):
     eps = draw(st.sampled_from([0.0, 0.01, 0.1]))
     c = draw(st.sampled_from([0.1, 1.0, 10.0]))
     tol = draw(st.sampled_from([1e-4, 1e-12]))
-    max_passes = draw(st.sampled_from([1, 2, 200]))
+    max_passes = draw(st.sampled_from([0, 1, 2, 200]))
     return kmat, y, eps, c, tol, max_passes
 
 
@@ -677,6 +679,17 @@ class TestFit:
         assert m.passes == 0
         assert not np.any(m.coefs)
         assert math.isfinite(m.bias)
+
+    @pytest.mark.parametrize("top", [1e308, 1e200])
+    def test_targets_near_the_float64_limit_fit_without_a_warning(self, top):
+        # the first pair rate, or its square, overflows to +inf; the pair
+        # still moves to the box, and then no pair can move
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = fit([[0.0], [1.0]], [top, -top], KernelSpec("linear"), epsilon=0.0)
+        assert m.coefs.tolist() == [10.0, -10.0]
+        assert m.bias == 0.0
+        assert m.converged
 
 
 class TestPredict:
