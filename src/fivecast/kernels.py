@@ -18,7 +18,8 @@ from .errors import DomainError
 from .timeseries import as_rows, as_vector
 
 KERNEL_KINDS = ("linear", "poly", "rbf", "mlp")
-# rows of gram_sq_dists written at once: the only other temporary is _SQ_BLOCK x n
+# rows of an n-column distance or kernel block built at once: the only
+# temporaries are _SQ_BLOCK x n
 _SQ_BLOCK = 64
 
 
@@ -67,48 +68,77 @@ def kernel_column(spec: KernelSpec, rows: np.ndarray, x) -> np.ndarray:
     if spec.kind == "poly":
         return (1.0 + (rows @ x) / spec.poly_c) ** spec.degree
     if spec.kind == "rbf":
-        diff = rows - x
-        return np.exp(-np.sum(diff * diff, axis=1) / (spec.sigma * spec.sigma))
+        return _rbf_block(spec, x[None, :], rows)[0]
     return np.tanh(spec.mlp_k * (rows @ x) + spec.mlp_theta)
+
+
+def _rbf_block(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # exp(-|a_i - b_j|^2 / sigma^2) for every row pair, (len(a), len(b)).
+    # An entry depends only on its own two rows, and sq_dists sums up to 7
+    # columns in np.sum's order, so any block of rows has the bits of one
+    # row's column exp(-np.sum((b - a_i)**2, axis=1) / sigma^2).  The steps
+    # run in place: fewer block-sized temporaries leave the heap smaller.
+    d = sq_dists(a, b)
+    np.negative(d, out=d)
+    d /= spec.sigma * spec.sigma
+    return np.exp(d, out=d)
 
 
 def expansion(spec: KernelSpec, rows: np.ndarray, coefs: np.ndarray, bias: float, inputs) -> np.ndarray:
     """The kernel expansion sum_i coefs[i] K(rows[i], x) plus the bias, for
-    each row x of inputs, one kernel column at a time.
+    each row x of inputs, one ``coefs @ column + bias`` per input row.
 
-    Raises DomainError, naming the kernel, when a column entry or a sum
-    overflows or is otherwise not finite.
+    The rbf kernel builds the columns of _SQ_BLOCK input rows at once (a
+    _SQ_BLOCK x n block, never n x n); the other kernels build one column
+    per row.  Raises DomainError, naming the kernel, when a column entry or
+    a sum overflows or is otherwise not finite; rows are checked in order,
+    the column before its sum.
     """
     rows = as_rows(rows)
-    values = []
+    inputs = as_rows(inputs, rows.shape[1])
+    values = np.empty(inputs.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for x in as_rows(inputs, rows.shape[1]):
-            col = kernel_column(spec, rows, x)
-            if not np.all(np.isfinite(col)):
-                raise DomainError(f"{spec.kind} kernel column has non-finite entries")
-            values.append(float(coefs @ col + bias))
-            if not math.isfinite(values[-1]):
-                raise DomainError(f"{spec.kind} kernel expansion overflows float64")
-    return np.array(values)
+        for start in range(0, inputs.shape[0], _SQ_BLOCK):
+            chunk = inputs[start : start + _SQ_BLOCK]
+            if spec.kind == "rbf":
+                cols = _rbf_block(spec, chunk, rows)
+            else:
+                cols = (kernel_column(spec, rows, x) for x in chunk)
+            for i, col in enumerate(cols, start):
+                if not np.all(np.isfinite(col)):
+                    raise DomainError(f"{spec.kind} kernel column has non-finite entries")
+                values[i] = coefs @ col + bias
+                if not math.isfinite(values[i]):
+                    raise DomainError(f"{spec.kind} kernel expansion overflows float64")
+            del cols, col  # free this block before the next is built
+    return values
 
 
 def gram(spec: KernelSpec, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The n x n kernel matrix over the rows, written into out when given
     (any float64 (n, n) array or view, as for a numpy ufunc) and returned.
 
-    Each unordered pair is evaluated once and mirrored, so the result is
-    symmetric by construction.  Raises DomainError, naming the kernel,
-    when an entry overflows or is otherwise not finite.
+    The rbf kernel fills _SQ_BLOCK rows at a time from their squared
+    distances; an entry's squared differences are the same either way
+    round, so the matrix is exactly symmetric.  The other kernels evaluate
+    each unordered pair once, one row's column at a time, and mirror it,
+    since a product's rounding depends on the row's place in the block.
+    Raises DomainError, naming the kernel, when an entry overflows or is
+    otherwise not finite.
     """
     rows = as_rows(rows)
     n = rows.shape[0]
     if out is None:
         out = np.empty((n, n), dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            col = kernel_column(spec, rows[i:], rows[i])
-            out[i, i:] = col
-            out[i:, i] = col
+        if spec.kind == "rbf":
+            for i in range(0, n, _SQ_BLOCK):
+                out[i : i + _SQ_BLOCK] = _rbf_block(spec, rows[i : i + _SQ_BLOCK], rows)
+        else:
+            for i in range(n):
+                col = kernel_column(spec, rows[i:], rows[i])
+                out[i, i:] = col
+                out[i:, i] = col
     if not np.all(np.isfinite(out)):
         raise DomainError(f"{spec.kind} kernel matrix has non-finite entries")
     return out
@@ -151,18 +181,20 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b, (n, m), summed from the differences: never negative.
 
     The columns' squared differences are summed left to right, one (n, m)
-    block at a time.  numpy sums fewer than 8 terms in that order too, so
-    up to 7 columns this equals np.sum(diff * diff, axis=2) over the
-    (n, m, d) differences bit for bit; from 8 columns the last bit may
-    differ from that form.
+    block at a time, in the result and one scratch block.  numpy sums
+    fewer than 8 terms in that order too, so up to 7 columns this equals
+    np.sum(diff * diff, axis=2) over the (n, m, d) differences bit for
+    bit; from 8 columns the last bit may differ from that form.
     """
     if a.shape[1] == 0:
         return np.zeros((a.shape[0], b.shape[0]))
-    diff = a[:, 0, None] - b[:, 0]
-    out = diff * diff
+    out = np.subtract(a[:, 0, None], b[:, 0])
+    out *= out
+    diff = np.empty_like(out)
     for j in range(1, a.shape[1]):
-        diff = a[:, j, None] - b[:, j]
-        out += diff * diff
+        np.subtract(a[:, j, None], b[:, j], out=diff)
+        diff *= diff
+        out += diff
     return out
 
 

@@ -41,11 +41,13 @@ def _subtract_steps(a: np.ndarray, rows: slice, steps: range, cols: slice) -> No
     # a[rows, cols] -= a[rows, t] * a[t, cols] for each t in steps, in
     # order: a[rows, t] holds step t's multipliers and row t is final.
     # Rows whose multiplier is zero stay untouched at that step, so no
-    # signed zero or non-finite pivot-row entry reaches them.
+    # signed zero or non-finite pivot-row entry reaches them.  The
+    # multiplier columns lie left of cols, so one check covers every step.
     tile = a[rows, cols]
+    nonzero = a[rows, steps.start : steps.stop].all(axis=0)
     for t in steps:
         lam = a[rows, t]
-        if lam.all():
+        if nonzero[t - steps.start]:
             tile -= lam[:, None] * a[t, cols]
         else:
             keep = np.flatnonzero(lam)
@@ -141,20 +143,25 @@ def solve(a, b) -> np.ndarray:
     :class:`Elimination` of one.
 
     Raises SingularError when some pivot column has no entry of magnitude
-    at least 1e-12 after row exchange.
+    at least 1e-12 after row exchange, or when the solution overflows or
+    is otherwise not finite.
     """
     system = a if isinstance(a, Elimination) else Elimination(a)
     x = as_vector(b, system._lu.shape[0], name="rhs")
     if not np.all(np.isfinite(x)):
         raise DomainError("system entries must be finite")
-    if system._status is None:
-        bufsize = np.setbufsize(_UFUNC_BUFSIZE)
-        try:
-            system._status = _eliminate(system._lu, system._pivots)
-        finally:
-            np.setbufsize(bufsize)
-    if system._status != 0:
-        raise SingularError(f"no usable pivot in column {system._status - 1}")
-    x = x.copy()
-    _substitute(system._lu, system._pivots, x)
+    # an overflow shows in the solution, which is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if system._status is None:
+            bufsize = np.setbufsize(_UFUNC_BUFSIZE)
+            try:
+                system._status = _eliminate(system._lu, system._pivots)
+            finally:
+                np.setbufsize(bufsize)
+        if system._status != 0:
+            raise SingularError(f"no usable pivot in column {system._status - 1}")
+        x = x.copy()
+        _substitute(system._lu, system._pivots, x)
+    if not np.all(np.isfinite(x)):
+        raise SingularError("the solution is not finite")
     return x

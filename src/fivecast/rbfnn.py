@@ -56,7 +56,12 @@ def default_center_count(n_train: int) -> int:
 def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     """Lloyd's algorithm: seeded sample-row init, nearest-center assignment
     with ties to the lowest index, mean updates, at most 50 sweeps.
-    Clusters that lose every member keep their previous center."""
+    Clusters that lose every member keep their previous center.
+
+    Each sweep groups the points by cluster with one stable sort of the
+    assignment, so a cluster's slice holds its members in index order and
+    its mean has the bits of the mean over a boolean mask of them.
+    """
     points = as_rows(points)
     n = points.shape[0]
     if not 1 <= k <= n:
@@ -69,10 +74,11 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for j in range(k):
-            members = points[assign == j]
-            if members.shape[0] > 0:
-                centers[j] = members.mean(axis=0)
+        grouped = points[np.argsort(assign, kind="stable")]
+        counts = np.bincount(assign, minlength=k)
+        starts = np.cumsum(counts) - counts
+        for j in np.flatnonzero(counts):
+            centers[j] = grouped[starts[j] : starts[j] + counts[j]].mean(axis=0)
     return centers
 
 

@@ -423,3 +423,104 @@ class TestSqDists:
         a = np.array([[0.0, 0.0], [1.0, 1.0]])
         b = np.array([[3.0, 4.0]])
         assert sq_dists(a, b).tolist() == [[25.0], [13.0]]
+
+
+def previous_rbf_column(spec, rows, x):
+    """The rbf kernel column as it was built before the row blocks, one
+    row's differences summed over their last axis: the reference for
+    every rbf value the package computes."""
+    diff = rows - x
+    return np.exp(-np.sum(diff * diff, axis=1) / (spec.sigma * spec.sigma))
+
+
+def previous_rbf_gram(spec, rows):
+    """The rbf kernel matrix one row's column at a time, mirrored."""
+    n = rows.shape[0]
+    out = np.empty((n, n))
+    for i in range(n):
+        col = previous_rbf_column(spec, rows[i:], rows[i])
+        out[i, i:] = col
+        out[i:, i] = col
+    return out
+
+
+def previous_rbf_expansion(spec, rows, coefs, bias, inputs):
+    """The rbf kernel expansion one input row's column at a time."""
+    return np.array([float(coefs @ previous_rbf_column(spec, rows, x) + bias) for x in inputs])
+
+
+# widths whose squares are tiny, ordinary and huge but finite
+_SIGMAS = (1e-150, 1e-3, 0.3, 1.0, 7.5, 1e150)
+
+
+@st.composite
+def rbf_cases(draw):
+    """Training rows on both sides of the 64-row block edges, 1 to 7
+    columns and repeated rows drawn by index, and input rows on both
+    sides of the block edges drawn from the training rows and new ones.
+    Entries are either hypothesis's edge values or seeded normal draws,
+    whose sums round differently in any other order."""
+    d = draw(st.integers(1, 7))
+    n = draw(st.sampled_from([1, 2, 63, 64, 65, 129]))
+    m = draw(st.sampled_from([1, 5, 64, 65, 130]))
+    if draw(st.booleans()):
+        pool = draw(arrays(np.float64, (n + m, d), elements=_DIST_ENTRIES))
+    else:
+        pool = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n + m, d))
+    rows = pool[draw(arrays(np.intp, n, elements=st.integers(0, n - 1)))]
+    pool[:n] = rows
+    inputs = pool[draw(arrays(np.intp, m, elements=st.integers(0, n + m - 1)))]
+    spec = KernelSpec("rbf", sigma=draw(st.sampled_from(_SIGMAS)))
+    return spec, rows, inputs
+
+
+class TestRbfBlocksAgainstRowLoop:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(rbf_cases())
+    def test_gram_has_the_row_loop_bits(self, case):
+        spec, rows, _ = case
+        with np.errstate(over="ignore"):
+            want = previous_rbf_gram(spec, rows)
+        got = gram(spec, rows)
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == np.ascontiguousarray(got.T).tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(rbf_cases())
+    def test_kernel_column_has_the_row_loop_bits(self, case):
+        spec, rows, inputs = case
+        for x in inputs[:3]:
+            with np.errstate(over="ignore"):
+                want = previous_rbf_column(spec, rows, x)
+                got = kernel_column(spec, rows, x)
+            assert got.tobytes() == want.tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(rbf_cases(), st.integers(0, 2**32 - 1))
+    def test_expansion_has_the_row_loop_bits(self, case, seed):
+        spec, rows, inputs = case
+        rng = np.random.default_rng(seed)
+        coefs = rng.standard_normal(rows.shape[0])
+        with np.errstate(over="ignore"):
+            want = previous_rbf_expansion(spec, rows, coefs, 0.25, inputs)
+        assert expansion(spec, rows, coefs, 0.25, inputs).tobytes() == want.tobytes()
+
+    def test_gram_over_lag_windows_is_exactly_symmetric(self):
+        # long-lag's shape: 1117 rows of 3 lags, a median-like width
+        rows = np.random.default_rng(5).uniform(0.0, 1.0, (1117, 3))
+        spec = KernelSpec("rbf", sigma=0.4)
+        got = gram(spec, rows)
+        assert got.tobytes() == np.ascontiguousarray(got.T).tobytes()
+        assert got.tobytes() == previous_rbf_gram(spec, rows).tobytes()
+
+    def test_a_sum_overflow_before_a_bad_column_is_reported_first(self):
+        # the rows are checked in order, each column before its sum, even
+        # inside one block of input rows
+        rows = np.zeros((2, 1))
+        spec = KernelSpec("rbf", sigma=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="rbf kernel expansion overflows"):
+                expansion(spec, rows, np.full(2, 1e308), 0.0, [[0.0], [np.nan]])
+            with pytest.raises(DomainError, match="rbf kernel column has non-finite entries"):
+                expansion(spec, rows, np.full(2, 1e308), 0.0, [[np.nan], [0.0]])

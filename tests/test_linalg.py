@@ -407,6 +407,13 @@ class TestSolve:
         with pytest.raises(SingularError, match="column 0"):
             solve(np.zeros((3, 3)), np.ones(3))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_solution_is_singular(self):
+        # both pivots clear the tolerance, but x[0] = 1e300 / 1e-11 is past
+        # float64: a numerical failure, with no RuntimeWarning on the way
+        with pytest.raises(SingularError, match="^the solution is not finite$"):
+            solve(np.array([[1e-11, 0.0], [0.0, 1.0]]), np.array([1e300, 1.0]))
+
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
             solve(np.ones((2, 3)), np.ones(2))

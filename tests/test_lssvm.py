@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from test_kernels import kernel_value
 
 from fivecast import linalg
-from fivecast.errors import DomainError, FivecastError, ShapeError
+from fivecast.errors import DomainError, FivecastError, ShapeError, SingularError
 from fivecast.kernels import KernelSpec, gram, kernel_column, median_pairwise_distance
 from fivecast.lssvm import LssvmModel, fit, predict_batch
 from fivecast.timeseries import as_samples, fit_scaler, make_windows, split
@@ -154,6 +154,12 @@ class TestAssembly:
 
 
 class TestFit:
+    @pytest.mark.filterwarnings("error")
+    def test_targets_near_the_float_limit_are_singular_without_warnings(self):
+        # the elimination overflows; the solve says so instead of numpy
+        with pytest.raises(SingularError, match="^the solution is not finite$"):
+            fit([[0.0], [1.0], [2.0], [3.0]], [1e308, -1e308, 1e308, -1e308], KernelSpec("rbf", sigma=1.0))
+
     def test_two_point_line(self):
         # (0 -> 0), (2 -> 2): with a nearly hard fit the model is y = x
         x = np.array([[0.0], [2.0]])

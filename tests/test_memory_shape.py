@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 
 from fivecast import grnn, lssvm, svr
-from fivecast.kernels import KernelSpec, gram_sq_dists, median_pairwise_distance
+from fivecast.kernels import KernelSpec, expansion, gram_sq_dists, median_pairwise_distance
 
 N = 1117
 
@@ -48,6 +48,16 @@ def test_pairwise_distances_hold_one_matrix():
     assert peak_bytes(lambda: gram_sq_dists(x)) <= 1.15 * 8 * N * N
     assert peak_bytes(lambda: grnn.default_smoothing(x)) <= 1.15 * 8 * N * N
     assert peak_bytes(lambda: median_pairwise_distance(x)) <= 1.15 * 8 * N * N
+
+
+def test_rbf_expansion_holds_two_blocks_of_64_rows():
+    # the block of kernel columns being built and one scratch block, plus
+    # numpy's ufunc buffers: about 0.13 n^2 here, against 1 n^2 for a
+    # kernel matrix over every input row at once
+    x = rows()
+    coefs = np.sin(x[:, 0])
+    peak = peak_bytes(lambda: expansion(KernelSpec("rbf", sigma=0.5), x, coefs, 0.1, x))
+    assert peak <= 0.15 * 8 * N * N
 
 
 def test_svr_fit_holds_the_kernel_matrix_and_the_pair_curvatures():

@@ -6,9 +6,14 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from fivecast.errors import DomainError, ShapeError
+from fivecast.errors import DomainError, ShapeError, SingularError
+from fivecast.kernels import sq_dists
 from fivecast.rbfnn import (
+    KMEANS_MAX_ITER,
     RbfNetwork,
     default_center_count,
     fit,
@@ -164,7 +169,64 @@ class TestKmeans:
             kmeans(x, 2, seed=2.5)
 
 
+def mask_kmeans(points, k, seed):
+    """kmeans as it grouped before the sort: one boolean mask per cluster
+    and sweep, the reference for the sorted grouping's bits."""
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = points[rng.choice(n, size=k, replace=False)].copy()
+    assign = np.full(n, -1)
+    for _ in range(KMEANS_MAX_ITER):
+        new_assign = np.argmin(sq_dists(points, centers), axis=1)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for j in range(k):
+            members = points[assign == j]
+            if members.shape[0] > 0:
+                centers[j] = members.mean(axis=0)
+    return centers
+
+
+@st.composite
+def kmeans_cases(draw):
+    """Points from a few repeated values (ties and clusters that empty)
+    or from a wide range, with any k and seed."""
+    n = draw(st.integers(1, 150))
+    d = draw(st.integers(1, 4))
+    values = st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.1]) if draw(st.booleans()) else st.floats(-1e3, 1e3)
+    points = draw(arrays(np.float64, (n, d), elements=values))
+    return points, draw(st.integers(1, n)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestKmeansAgainstMasks:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(kmeans_cases())
+    def test_same_bits_as_the_mask_loop(self, case):
+        points, k, seed = case
+        assert kmeans(points, k, seed).tobytes() == mask_kmeans(points, k, seed).tobytes()
+
+    def test_a_cluster_that_empties_keeps_its_center(self):
+        # two distinct values for four centers: ties go to the lowest index,
+        # so the later copies of a value never win a point
+        points = np.array([[0.0], [0.0], [0.0], [1.0], [1.0], [1.0]])
+        centers = kmeans(points, 4, seed=0)
+        assert centers.tobytes() == mask_kmeans(points, 4, 0).tobytes()
+        assert sorted(set(centers[:, 0])) == [0.0, 1.0]
+
+    def test_same_bits_on_uniform_lag_windows(self):
+        # long-lag's shape: 1117 rows of 3 lags and 33 centers
+        points = np.random.default_rng(5).uniform(0.0, 1.0, (1117, 3))
+        assert kmeans(points, 33, seed=11).tobytes() == mask_kmeans(points, 33, 11).tobytes()
+
+
 class TestFit:
+    @pytest.mark.filterwarnings("error")
+    def test_targets_near_the_float_limit_are_singular_not_infinite_weights(self):
+        # the ridge solve's weights overflow to [inf, -inf, 1.18e308]
+        with pytest.raises(SingularError, match="^the solution is not finite$"):
+            fit([[0.0], [1.0], [2.0], [3.0]], [1e308, -1e308, 1e308, -1e308])
+
     def test_interpolates_when_centers_cover_samples(self):
         x = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, -1.0]])
         y = np.array([1.0, -2.0, 0.5])
