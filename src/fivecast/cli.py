@@ -294,6 +294,10 @@ def _run(args) -> int:
     """Build the config, load the data, run the command, write and print."""
     cfg = _config_from_args(args)
     ds = split(make_windows(load_csv(args.data), LAGS), TRAIN_FRACTION)
+    if "bp" in getattr(args, "models", ()):
+        # too much backprop work fails the command before any model runs,
+        # not as benchmark's error row or after lag's earlier models
+        evaluate.check_bp_work(ds, cfg, 1)
     files, text = args.func(args, cfg, ds)
     header = _config_line(args, cfg)
     out_dir = Path(args.out)

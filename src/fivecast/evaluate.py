@@ -9,7 +9,8 @@ requested model on the chronological training block, predicts the test
 block, and scores mean squared error and mean absolute percentage error
 in original price units.  It returns reports and leaves their text to
 :mod:`fivecast.cli`.  An allocation that fails while a model runs is a
-DomainError.
+DomainError, and so is backprop work above ``MAX_BP_WORK``, found
+before any network is built.
 
 Scaling policy: inputs and targets are min-max scaled to [0, 1] on
 statistics from the training block only, and predictions are inverse
@@ -193,15 +194,46 @@ def _bp_sizes(ds: WindowedDataset, cfg: HarnessConfig) -> tuple[int, int, int]:
     return n_in, hidden, 1
 
 
+# The most backprop work a command may ask for, in sample-parameter
+# updates: runs x epochs x training rows x parameters a network.
+# Acceptance criterion 7 asks for 1.08e9 (100 runs x 2000 epochs x 339
+# rows x 16), which trains in 10-13 s on a 2-core Xeon VM at the default
+# batch of 16, so the cap is about two minutes there.
+MAX_BP_WORK = 10**10
+
+
+def check_bp_work(ds: WindowedDataset, cfg: HarnessConfig, runs: int) -> None:
+    """Raise DomainError when training runs backprop networks on ds would
+    take more than MAX_BP_WORK sample-parameter updates.
+
+    A stack whose parameters numpy cannot shape is left to
+    bpnn.new_network, whose error names its layers.
+    """
+    from . import bpnn
+
+    # Python integers, so no product wraps
+    runs, epochs, rows = int(runs), int(cfg.bp_epochs), ds.train_inputs.shape[0]
+    params = bpnn.parameter_count(_bp_sizes(ds, cfg))
+    if runs * params > np.iinfo(np.intp).max // 8:
+        return
+    work = runs * epochs * rows * params
+    if work > MAX_BP_WORK:
+        raise DomainError(
+            f"backprop work of {work:.3g} updates (runs x epochs x training rows x parameters: "
+            f"{runs} x {epochs} x {rows} x {params}) is above the cap of {MAX_BP_WORK:.0e}"
+        )
+
+
 def _bp_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfig, runs: int) -> np.ndarray:
     """Raw-unit test-block predictions (runs, n) of one backprop network
     per seed cfg.seed, ..., cfg.seed + runs - 1.
 
     Each seed draws its network's initial weights and its shuffle order;
-    the networks train together as one stack.
+    the networks train together as one stack, once check_bp_work passes.
     """
     from . import bpnn
 
+    check_bp_work(ds, cfg, runs)
     seeds = range(cfg.seed, cfg.seed + runs)
     net = bpnn.new_network(_bp_sizes(ds, cfg), seeds)
     sgd = bpnn.SgdConfig(eta=cfg.bp_eta, batch_size=cfg.bp_batch, epochs=cfg.bp_epochs)
@@ -311,7 +343,9 @@ def stability(ds: WindowedDataset, cfg: HarnessConfig | None = None, runs: int =
     runs - 1 and summarize the spread.
 
     All runs train together as one stacked network, each exactly as it
-    would alone.  Spreads are sample standard deviations.
+    would alone.  Spreads are sample standard deviations.  A sweep whose
+    parameters cannot be allocated, or whose work is above MAX_BP_WORK,
+    is a DomainError before any network is built.
     """
     cfg = cfg or HarnessConfig()
     if runs < 2:

@@ -13,14 +13,25 @@ eliminated column, so a later row swap carries them along with the row's
 stale trailing entries.  The copy is written back once the panel ends;
 then its pivot rows and then tiles of ``_ROW_BLOCK`` rows below take the
 panel's steps in order on the trailing columns, each tile staying in
-cache across those steps.  Every entry goes through the same
-multiply-then-subtract operations in the same step order as a row-at-a-time
-elimination, so the solution is bit-identical to it; a row whose
-multiplier is zero is skipped at that step, as there.  No temporary is
-larger than ``_ROW_BLOCK`` x n.
+cache across those steps.  The tiles share no row, so threads share
+them: the calling thread and one helper per further CPU the process may
+use (``os.sched_getaffinity``) each claim the next tile until none is
+left, and numpy's ufuncs release the GIL while they update it.  Every
+entry goes through the same multiply-then-subtract operations in the
+same step order as a row-at-a-time elimination, whichever thread runs
+its tile, so the solution is bit-identical to it on any number of CPUs;
+a row whose multiplier is zero is skipped at that step, as there.  The
+elimination calls no BLAS, and the command line pins BLAS to one thread
+for the substitution's dot products, so a command's bytes depend neither
+on the core count nor on the BLAS thread count.  No temporary is larger
+than ``_ROW_BLOCK`` x n per thread.
 """
 
 from __future__ import annotations
+
+import contextvars
+import os
+import threading
 
 import numpy as np
 
@@ -35,6 +46,11 @@ _ROW_BLOCK = 64
 # its buffer and ``t -= lam[:, None] * u`` runs 3-4x slower than with a
 # buffer below twice a row's length.  Buffering never changes the arithmetic.
 _UFUNC_BUFSIZE = 256
+
+
+# Threads that share a panel's trailing tiles: the caller and one helper
+# per further CPU this process may run on.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _subtract_steps(a: np.ndarray, rows: slice, steps: range, cols: slice) -> None:
@@ -90,9 +106,43 @@ def _eliminate(a: np.ndarray, pivots: list[int]) -> int:
         trailing = slice(p1, n)
         for t in range(p0, p1 - 1):
             _subtract_steps(a, slice(t + 1, p1), range(t, t + 1), trailing)
-        for start in range(p1, n, _ROW_BLOCK):
-            _subtract_steps(a, slice(start, min(start + _ROW_BLOCK, n)), range(p0, p1), trailing)
+        _share_tiles(a, range(p1, n, _ROW_BLOCK), range(p0, p1), trailing)
     return 0
+
+
+def _share_tiles(a: np.ndarray, starts: range, steps: range, cols: slice) -> None:
+    # _subtract_steps on the tile of _ROW_BLOCK rows at each start, by the
+    # calling thread and one helper per further usable CPU, each claiming
+    # the next tile until none is left.  Each helper runs in a copy of the
+    # caller's context, which holds numpy's error state and ufunc buffer
+    # size.  No helper outlives the call, and the first exception of any
+    # worker is raised once all are done.
+    claims = iter(starts)
+    lock = threading.Lock()
+    errors = []
+
+    def work() -> None:
+        try:
+            while True:
+                with lock:
+                    start = next(claims, None)
+                if start is None:
+                    return
+                _subtract_steps(a, slice(start, min(start + _ROW_BLOCK, a.shape[0])), steps, cols)
+        except BaseException as exc:  # raised by the caller once every worker is done
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for _ in range(min(_WORKERS, len(starts)) - 1):
+            helpers.append(threading.Thread(target=contextvars.copy_context().run, args=(work,)))
+            helpers[-1].start()
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
 
 
 def _substitute(lu: np.ndarray, pivots: list[int], x: np.ndarray) -> None:

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fivecast
-from fivecast import cli, evaluate, svr
+from fivecast import bpnn, cli, evaluate, svr
 from fivecast.cli import _cmd_stability, _config_from_args, _csv, _table, build_parser, main
 from fivecast.evaluate import HarnessConfig, StabilityReport
 from fivecast.kernels import KERNEL_KINDS
@@ -399,6 +399,14 @@ class TestBadFlagValues:
             (["stability", "--runs", "2", "--epochs", "-1"], 2, "data error: epochs must be >= 0, got -1"),
             (["lag", "--eta", "inf"], 2, "data error: eta must be finite and >= 0, got inf"),
             (["lag", "--grnn-beta", "nan"], 2, "data error: beta must be finite and > 0, got nan"),
+            # backprop work above the cap: runs x epochs x 29 training rows x 16 parameters
+            (["stability", "--runs", "2", "--epochs", str(10**20)], 2,
+             "data error: backprop work of 9.28e+22 updates (runs x epochs x training rows x parameters: "
+             "2 x 100000000000000000000 x 29 x 16) is above the cap of 1e+10"),
+            (["benchmark", "--models", "grnn,bp", "--epochs", str(10**20)], 2,
+             "data error: backprop work of 4.64e+22 updates"),
+            (["lag", "--models", "grnn,bp", "--epochs", str(10**20)], 2,
+             "data error: backprop work of 4.64e+22 updates"),
         ],
     )
     def test_rejected_up_front(self, price_csv, tmp_path, argv, code, message):
@@ -463,6 +471,34 @@ class TestBadFlagValues:
             [sys.executable, "-m", "fivecast.cli", *argv],
             capture_output=True, text=True, env=env, timeout=120,
         )
+
+
+class TestBpWorkCap:
+    """A command whose backprop work is above the cap runs no model."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["benchmark", "--models", "grnn,svr,bp"], ["lag", "--models", "grnn,bp"], ["stability", "--runs", "3"]],
+    )
+    def test_no_model_runs(self, argv, price_csv, tmp_path, monkeypatch, capsys):
+        # the bp model function may start, but builds no network
+        built, ran = [], []
+        monkeypatch.setattr(bpnn, "new_network", lambda *args: built.append(args))
+        real = evaluate._run_model
+        monkeypatch.setattr(
+            evaluate, "_run_model", lambda predict, *args: ran.append(predict.__name__) or real(predict, *args)
+        )
+        # one run of 21551725 epochs x 29 rows x 16 parameters is 10**10 + 400
+        epochs = 10**10 // (29 * 16) + 1
+        out = tmp_path / "out"
+        base = [*argv, "--data", str(price_csv), "--out", str(out), "--epochs"]
+        assert run([*base, str(epochs)]) == 2
+        assert "above the cap of 1e+10" in capsys.readouterr().err
+        assert built == [] and set(ran) <= {"_bp_predictions"} and not out.exists()
+
+    def test_models_without_bp_are_not_counted(self, price_csv, tmp_path):
+        argv = ["benchmark", "--models", "grnn", "--data", str(price_csv), "--out", str(tmp_path)]
+        assert run([*argv, "--epochs", str(10**20)]) == 0
 
 
 class TestOutOfMemory:
@@ -808,7 +844,8 @@ _SETTING_FLAGS = tuple(
 def invocations(draw):
     """A price series of 4 to 40 rows and the argv of one command on it,
     with at most two setting flags at odd values.  Training is held to at
-    most 20 epochs and 5 runs, so every example is quick."""
+    most 20 epochs and 5 runs, or to an --epochs that the backprop work
+    cap rejects, so every example is quick."""
     prices = draw(
         st.lists(st.one_of(st.floats(0.5, 2.0), st.floats(1e-300, 1e300)), min_size=4, max_size=40)
     )
@@ -822,8 +859,7 @@ def invocations(draw):
     if command in cli._ONLY["--runs"]:
         argv += ["--runs", str(draw(st.integers(2, 5)))]
     for flag in draw(st.lists(st.sampled_from(_SETTING_FLAGS), max_size=2, unique=True)):
-        values = [v for v in _ODD_VALUES if not (flag == "--epochs" and v == str(10**20))]
-        argv += [flag, draw(st.sampled_from(values))]
+        argv += [flag, draw(st.sampled_from(_ODD_VALUES))]
     return prices, argv
 
 

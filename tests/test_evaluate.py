@@ -21,6 +21,7 @@ from fivecast.evaluate import (
     HarnessConfig,
     StabilityReport,
     benchmark,
+    check_bp_work,
     lag_one_analysis,
     mape,
     model_predictions,
@@ -367,6 +368,72 @@ class TestStability:
             stability(constant_dataset(), cfg, runs=3)
         with pytest.raises(DomainError, match=sizes + " for 2 networks: Unable to allocate"):
             stability(constant_dataset(), cfg, runs=2)
+
+
+class TestBpWorkCap:
+    """Backprop work is runs x epochs x training rows x parameters, and
+    work above MAX_BP_WORK fails before any network is built."""
+
+    HUGE = HarnessConfig(bp_epochs=10**20)
+
+    @pytest.fixture(autouse=True)
+    def no_networks(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr(bpnn, "new_network", build)
+
+    def test_message_names_the_work_and_the_cap(self):
+        # the constant series has 21 training rows; (3, 3, 1) layers have 16 parameters
+        message = (
+            "backprop work of 6.72e+22 updates (runs x epochs x training rows x parameters: "
+            "2 x 100000000000000000000 x 21 x 16) is above the cap of 1e+10"
+        )
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            check_bp_work(constant_dataset(), self.HUGE, 2)
+
+    def test_work_at_the_cap_passes(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "MAX_BP_WORK", 3 * 7 * 21 * 16)
+        ds = constant_dataset()
+        check_bp_work(ds, HarnessConfig(bp_epochs=7), 3)
+        for cfg, runs in ((HarnessConfig(bp_epochs=8), 3), (HarnessConfig(bp_epochs=7), 4)):
+            with pytest.raises(DomainError, match="is above the cap of"):
+                check_bp_work(ds, cfg, runs)
+
+    def test_wider_layers_count(self, monkeypatch):
+        # (3, 10, 1) layers have 51 parameters
+        monkeypatch.setattr(evaluate, "MAX_BP_WORK", 51 * 21)
+        ds = constant_dataset()
+        cfg = HarnessConfig(bp_epochs=1, bp_hidden=10)
+        check_bp_work(ds, cfg, 1)
+        with pytest.raises(DomainError, match=re.escape("(runs x epochs x training rows x parameters: 2 x 1 x 21 x 51)")):
+            check_bp_work(ds, cfg, 2)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cfg: stability(constant_dataset(), cfg, runs=2),
+            lambda cfg: model_predictions(constant_dataset(), "bp", cfg),
+        ],
+        ids=["stability", "model_predictions"],
+    )
+    def test_every_entry_point_checks(self, call):
+        with pytest.raises(DomainError, match="^backprop work of .* is above the cap of 1e\\+10$"):
+            call(self.HUGE)
+
+    def test_benchmark_gives_an_error_row(self):
+        # the command line fails the whole command before any model runs
+        bp, grnn = benchmark(constant_dataset(), ["bp", "grnn"], self.HUGE)
+        assert bp.error.startswith("DomainError: backprop work of ")
+        assert grnn.error is None
+
+    def test_layers_numpy_cannot_shape_are_left_to_new_network(self):
+        # their work is above the cap, but new_network's error names the layers
+        check_bp_work(constant_dataset(), HarnessConfig(bp_hidden=10**20), 1)
+
+    def test_other_models_are_not_counted(self):
+        (report,) = benchmark(constant_dataset(), ["grnn"], self.HUGE)
+        assert report.error is None
 
 
 class TestOutOfMemory:

@@ -1,5 +1,9 @@
 """Dense solve."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -98,6 +102,37 @@ def small_systems(draw):
     return a, b
 
 
+def pivotless_column_system(n, col, dependent):
+    """Column col is zero, or a combination of earlier columns that
+    elimination reduces to rounding noise below PIVOT_TOL."""
+    rng = np.random.default_rng(col)
+    a = rng.standard_normal((n, n)) + n * np.eye(n)
+    a[:, col] = (a[:, 3] - 0.5 * a[:, 50]) if dependent else 0.0
+    return a, rng.standard_normal(n)
+
+
+def last_row_pivot_system(n):
+    """Step 100 takes its pivot from the last row."""
+    rng = np.random.default_rng(43)
+    a = rng.standard_normal((n, n)) + n * np.eye(n)
+    a[n - 1, 100] = 4.0 * n
+    return a, rng.standard_normal(n)
+
+
+def trailing_signed_zero_system(n):
+    """Row n - 2 has a zero multiplier at step 5 and a -0.0 in the last
+    column, which step 5 would turn into +0.0 if it were not skipped; row
+    n - 1, in the same row tile, has a nonzero multiplier."""
+    a = 2.0 * np.eye(n)
+    a[5, n - 1] = -1.0
+    a[n - 2, n - 1] = -0.0
+    a[n - 1, 5] = 0.5
+    b = np.zeros(n)
+    b[n - 2] = -0.0
+    b[n - 1] = 2.0
+    return a, b
+
+
 class TestRowLoopReference:
     @REFERENCE_SETTINGS
     @given(small_systems())
@@ -143,11 +178,7 @@ class TestRowLoopReference:
     def test_pivotless_column_at_a_panel_edge(self, col, dependent):
         # the first and last columns of the second panel (64..127) and the
         # matrix's last column, zero or dependent as above
-        rng = np.random.default_rng(col)
-        n = 200
-        a = rng.standard_normal((n, n)) + n * np.eye(n)
-        a[:, col] = (a[:, 3] - 0.5 * a[:, 50]) if dependent else 0.0
-        b = rng.standard_normal(n)
+        a, b = pivotless_column_system(200, col, dependent)
         assert row_loop_solve(a, b) == col
         assert_same_as_row_loop(a, b)
 
@@ -155,11 +186,8 @@ class TestRowLoopReference:
         # step 100, inside the second panel, takes its pivot from row 199,
         # so the swap moves that row's parts left of the panel (earlier
         # multipliers) and right of it (stale trailing entries) as well
-        rng = np.random.default_rng(43)
         n = 200
-        a = rng.standard_normal((n, n)) + n * np.eye(n)
-        a[n - 1, 100] = 4.0 * n
-        b = rng.standard_normal(n)
+        a, b = last_row_pivot_system(n)
         pivots = []
         assert linalg._eliminate(a.copy(), pivots) == 0
         assert pivots[100] == n - 1
@@ -185,14 +213,7 @@ class TestRowLoopReference:
         # (= 0 * -1.0 = -0.0) from its -0.0 in column 129 would give +0.0,
         # and x[128] = (-0.0 - a[128, 129] * x[129]) / 2 shows that sign.
         # Row 129 shares its row tile and has a nonzero multiplier.
-        n = 130
-        a = 2.0 * np.eye(n)
-        a[5, 129] = -1.0
-        a[128, 129] = -0.0
-        a[129, 5] = 0.5
-        b = np.zeros(n)
-        b[128] = -0.0
-        b[129] = 2.0
+        a, b = trailing_signed_zero_system(130)
         x = solve(a, b)
         assert x[128] == 0.0 and not np.signbit(x[128])
         assert_same_as_row_loop(a, b)
@@ -345,6 +366,128 @@ class TestInterleavedReference:
             solve(system, np.ones(3))
         with pytest.raises(DomainError):
             solve(system, np.array([1.0, np.nan]))
+
+
+def dense_system(n, seed=9):
+    # zero entries of either sign make zero multipliers
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    zeros = rng.random((n, n)) < 0.5
+    a[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    a += np.diag(rng.choice([0.0, n], size=n))
+    return a, rng.standard_normal(n)
+
+
+# At 330 rows the first three panels have 5, 4 and 3 trailing tiles of
+# _ROW_BLOCK rows, the fourth 2 and the fifth 1.
+WORKER_SYSTEMS = {
+    "dense": lambda: dense_system(330),
+    **{
+        f"pivotless-column-{col}-{kind}": (lambda col=col, dep=dep: pivotless_column_system(330, col, dep))
+        for col in (64, 127, 329)
+        for kind, dep in (("zero", False), ("dependent", True))
+    },
+    "last-row-pivot": lambda: last_row_pivot_system(330),
+    "trailing-signed-zero": lambda: trailing_signed_zero_system(330),
+}
+
+
+def count_started_threads(monkeypatch) -> list:
+    started = []
+    real = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or real(self))
+    return started
+
+
+def outcome(system, b):
+    try:
+        return solve(system, b).tobytes()
+    except SingularError as exc:
+        return str(exc)
+
+
+class TestWorkerCount:
+    """The threads that share a panel's trailing tiles change no byte."""
+
+    @staticmethod
+    def solve_with(workers, monkeypatch, a, b):
+        # a fresh solve, and a reused Elimination on three right-hand sides
+        monkeypatch.setattr(linalg, "_WORKERS", workers)
+        started = count_started_threads(monkeypatch)
+        system = Elimination(a)
+        got = [outcome(a, b), *(outcome(system, rhs) for rhs in (b, -b, np.zeros_like(b)))]
+        return got, system._lu.tobytes(), list(system._pivots), len(started)
+
+    @pytest.mark.parametrize("name", list(WORKER_SYSTEMS))
+    def test_same_bits_at_one_and_two_workers(self, name, monkeypatch):
+        a, b = WORKER_SYSTEMS[name]()
+        *one, one_started = self.solve_with(1, monkeypatch, a, b)
+        *two, two_started = self.solve_with(2, monkeypatch, a, b)
+        assert one == two
+        assert one_started == 0 and two_started > 0
+
+    def test_same_bits_as_the_row_loop_at_two_workers(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_WORKERS", 2)
+        for name in ("dense", "last-row-pivot", "pivotless-column-127-dependent", "trailing-signed-zero"):
+            assert_same_as_row_loop(*WORKER_SYSTEMS[name]())
+
+    @pytest.mark.parametrize("workers, n, helpers", [(8, 330, 4 + 3 + 2 + 1), (2, 128, 0), (2, 129, 1)])
+    def test_never_more_workers_than_tiles(self, workers, n, helpers, monkeypatch):
+        # at 128 rows no panel has more than one trailing tile; at 129 the
+        # first has two, the second of one row
+        monkeypatch.setattr(linalg, "_WORKERS", workers)
+        started = count_started_threads(monkeypatch)
+        solve(*dense_system(n))
+        assert len(started) == helpers
+
+    def test_more_workers_than_cores_switching_often(self, monkeypatch):
+        # a tile claimed twice, or by no one, would change the bytes
+        a, b = dense_system(330)
+        monkeypatch.setattr(linalg, "_WORKERS", 1)
+        want = solve(a, b).tobytes()
+        monkeypatch.setattr(linalg, "_WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [solve(a, b).tobytes() for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 3
+
+    def test_a_helpers_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_WORKERS", 2)
+        real = linalg._subtract_steps
+
+        def failing(a, rows, steps, cols):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("a helper's tile failed")
+            if len(steps) > 1:
+                time.sleep(0.01)  # one of the caller's tiles: let the helper claim one
+            real(a, rows, steps, cols)
+
+        monkeypatch.setattr(linalg, "_subtract_steps", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^a helper's tile failed$"):
+            solve(*dense_system(330))
+        assert threading.active_count() == before  # every helper has ended
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_warning_escapes_a_helper(self, monkeypatch):
+        # Every row takes its step-0 multiplier of 1 against a pivot row of
+        # 1e308, so -1e308 - 1e308 overflows in every trailing tile, and
+        # later steps meet inf - inf: a SingularError, warning nowhere.
+        monkeypatch.setattr(linalg, "_WORKERS", 2)
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        started = count_started_threads(monkeypatch)
+        n = 320
+        a = np.full((n, n), -1e308)
+        a[:, 0] = 1.0
+        a[0, 1:] = 1e308
+        with pytest.raises(SingularError, match="^the solution is not finite$"):
+            solve(a, np.ones(n))
+        assert uncaught == []
+        assert started
 
 
 class TestSolve:

@@ -5,7 +5,9 @@ Each command runs as a ``python -m fivecast.cli`` process twice, under
 every file it writes and its standard output must match byte for byte.
 The 1200-point cases are the ones whose grnn bytes moved with the
 thread count before ``cli.main`` pinned OpenBLAS to one thread; the
-rest are the golden commands.
+rest are the golden commands.  The 1200-point ``lag`` also runs in a
+process held to one CPU, where the elimination shares its row tiles with
+no helper thread, and must match the unrestricted run byte for byte.
 
 The pin itself is checked in process: ``main`` runs the command on one
 BLAS thread and restores the caller's count, and a numpy build without
@@ -29,12 +31,16 @@ CASES = {
 }
 
 
-def run_at(threads: str, argv: list[str], workdir) -> tuple[dict[str, bytes], bytes]:
-    out = workdir / f"out{threads}"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-    proc = run_process(argv + ["--out", str(out)], env=env, capture_output=True)
+def outputs(argv: list[str], out, **kwargs) -> tuple[dict[str, bytes], bytes]:
+    """The files one CLI process writes to out, and its standard output."""
+    proc = run_process(argv + ["--out", str(out)], capture_output=True, **kwargs)
     assert proc.returncode == 0, proc.stderr
     return written(out), normalised_stdout(proc.stdout.decode("utf-8"))
+
+
+def run_at(threads: str, argv: list[str], workdir) -> tuple[dict[str, bytes], bytes]:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    return outputs(argv, workdir / f"out{threads}", env=env)
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -43,6 +49,18 @@ def test_same_bytes_at_one_and_two_threads(case, tmp_path):
     csv = write_price_csv(tmp_path / "prices.csv", make_ar_series(seed, n=n))
     argv = argv + ["--data", str(csv)]
     assert run_at("1", argv, tmp_path) == run_at("2", argv, tmp_path)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call on this platform")
+def test_same_bytes_on_one_cpu(tmp_path):
+    # The elimination shares each panel's row tiles among one thread per
+    # CPU the process may use; held to one CPU it runs them all itself.
+    argv, seed, n = CASES["lag-1200"]
+    csv = write_price_csv(tmp_path / "prices.csv", make_ar_series(seed, n=n))
+    argv = argv + ["--data", str(csv)]
+    cpu = min(os.sched_getaffinity(0))
+    held = outputs(argv, tmp_path / "one-cpu", preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    assert held == outputs(argv, tmp_path / "every-cpu")
 
 
 def kernels_argv(tmp_path) -> list[str]:
