@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, DomainError, ShapeError
-from .timeseries import as_rows, as_seed
+from .timeseries import as_count, as_real, as_rows
 
 
 def hidden_size_rule(n_outputs: int, n_inputs: int) -> int:
@@ -50,12 +50,9 @@ class SgdConfig:
     epochs: int = 500
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.eta < math.inf:
-            raise DomainError(f"eta must be finite and >= 0, got {self.eta}")
-        if self.batch_size < 1:
-            raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise DomainError(f"epochs must be >= 0, got {self.epochs}")
+        as_real(self.eta, "eta")
+        as_count(self.batch_size, "batch_size", 1)
+        as_count(self.epochs, "epochs", 0)
 
 
 @dataclass
@@ -85,7 +82,7 @@ class BpNetwork:
 
 
 def _check_sizes(layer_sizes) -> tuple[int, ...]:
-    sizes = tuple(int(s) for s in layer_sizes)
+    sizes = tuple(as_count(s, "layer size") for s in layer_sizes)
     if len(sizes) < 2:
         raise DomainError("need at least an input and an output layer")
     if any(s < 1 for s in sizes):
@@ -103,7 +100,7 @@ def new_network(layer_sizes, seeds) -> BpNetwork:
     on (-0.5, 0.5) from its seed's generator, drawn layer by layer, and
     biases zero."""
     sizes = _check_sizes(layer_sizes)
-    rngs = [np.random.default_rng(as_seed(seed)) for seed in seeds]
+    rngs = [np.random.default_rng(as_count(seed, "seed", 0)) for seed in seeds]
     try:
         params = np.zeros((len(rngs), parameter_count(sizes)))
         for w in _layers(params, sizes)[0]:
@@ -239,7 +236,7 @@ def train(net: BpNetwork, inputs, targets, cfg: SgdConfig, seeds) -> None:
     sizes = net.layer_sizes
     params = net.params.copy()
     grads = np.empty_like(params)
-    rngs = [np.random.default_rng(as_seed(seed)) for seed in seeds]
+    rngs = [np.random.default_rng(as_count(seed, "seed", 0)) for seed in seeds]
     x_max, t_max = float(np.abs(x).max()), float(np.abs(t).max())
     # Only networks below a diverged one still matter: they are the prefix
     # params[:live], so dropping the rest copies nothing.

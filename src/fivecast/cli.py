@@ -36,7 +36,6 @@ import ctypes
 import functools
 import os
 import sys
-import tempfile
 import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -186,22 +185,19 @@ def _config_line(args, cfg: HarnessConfig) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    # mkstemp makes the file 0600 and the rename keeps that mode; give it
-    # the mode open(path, "w") gives a new file
-    umask = os.umask(0)
-    os.umask(umask)
+    # A temp file beside the target under a fresh name, which "x" creates
+    # (O_CREAT | O_EXCL) with the mode open(path, "w") gives a new file:
+    # 0o666 less the umask, applied by the kernel.  The rename keeps it.
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp_name = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp_name, "x", encoding="utf-8", newline="\n")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            os.chmod(tmp_name, 0o666 & ~umask)
+        with fh:
             fh.write(text)
         os.replace(tmp_name, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp_name)
-        except OSError:
-            pass
         raise
 
 

@@ -23,9 +23,7 @@ Each model's module is imported by the function that runs it, so a
 command loads only the models it trains.  The margin solver is the
 exception: the CLI's ``# cmd=`` header names its settings, so every
 command loads it anyway, and ``HarnessConfig`` checks svr's settings with
-``svr.check_settings``.  The other models' settings are checked by copies
-here, with their models' messages, since importing those models to check
-would cost a command milliseconds for models it may not run.
+``svr.check_settings``.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ import numpy as np
 from . import svr
 from .errors import DomainError, FivecastError, ShapeError
 from .kernels import KernelSpec, median_pairwise_distance
-from .timeseries import MinMaxScaler, WindowedDataset, as_seed, as_vector, fit_scaler
+from .timeseries import MinMaxScaler, WindowedDataset, as_count, as_real, as_vector, fit_scaler
 
 
 def mse(actual, predicted) -> float:
@@ -82,10 +80,10 @@ class HarnessConfig:
     ``None`` fields fall back to data-driven defaults at fit time: the
     hidden width rule, the sqrt-of-train-size center count, the
     nearest-neighbor smoothing heuristic, and an rbf kernel with the
-    median pairwise distance as width.  Every other field is checked here,
-    so a bad value fails before any model runs: svr's by
-    ``svr.check_settings``, the rest with the message their model would
-    give.
+    median pairwise distance as width.  Every numeric field is checked
+    here, so a bad value fails before any model runs with the message its
+    model would give: svr's by ``svr.check_settings``, the rest by the
+    setting rules in :mod:`fivecast.timeseries` that the models call.
     """
 
     seed: int = 0
@@ -102,23 +100,18 @@ class HarnessConfig:
     kernel: KernelSpec | None = None
 
     def __post_init__(self) -> None:
-        as_seed(self.seed)  # a seed numpy refuses fails before any model runs
-        if self.bp_hidden is not None and self.bp_hidden < 1:
-            raise DomainError(f"hidden width must be >= 1, got {self.bp_hidden}")
-        if not 0.0 <= self.bp_eta < math.inf:
-            raise DomainError(f"eta must be finite and >= 0, got {self.bp_eta}")
-        if self.bp_batch < 1:
-            raise DomainError(f"batch_size must be >= 1, got {self.bp_batch}")
-        if self.bp_epochs < 0:
-            raise DomainError(f"epochs must be >= 0, got {self.bp_epochs}")
-        if self.rbf_centers is not None and self.rbf_centers < 1:
-            raise DomainError(f"n_centers must be >= 1, got {self.rbf_centers}")
-        if self.grnn_beta is not None and not 0.0 < self.grnn_beta < math.inf:
-            raise DomainError(f"beta must be finite and > 0, got {self.grnn_beta}")
+        as_count(self.seed, "seed", 0)
+        if self.bp_hidden is not None:
+            as_count(self.bp_hidden, "hidden width", 1)
+        as_real(self.bp_eta, "eta")
+        as_count(self.bp_batch, "batch_size", 1)
+        as_count(self.bp_epochs, "epochs", 0)
+        if self.rbf_centers is not None:
+            as_count(self.rbf_centers, "n_centers", 1)
+        if self.grnn_beta is not None:
+            as_real(self.grnn_beta, "beta", positive=True)
         svr.check_settings(self.svr_epsilon, self.svr_c)
-        if not 0.0 < self.lssvm_gamma < math.inf:
-            raise DomainError(f"gamma must be finite and > 0, got {self.lssvm_gamma}")
-        if not 1.0 / float(self.lssvm_gamma) < math.inf:
+        if not 1.0 / as_real(self.lssvm_gamma, "gamma", positive=True) < math.inf:
             raise DomainError(f"gamma must have a finite reciprocal, got {self.lssvm_gamma}")
 
 
@@ -348,6 +341,7 @@ def stability(ds: WindowedDataset, cfg: HarnessConfig | None = None, runs: int =
     is a DomainError before any network is built.
     """
     cfg = cfg or HarnessConfig()
+    runs = as_count(runs, "runs")
     if runs < 2:
         raise DomainError(f"need at least 2 runs, got {runs}")
     from . import bpnn

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import gaussian_weights, gram_sq_dists
-from .timeseries import as_rows, as_samples, as_vector
+from .timeseries import as_real, as_rows, as_samples, as_vector
 
 
 class GrnnModel:
@@ -28,11 +28,9 @@ class GrnnModel:
 
     def __init__(self, inputs: np.ndarray, targets: np.ndarray, beta: float):
         x, y = as_samples(inputs, targets)
-        if not 0.0 < beta < math.inf:
-            raise DomainError(f"beta must be finite and > 0, got {beta}")
+        self.beta = as_real(beta, "beta", positive=True)
         self.inputs = x.copy()
         self.targets = y.copy()
-        self.beta = float(beta)
 
     @property
     def n_neurons(self) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .timeseries import as_rows, as_vector
+from .timeseries import as_count, as_real, as_rows, as_vector
 
 KERNEL_KINDS = ("linear", "poly", "rbf", "mlp")
 # rows of an n-column distance or kernel block built at once: the only
@@ -42,10 +42,8 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise DomainError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "poly":
-            if self.degree < 1:
-                raise DomainError(f"polynomial degree must be >= 1, got {self.degree}")
-            if not 0.0 < self.poly_c < math.inf:
-                raise DomainError(f"polynomial offset must be finite and > 0, got {self.poly_c}")
+            as_count(self.degree, "polynomial degree", 1)
+            as_real(self.poly_c, "polynomial offset", positive=True)
         if self.kind == "rbf":
             if not (self.sigma > 0.0 and self.sigma * self.sigma > 0.0):
                 # the kernels divide by sigma^2, which underflows to 0 below about 1.6e-162

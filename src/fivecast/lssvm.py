@@ -26,7 +26,7 @@ import numpy as np
 from . import linalg
 from .errors import DomainError
 from .kernels import KernelSpec, expansion, gram
-from .timeseries import as_samples
+from .timeseries import as_real, as_samples
 
 _REFINE_ROUNDS = 2
 
@@ -44,9 +44,7 @@ def fit(inputs, targets, kernel: KernelSpec, gamma: float = 100.0) -> LssvmModel
     """Assemble and solve the saddle-point system."""
     x, y = as_samples(inputs, targets)
     n = x.shape[0]
-    if not 0.0 < gamma < math.inf:
-        raise DomainError(f"gamma must be finite and > 0, got {gamma}")
-    if not 1.0 / float(gamma) < math.inf:
+    if not 1.0 / as_real(gamma, "gamma", positive=True) < math.inf:
         raise DomainError(f"gamma must have a finite reciprocal, got {gamma}")
     a = np.zeros((n + 1, n + 1))
     a[0, 1:] = 1.0

@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .errors import DomainError, ShapeError
 from .kernels import gaussian_weights, sq_dists
-from .timeseries import as_rows, as_samples, as_seed
+from .timeseries import as_count, as_rows, as_samples
 
 KMEANS_MAX_ITER = 50
 WIDTH_FLOOR = 1e-6
@@ -64,9 +64,10 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     """
     points = as_rows(points)
     n = points.shape[0]
+    k = as_count(k, "k")
     if not 1 <= k <= n:
         raise DomainError(f"k must be in [1, {n}], got {k}")
-    rng = np.random.default_rng(as_seed(seed))
+    rng = np.random.default_rng(as_count(seed, "seed", 0))
     centers = points[rng.choice(n, size=k, replace=False)].copy()
     assign = np.full(n, -1)
     for _ in range(KMEANS_MAX_ITER):
@@ -106,7 +107,7 @@ def fit(inputs, targets, n_centers: int | None = None, seed: int = 0) -> RbfNetw
     weights: the square activation system when n_centers equals the sample
     count, the ridge normal equations otherwise."""
     x, y = as_samples(inputs, targets)
-    k = default_center_count(x.shape[0]) if n_centers is None else n_centers
+    k = default_center_count(x.shape[0]) if n_centers is None else as_count(n_centers, "n_centers")
     if not 1 <= k <= x.shape[0]:
         raise DomainError(f"n_centers must be in [1, {x.shape[0]}], got {k}")
     centers = kmeans(x, k, seed)

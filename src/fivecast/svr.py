@@ -30,7 +30,6 @@ such sample exists.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -38,7 +37,7 @@ import numpy as np
 
 from .errors import ConvergenceWarning, DomainError
 from .kernels import KernelSpec, expansion, gram
-from .timeseries import as_samples
+from .timeseries import as_real, as_samples
 
 # Stopping rule of every fit: KKT violation at most TOL, at most MAX_PASSES passes.
 TOL = 1e-4
@@ -201,11 +200,8 @@ def _smo_solve(kmat, y, eps, c, tol, max_passes):
 def check_settings(epsilon: float, c_reg: float) -> None:
     """Raise DomainError unless epsilon is finite and >= 0 and c_reg is
     finite and wide enough for the solver to take a step."""
-    if not 0.0 <= epsilon < math.inf:
-        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon}")
-    if not 0.0 < c_reg < math.inf:
-        raise DomainError(f"c_reg must be finite and > 0, got {c_reg}")
-    if 2.0 * c_reg < _MIN_STEP_WIDTH:
+    as_real(epsilon, "epsilon")
+    if 2.0 * as_real(c_reg, "c_reg", positive=True) < _MIN_STEP_WIDTH:
         raise DomainError(
             f"c_reg must be >= {_MIN_STEP_WIDTH / 2:g} for the solver to take a step, got {c_reg}"
         )

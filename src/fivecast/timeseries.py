@@ -6,14 +6,17 @@ A series of N prices becomes N - lags supervised samples; each input is a
 run of consecutive prices and the target is the price that follows it.
 Every model takes such a sample block through :func:`as_rows` and
 :func:`as_samples`, and every single point, target or metric argument
-through :func:`as_vector`, and every seed through :func:`as_seed`, so the
-package shares one set of input checks.
+through :func:`as_vector`, so the package shares one set of input checks.
+Settings share two rules: :func:`as_count` for an integer with an
+optional lower bound (seeds, sizes, lags), and :func:`as_real` for a
+finite real that is >= 0 or > 0 (rates, smoothing, regularization).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from datetime import date
@@ -126,15 +129,30 @@ def as_vector(values, length: int | None = None, name: str = "values") -> np.nda
     return v
 
 
-def as_seed(seed) -> int:
-    """A seed numpy's generators accept: an integer >= 0."""
+def as_count(value, name: str, minimum: int | None = None) -> int:
+    """An integer setting, at least minimum when one is given; name is
+    what error messages call it."""
     try:
-        value = operator.index(seed)
+        count = operator.index(value)
     except TypeError:
-        raise DomainError(f"seed must be an integer, got {seed!r}") from None
-    if value < 0:
-        raise DomainError(f"seed must be >= 0, got {value}")
-    return value
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and count < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {count}")
+    return count
+
+
+def as_real(value, name: str, positive: bool = False) -> float:
+    """A finite real setting as a float: > 0 when positive, else >= 0."""
+    if not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an integer past float64's range
+        real = math.inf
+    # NaN fails every comparison
+    if not ((real > 0.0 if positive else real >= 0.0) and real < math.inf):
+        raise DomainError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
+    return real
 
 
 def as_samples(inputs, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -233,8 +251,7 @@ def load_csv(path: str | Path) -> PriceSeries:
 def make_windows(series: PriceSeries, lags: int = 3) -> WindowedDataset:
     """Slide a window of ``lags`` consecutive prices over the series; the
     price right after each window is its target."""
-    if lags < 1:
-        raise DomainError(f"lags must be >= 1, got {lags}")
+    lags = as_count(lags, "lags", 1)
     n = len(series)
     if n <= lags:
         raise DomainError(f"need more than {lags} prices, got {n}")

@@ -297,6 +297,11 @@ class TestNewNetwork:
         with pytest.raises(DomainError, match=r"^seed must be an integer, got 2\.5$"):
             new_network((3, 3, 1), [2.5])
 
+    def test_layer_size_that_is_not_an_integer(self):
+        # not rounded down to a (3, 2, 1) network
+        with pytest.raises(DomainError, match=r"^layer size must be an integer, got 2\.5$"):
+            new_network((3, 2.5, 1), [0])
+
 
 class TestForward:
     def test_zero_net(self):
@@ -796,3 +801,7 @@ class TestSgdConfig:
             SgdConfig(batch_size=0)
         with pytest.raises(DomainError):
             SgdConfig(epochs=-1)
+
+    def test_rejects_a_batch_size_that_is_not_an_integer(self):
+        with pytest.raises(DomainError, match=r"^batch_size must be an integer, got 2\.5$"):
+            SgdConfig(batch_size=2.5)

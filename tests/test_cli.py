@@ -80,6 +80,16 @@ class TestBenchmark:
         modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
         assert modes == {"results.csv": 0o666 & ~umask, "plain.txt": 0o666 & ~umask}
 
+    def test_writing_leaves_the_process_umask_alone(self, price_csv, tmp_path, monkeypatch):
+        # an in-process caller's other threads never see the umask change
+        def umask(mask):
+            raise AssertionError("os.umask called while a command runs")
+
+        monkeypatch.setattr(os, "umask", umask)
+        out = tmp_path / "out"
+        assert main(["benchmark", "--data", str(price_csv), "--out", str(out), "--models", "grnn"]) == 0
+        assert [p.name for p in out.iterdir()] == ["results.csv"]
+
     def test_repeat_run_is_byte_identical(self, price_csv, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         argv = ["benchmark", "--data", str(price_csv), "--models", "bp,grnn,svr", "--seed", "3"]

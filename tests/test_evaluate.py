@@ -221,6 +221,13 @@ BAD_FIELDS = [
     ("lssvm_gamma", -1.0, "gamma must be finite and > 0, got -1.0"),
     ("lssvm_gamma", math.inf, "gamma must be finite and > 0, got inf"),
     ("lssvm_gamma", 1e-320, "gamma must have a finite reciprocal, got 1e-320"),
+    # a value of the wrong type gets the same words from the config as from the model
+    ("bp_batch", 2.5, "batch_size must be an integer, got 2.5"),
+    ("bp_epochs", np.float64(3.0), "epochs must be an integer, got np.float64(3.0)"),
+    ("bp_eta", "0.1", "eta must be a real number, got '0.1'"),
+    ("grnn_beta", "1", "beta must be a real number, got '1'"),
+    ("svr_epsilon", "0", "epsilon must be a real number, got '0'"),
+    ("lssvm_gamma", None, "gamma must be a real number, got None"),
 ]
 
 
@@ -237,6 +244,11 @@ class TestHarnessConfig:
     def test_rejects_empty_hidden_layer(self, hidden):
         with pytest.raises(DomainError, match="hidden width must be >= 1"):
             HarnessConfig(bp_hidden=hidden)
+
+    def test_rejects_a_hidden_width_that_is_not_an_integer(self):
+        # not rounded down to 2 hidden units
+        with pytest.raises(DomainError, match=r"^hidden width must be an integer, got 2\.5$"):
+            HarnessConfig(bp_hidden=2.5)
 
     @pytest.mark.parametrize("field, value, message", BAD_FIELDS)
     def test_rejects_out_of_range_field(self, field, value, message):
@@ -312,6 +324,11 @@ class TestModelPredictions:
 
 
 class TestStability:
+    def test_run_count_that_is_not_an_integer(self):
+        ds = split_windows(make_ar_series(11, n=60))
+        with pytest.raises(DomainError, match=r"^runs must be an integer, got 2\.5$"):
+            stability(ds, runs=2.5)
+
     def test_distinct_seeds_give_positive_spread(self):
         ds = split_windows(make_ar_series(11, n=60))
         rep = stability(ds, HarnessConfig(seed=1), runs=3)

@@ -205,6 +205,11 @@ class TestKernelSpec:
         with pytest.raises(DomainError):
             KernelSpec("poly", degree=2, poly_c=0.0)
 
+    def test_poly_degree_that_is_not_an_integer(self):
+        # not a kernel (1 + a.b)^2.5
+        with pytest.raises(DomainError, match=r"^polynomial degree must be an integer, got 2\.5$"):
+            KernelSpec("poly", degree=2.5)
+
     def test_bad_rbf(self):
         with pytest.raises(DomainError):
             KernelSpec("rbf", sigma=0.0)

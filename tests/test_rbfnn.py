@@ -158,6 +158,8 @@ class TestKmeans:
         pts = np.ones((3, 1))
         with pytest.raises(DomainError):
             kmeans(pts, 0)
+        with pytest.raises(DomainError, match=r"^k must be an integer, got 2\.5$"):
+            kmeans(pts, 2.5)
         with pytest.raises(DomainError):
             kmeans(pts, 4)
 
@@ -269,6 +271,11 @@ class TestFit:
         x = np.ones((3, 1)) * np.arange(3)[:, None]
         with pytest.raises(DomainError):
             fit(x, np.zeros(3), n_centers=4)
+
+    def test_center_count_that_is_not_an_integer(self):
+        x = np.arange(6.0)[:, None]
+        with pytest.raises(DomainError, match=r"^n_centers must be an integer, got 2\.5$"):
+            fit(x, np.zeros(6), 2.5)
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 """Loading, windowing, splitting, and scaling behavior."""
 
 import math
+import re
 import warnings
 from datetime import date, timedelta
 from fractions import Fraction
@@ -27,6 +28,8 @@ from fivecast.timeseries import (
     MinMaxScaler,
     PriceSeries,
     WindowedDataset,
+    as_count,
+    as_real,
     fit_scaler,
     load_csv,
     make_windows,
@@ -227,6 +230,8 @@ class TestMakeWindows:
     def test_bad_lags(self):
         with pytest.raises(DomainError):
             make_windows(weekly_series([1, 2, 3, 4]), lags=0)
+        with pytest.raises(DomainError, match=r"^lags must be an integer, got 2\.5$"):
+            make_windows(weekly_series([1, 2, 3, 4]), 2.5)
 
     def test_window_contents_match_slices(self):
         rng = np.random.default_rng(4)
@@ -245,6 +250,29 @@ class TestMakeWindows:
         ds = make_windows(weekly_series(prices), lags=3)
         rebuilt = np.concatenate([ds.inputs[0], ds.targets])
         npt.assert_array_equal(rebuilt, prices)
+
+
+class TestSettingRules:
+    def test_count(self):
+        assert as_count(np.int64(3), "k", 1) == 3
+        assert as_count(-5, "k") == -5  # no bound unless one is given
+        with pytest.raises(DomainError, match=r"^k must be >= 1, got 0$"):
+            as_count(0, "k", 1)
+        for bad in (2.0, "2", None):
+            with pytest.raises(DomainError, match=rf"^k must be an integer, got {re.escape(repr(bad))}$"):
+                as_count(bad, "k")
+
+    def test_real(self):
+        assert as_real(0, "eta") == 0.0 and type(as_real(np.float32(0.5), "eta")) is float
+        assert as_real(5e-324, "beta", positive=True) == 5e-324
+        with pytest.raises(DomainError, match=r"^beta must be finite and > 0, got 0$"):
+            as_real(0, "beta", positive=True)
+        # an int past float64's range is not finite there
+        with pytest.raises(DomainError, match=r"^eta must be finite and >= 0, got 1000"):
+            as_real(10**400, "eta")
+        for bad in ("0.5", None, 1j, np.array([0.5])):
+            with pytest.raises(DomainError, match=r"^eta must be a real number, got "):
+                as_real(bad, "eta")
 
 
 class TestSplit:
