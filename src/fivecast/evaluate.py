@@ -80,9 +80,9 @@ class HarnessConfig:
     ``None`` fields fall back to data-driven defaults at fit time: the
     hidden width rule, the sqrt-of-train-size center count, the
     nearest-neighbor smoothing heuristic, and an rbf kernel with the
-    median pairwise distance as width.  Every numeric field is checked
-    here, so a bad value fails before any model runs with the message its
-    model would give: svr's by ``svr.check_settings``, the rest by the
+    median pairwise distance as width.  Every field is checked here, so a
+    bad value fails before any model runs; a numeric one with the message
+    its model would give: svr's by ``svr.check_settings``, the rest by the
     setting rules in :mod:`fivecast.timeseries` that the models call.
     """
 
@@ -110,9 +110,13 @@ class HarnessConfig:
             as_count(self.rbf_centers, "n_centers", 1)
         if self.grnn_beta is not None:
             as_real(self.grnn_beta, "beta", positive=True)
+        if not isinstance(self.grnn_dynamic, bool):
+            raise DomainError(f"grnn_dynamic must be True or False, got {self.grnn_dynamic!r}")
         svr.check_settings(self.svr_epsilon, self.svr_c)
         if not 1.0 / as_real(self.lssvm_gamma, "gamma", positive=True) < math.inf:
             raise DomainError(f"gamma must have a finite reciprocal, got {self.lssvm_gamma}")
+        if not (self.kernel is None or isinstance(self.kernel, KernelSpec)):
+            raise DomainError(f"kernel must be a KernelSpec or None, got {self.kernel!r}")
 
 
 @dataclass(frozen=True)

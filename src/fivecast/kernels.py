@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .timeseries import as_count, as_real, as_rows, as_vector
+from .timeseries import as_count, as_real, as_rows, as_vector, check_real
 
 KERNEL_KINDS = ("linear", "poly", "rbf", "mlp")
 # rows of an n-column distance or kernel block built at once: the only
@@ -45,16 +45,20 @@ class KernelSpec:
             as_count(self.degree, "polynomial degree", 1)
             as_real(self.poly_c, "polynomial offset", positive=True)
         if self.kind == "rbf":
+            check_real(self.sigma, "rbf width")
             if not (self.sigma > 0.0 and self.sigma * self.sigma > 0.0):
                 # the kernels divide by sigma^2, which underflows to 0 below about 1.6e-162
                 raise DomainError(f"rbf width must be > 0 with a nonzero square, got {self.sigma}")
             if not self.sigma * self.sigma < math.inf:
                 # above about 1.3e154 sigma^2 is inf and every entry exp(-0) = 1
                 raise DomainError(f"rbf width must have a finite square, got {self.sigma}")
-        if self.kind == "mlp" and not (math.isfinite(self.mlp_k) and math.isfinite(self.mlp_theta)):
-            raise DomainError(
-                f"tanh kernel slope and offset must be finite, got {self.mlp_k}, {self.mlp_theta}"
-            )
+        if self.kind == "mlp":
+            check_real(self.mlp_k, "tanh kernel slope")
+            check_real(self.mlp_theta, "tanh kernel offset")
+            if not (math.isfinite(self.mlp_k) and math.isfinite(self.mlp_theta)):
+                raise DomainError(
+                    f"tanh kernel slope and offset must be finite, got {self.mlp_k}, {self.mlp_theta}"
+                )
 
 
 def kernel_column(spec: KernelSpec, rows: np.ndarray, x) -> np.ndarray:

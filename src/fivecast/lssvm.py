@@ -10,10 +10,9 @@ coefficients:
 solved by the package's pivoted elimination.  The kernel matrix is
 written straight into the system's lower-right block and the ridge
 ``1 / gamma`` added to its diagonal in place, so the system and the
-elimination's working copy are the only n x n arrays.  A round or two of
-iterative refinement, each a substitution through the same elimination,
-keeps the residual near machine level even for large gamma.  Prediction
-is the kernel expansion plus the bias.
+elimination's working copy are the only n x n arrays.  The model keeps
+the max-norm residual of that one solve.  Prediction is the kernel
+expansion plus the bias.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ from . import linalg
 from .errors import DomainError
 from .kernels import KernelSpec, expansion, gram
 from .timeseries import as_real, as_samples
-
-_REFINE_ROUNDS = 2
 
 
 @dataclass(frozen=True)
@@ -57,23 +54,13 @@ def fit(inputs, targets, kernel: KernelSpec, gamma: float = 100.0) -> LssvmModel
     block[diag, diag] += 1.0 / float(gamma)
     rhs = np.zeros(n + 1)
     rhs[1:] = y
-    # The first solve eliminates; each refinement substitutes through
-    # that elimination.
-    system = linalg.Elimination(a)
-    sol = linalg.solve(system, rhs)
-    bound = 1e-8 * max(1.0, float(np.max(np.abs(y))))
-    residual = float(np.max(np.abs(a @ sol - rhs)))
-    for _ in range(_REFINE_ROUNDS):
-        if residual <= bound:
-            break
-        sol = sol + linalg.solve(system, rhs - a @ sol)
-        residual = float(np.max(np.abs(a @ sol - rhs)))
+    sol = linalg.solve(a, rhs)
     return LssvmModel(
         kernel=kernel,
         inputs=x.copy(),
         coefs=sol[1:],
         bias=float(sol[0]),
-        kkt_residual=residual,
+        kkt_residual=float(np.max(np.abs(a @ sol - rhs))),
     )
 
 

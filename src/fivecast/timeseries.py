@@ -141,12 +141,17 @@ def as_count(value, name: str, minimum: int | None = None) -> int:
     return count
 
 
-def as_real(value, name: str, positive: bool = False) -> float:
-    """A finite real setting as a float: > 0 when positive, else >= 0."""
+def check_real(value, name: str):
+    """value itself, when it is a real number of any size or sign."""
     if not isinstance(value, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
+def as_real(value, name: str, positive: bool = False) -> float:
+    """A finite real setting as a float: > 0 when positive, else >= 0."""
     try:
-        real = float(value)
+        real = float(check_real(value, name))
     except OverflowError:  # an integer past float64's range
         real = math.inf
     # NaN fails every comparison
@@ -264,7 +269,7 @@ def make_windows(series: PriceSeries, lags: int = 3) -> WindowedDataset:
 def split(dataset: WindowedDataset, train_fraction: float = 0.8) -> WindowedDataset:
     """Chronological split: the first floor(train_fraction * n) samples
     train, the rest test."""
-    if not 0.0 < train_fraction < 1.0:
+    if not 0.0 < check_real(train_fraction, "train_fraction") < 1.0:
         raise DomainError(f"train_fraction must be in (0, 1), got {train_fraction}")
     n = len(dataset)
     k = int(math.floor(train_fraction * n))

@@ -250,6 +250,16 @@ class TestHarnessConfig:
         with pytest.raises(DomainError, match=r"^hidden width must be an integer, got 2\.5$"):
             HarnessConfig(bp_hidden=2.5)
 
+    def test_rejects_a_kernel_that_is_not_a_kernel_spec(self):
+        # not an AttributeError once a model reads the kernel's kind
+        with pytest.raises(DomainError, match=r"^kernel must be a KernelSpec or None, got 'rbf'$"):
+            HarnessConfig(kernel="rbf")
+
+    def test_rejects_a_grnn_mode_that_is_not_a_bool(self):
+        # the string "no" is truthy and would run the walk-forward
+        with pytest.raises(DomainError, match=r"^grnn_dynamic must be True or False, got 'no'$"):
+            HarnessConfig(grnn_dynamic="no")
+
     @pytest.mark.parametrize("field, value, message", BAD_FIELDS)
     def test_rejects_out_of_range_field(self, field, value, message):
         with pytest.raises(DomainError) as exc:

@@ -216,6 +216,16 @@ class TestKernelSpec:
         with pytest.raises(DomainError):
             KernelSpec("rbf", sigma=-1.0)
 
+    def test_rbf_width_that_is_not_a_number(self):
+        with pytest.raises(DomainError, match=r"^rbf width must be a real number, got '1'$"):
+            KernelSpec("rbf", sigma="1")
+
+    def test_tanh_parameters_that_are_not_numbers(self):
+        with pytest.raises(DomainError, match=r"^tanh kernel slope must be a real number, got '1'$"):
+            KernelSpec("mlp", mlp_k="1")
+        with pytest.raises(DomainError, match=r"^tanh kernel offset must be a real number, got None$"):
+            KernelSpec("mlp", mlp_theta=None)
+
     def test_rbf_width_whose_square_underflows(self):
         # 1e-300 ** 2 is 0.0, so the kernel would divide by zero
         with pytest.raises(DomainError, match="nonzero square"):

@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from fivecast import linalg
 from fivecast.errors import DomainError, ShapeError, SingularError
 from fivecast.kernels import KernelSpec, gram
-from fivecast.linalg import _PANEL, _ROW_BLOCK, _UFUNC_BUFSIZE, PIVOT_TOL, Elimination, _subtract_steps, solve
+from fivecast.linalg import _PANEL, _ROW_BLOCK, _UFUNC_BUFSIZE, PIVOT_TOL, _subtract_steps, solve
 
 REFERENCE_SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -70,6 +70,22 @@ def row_loop_solve(a, b):
     for k in range(n - 1, -1, -1):
         b[k] = (b[k] - np.dot(a[k, k + 1 :], b[k + 1 :])) / a[k, k]
     return b
+
+
+def assert_takes_one_exchange(a, k, p):
+    """Eliminating a exchanges rows k and p and no others.
+
+    Eliminated alongside a, the identity becomes L^-1 P, where the unit
+    lower triangle L holds the stored multipliers and P is the row
+    exchanges, so L times it is P up to rounding.
+    """
+    n = a.shape[0]
+    work = np.hstack([a, np.eye(n)])
+    assert linalg._eliminate(work) is None
+    lower = np.tril(work[:, :n], -1) + np.eye(n)
+    order = np.argmax(np.abs(lower @ work[:, n:]), axis=1)
+    assert np.flatnonzero(order != np.arange(n)).tolist() == [k, p]
+    assert order[k] == p
 
 
 def assert_same_as_row_loop(a, b):
@@ -188,10 +204,7 @@ class TestRowLoopReference:
         # multipliers) and right of it (stale trailing entries) as well
         n = 200
         a, b = last_row_pivot_system(n)
-        pivots = []
-        assert linalg._eliminate(a.copy(), pivots) == 0
-        assert pivots[100] == n - 1
-        assert [p for k, p in enumerate(pivots) if p != k] == [n - 1]
+        assert_takes_one_exchange(a, 100, n - 1)
         assert_same_as_row_loop(a, b)
 
     def test_zero_multiplier_keeps_signed_zero_in_panel_column(self):
@@ -243,8 +256,8 @@ class TestRowLoopReference:
 
 
 def interleaved_eliminate(a: np.ndarray, b: np.ndarray) -> int:
-    # The elimination as it was before the substitution was split out:
-    # the right-hand side is reduced alongside the matrix, step by step.
+    # The right-hand side reduced alongside the matrix at each step of the
+    # panel loop, where solve updates it with the trailing columns.
     # In-place elimination on copies owned by the caller. Returns 0 on
     # success, k+1 when column k has no pivot above PIVOT_TOL.  Leaves the
     # multipliers in the strictly lower part of a.
@@ -292,16 +305,14 @@ def interleaved_solve(a, b):
 
 
 def assert_same_as_interleaved(a, rhs_list):
-    """One Elimination solves every right-hand side in rhs_list with the
-    bits a fresh interleaved elimination gives each."""
-    system = Elimination(a)
+    """solve gives every right-hand side in rhs_list the bits an
+    interleaved elimination gives it."""
     for b in rhs_list:
         want = interleaved_solve(a, b)
         if isinstance(want, int):
             with pytest.raises(SingularError, match=f"column {want}$"):
-                solve(system, b)
+                solve(a, b)
         else:
-            assert solve(system, b).tobytes() == want.tobytes()
             assert solve(a, b).tobytes() == want.tobytes()
 
 
@@ -337,35 +348,15 @@ class TestInterleavedReference:
 
     def test_zero_multipliers_keep_signed_zeros(self):
         a = np.array([[2.0, 1.0], [0.0, 1.0]])
-        x = solve(Elimination(a), np.array([-1.0, -0.0]))
+        x = solve(a, np.array([-1.0, -0.0]))
         assert np.signbit(x[1])
         assert_same_as_interleaved(a, [np.array([-1.0, -0.0]), np.array([3.0, -0.0])])
 
-    def test_singular_system_fails_every_solve(self):
-        a = np.array([[1.0, 2.0], [2.0, 4.0]])
-        system = Elimination(a)
-        for _ in range(2):
-            with pytest.raises(SingularError, match="column 1$"):
-                solve(system, np.ones(2))
-
-    def test_eliminates_once(self, monkeypatch):
-        calls = []
-        real = linalg._eliminate
-        monkeypatch.setattr(linalg, "_eliminate", lambda *args: calls.append(1) or real(*args))
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((20, 20)) + 20 * np.eye(20)
-        system = Elimination(a)
-        assert calls == []  # nothing runs until the first right-hand side
-        for _ in range(3):
-            solve(system, rng.standard_normal(20))
-        assert calls == [1]
-
     def test_rhs_is_checked(self):
-        system = Elimination(np.eye(2))
         with pytest.raises(ShapeError):
-            solve(system, np.ones(3))
+            solve(np.eye(2), np.ones(3))
         with pytest.raises(DomainError):
-            solve(system, np.array([1.0, np.nan]))
+            solve(np.eye(2), np.array([1.0, np.nan]))
 
 
 def dense_system(n, seed=9):
@@ -399,9 +390,9 @@ def count_started_threads(monkeypatch) -> list:
     return started
 
 
-def outcome(system, b):
+def outcome(a, b):
     try:
-        return solve(system, b).tobytes()
+        return solve(a, b).tobytes()
     except SingularError as exc:
         return str(exc)
 
@@ -411,12 +402,13 @@ class TestWorkerCount:
 
     @staticmethod
     def solve_with(workers, monkeypatch, a, b):
-        # a fresh solve, and a reused Elimination on three right-hand sides
+        # a solve, and the reduced augmented matrix with the column that
+        # has no pivot, if one has none
         monkeypatch.setattr(linalg, "_WORKERS", workers)
         started = count_started_threads(monkeypatch)
-        system = Elimination(a)
-        got = [outcome(a, b), *(outcome(system, rhs) for rhs in (b, -b, np.zeros_like(b)))]
-        return got, system._lu.tobytes(), list(system._pivots), len(started)
+        work = np.column_stack((a, b))
+        col = linalg._eliminate(work)
+        return outcome(a, b), col, work.tobytes(), len(started)
 
     @pytest.mark.parametrize("name", list(WORKER_SYSTEMS))
     def test_same_bits_at_one_and_two_workers(self, name, monkeypatch):

@@ -299,6 +299,11 @@ class TestSplit:
             with pytest.raises(DomainError):
                 split(ds, frac)
 
+    def test_fraction_that_is_not_a_number(self):
+        ds = make_windows(weekly_series(np.linspace(1, 2, 10)))
+        with pytest.raises(DomainError, match=r"^train_fraction must be a real number, got '0\.8'$"):
+            split(ds, "0.8")
+
     def test_partition_is_chronological(self):
         rng = np.random.default_rng(2)
         prices = rng.uniform(1.0, 9.0, size=25)
