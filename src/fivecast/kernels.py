@@ -45,17 +45,17 @@ class KernelSpec:
             as_count(self.degree, "polynomial degree", 1)
             as_real(self.poly_c, "polynomial offset", positive=True)
         if self.kind == "rbf":
-            check_real(self.sigma, "rbf width")
-            if not (self.sigma > 0.0 and self.sigma * self.sigma > 0.0):
+            sigma = check_real(self.sigma, "rbf width")
+            if not (sigma > 0.0 and sigma * sigma > 0.0):
                 # the kernels divide by sigma^2, which underflows to 0 below about 1.6e-162
                 raise DomainError(f"rbf width must be > 0 with a nonzero square, got {self.sigma}")
-            if not self.sigma * self.sigma < math.inf:
+            if not sigma * sigma < math.inf:
                 # above about 1.3e154 sigma^2 is inf and every entry exp(-0) = 1
                 raise DomainError(f"rbf width must have a finite square, got {self.sigma}")
         if self.kind == "mlp":
-            check_real(self.mlp_k, "tanh kernel slope")
-            check_real(self.mlp_theta, "tanh kernel offset")
-            if not (math.isfinite(self.mlp_k) and math.isfinite(self.mlp_theta)):
+            k = check_real(self.mlp_k, "tanh kernel slope")
+            theta = check_real(self.mlp_theta, "tanh kernel offset")
+            if not (math.isfinite(k) and math.isfinite(theta)):
                 raise DomainError(
                     f"tanh kernel slope and offset must be finite, got {self.mlp_k}, {self.mlp_theta}"
                 )

@@ -20,7 +20,8 @@ until none is left, and numpy's ufuncs release the GIL while they update
 it.  Every entry goes through the same multiply-then-subtract operations
 in the same step order as a row-at-a-time elimination, whichever thread
 runs its tile, so the solution is bit-identical to it on any number of
-CPUs; a row whose multiplier is zero is skipped at that step, as there.
+CPUs.  Every row takes every step: a row whose multiplier is zero takes
+``x - 0*u`` like any other, so an exact -0.0 there may become +0.0.
 The elimination calls no BLAS, and the command line pins BLAS to one
 thread for the back substitution's dot products, so a command's bytes
 depend neither on the core count nor on the BLAS thread count.  No
@@ -56,18 +57,9 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 def _subtract_steps(a: np.ndarray, rows: slice, steps: range, cols: slice) -> None:
     # a[rows, cols] -= a[rows, t] * a[t, cols] for each t in steps, in
     # order: a[rows, t] holds step t's multipliers and row t is final.
-    # Rows whose multiplier is zero stay untouched at that step, so no
-    # signed zero or non-finite pivot-row entry reaches them.  The
-    # multiplier columns lie left of cols, so one check covers every step.
     tile = a[rows, cols]
-    nonzero = a[rows, steps.start : steps.stop].all(axis=0)
     for t in steps:
-        lam = a[rows, t]
-        if nonzero[t - steps.start]:
-            tile -= lam[:, None] * a[t, cols]
-        else:
-            keep = np.flatnonzero(lam)
-            a[rows.start + keep, cols] -= lam[keep, None] * a[t, cols]
+        tile -= a[rows, t, None] * a[t, cols]
 
 
 def _eliminate(a: np.ndarray) -> int | None:
@@ -94,12 +86,7 @@ def _eliminate(a: np.ndarray) -> int | None:
                 a[[k, p], p1:] = a[[p, k], p1:]
             lam = pt[c, c + 1 :] / pt[c, c]
             pt[c, c + 1 :] = lam  # column k below the pivot is never read again
-            cols = slice(c + 1, None)
-            if not lam.all():
-                keep = np.flatnonzero(lam)
-                cols = c + 1 + keep
-                lam = lam[keep]
-            pt[c + 1 :, cols] -= pt[c + 1 :, c, None] * lam
+            pt[c + 1 :, c + 1 :] -= pt[c + 1 :, c, None] * lam
         a[p0:, p0:p1] = pt.T
         trailing = slice(p1, a.shape[1])
         for t in range(p0, p1 - 1):

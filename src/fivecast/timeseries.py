@@ -141,19 +141,20 @@ def as_count(value, name: str, minimum: int | None = None) -> int:
     return count
 
 
-def check_real(value, name: str):
-    """value itself, when it is a real number of any size or sign."""
+def check_real(value, name: str) -> float:
+    """value as a float, when it is a real number of any size or sign; an
+    integer past float64's range counts as inf of its sign."""
     if not isinstance(value, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {value!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def as_real(value, name: str, positive: bool = False) -> float:
     """A finite real setting as a float: > 0 when positive, else >= 0."""
-    try:
-        real = float(check_real(value, name))
-    except OverflowError:  # an integer past float64's range
-        real = math.inf
+    real = check_real(value, name)
     # NaN fails every comparison
     if not ((real > 0.0 if positive else real >= 0.0) and real < math.inf):
         raise DomainError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")

@@ -506,6 +506,21 @@ class TestBpWorkCap:
         assert "above the cap of 1e+10" in capsys.readouterr().err
         assert built == [] and set(ran) <= {"_bp_predictions"} and not out.exists()
 
+    def test_zero_epochs_count_as_one(self, tmp_path, monkeypatch, capsys):
+        # 2000000 runs x 1 x 339 rows x 16 parameters: building and
+        # predicting that stack is work even when no epoch trains it
+        built = []
+        monkeypatch.setattr(bpnn, "new_network", lambda *args: built.append(args))
+        data = write_price_csv(tmp_path / "prices.csv", make_ar_series(11))
+        out = tmp_path / "out"
+        argv = ["stability", "--epochs", "0", "--runs", "2000000", "--data", str(data), "--out", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "data error: backprop work of 1.08e+10 updates (runs x epochs x training rows x parameters: "
+            "2000000 x 1 (0 epochs count as 1) x 339 x 16) is above the cap of 1e+10\n"
+        )
+        assert built == [] and not out.exists()
+
     def test_models_without_bp_are_not_counted(self, price_csv, tmp_path):
         argv = ["benchmark", "--models", "grnn", "--data", str(price_csv), "--out", str(tmp_path)]
         assert run([*argv, "--epochs", str(10**20)]) == 0

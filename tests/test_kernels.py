@@ -251,6 +251,26 @@ class TestKernelSpec:
             KernelSpec("rbf", sigma=1e200)
         assert KernelSpec("rbf", sigma=1e150).sigma == 1e150
 
+    # An integer past float64's range counts as inf of its sign, as in
+    # as_real, so it gets the message an infinite float gets.
+
+    def test_tanh_slope_past_float_range(self):
+        with pytest.raises(DomainError, match=r"^tanh kernel slope and offset must be finite, got 1000"):
+            KernelSpec("mlp", mlp_k=10**400)
+
+    def test_tanh_offset_past_float_range(self):
+        with pytest.raises(DomainError, match=r"^tanh kernel slope and offset must be finite, got 1\.0, -1000"):
+            KernelSpec("mlp", mlp_theta=-(10**400))
+
+    def test_rbf_width_past_float_range(self):
+        # gram would divide by sigma^2, an int that no float holds
+        with pytest.raises(DomainError, match=r"^rbf width must have a finite square, got 1000"):
+            KernelSpec("rbf", sigma=10**400)
+        with pytest.raises(DomainError, match=r"^rbf width must have a finite square, got 1000"):
+            KernelSpec("rbf", sigma=10**200)
+        with pytest.raises(DomainError, match=r"^rbf width must be > 0 with a nonzero square, got -1000"):
+            KernelSpec("rbf", sigma=-(10**400))
+
 
 class TestMedianPairwiseDistance:
     def test_by_hand(self):

@@ -41,7 +41,8 @@ def textbook_solve(a, b):
 
 
 def row_loop_solve(a, b):
-    """The elimination one row at a time.
+    """The elimination one step at a time, each step on every row below
+    the pivot at once.
 
     ``solve`` does the same arithmetic in column panels and row tiles;
     every entry sees the same operations in the same order, so results
@@ -62,11 +63,9 @@ def row_loop_solve(a, b):
             tb = b[k]
             b[k] = b[p]
             b[p] = tb
-        for i in range(k + 1, n):
-            lam = a[i, k] / a[k, k]
-            if lam != 0.0:
-                a[i, k:] -= lam * a[k, k:]
-                b[i] -= lam * b[k]
+        lam = a[k + 1 :, k] / a[k, k]
+        a[k + 1 :, k:] -= lam[:, None] * a[k, k:]
+        b[k + 1 :] -= lam * b[k]
     for k in range(n - 1, -1, -1):
         b[k] = (b[k] - np.dot(a[k, k + 1 :], b[k + 1 :])) / a[k, k]
     return b
@@ -137,8 +136,8 @@ def last_row_pivot_system(n):
 
 def trailing_signed_zero_system(n):
     """Row n - 2 has a zero multiplier at step 5 and a -0.0 in the last
-    column, which step 5 would turn into +0.0 if it were not skipped; row
-    n - 1, in the same row tile, has a nonzero multiplier."""
+    column, which step 5 turns into +0.0; row n - 1, in the same row
+    tile, has a nonzero multiplier."""
     a = 2.0 * np.eye(n)
     a[5, n - 1] = -1.0
     a[n - 2, n - 1] = -0.0
@@ -208,27 +207,28 @@ class TestRowLoopReference:
         assert_same_as_row_loop(a, b)
 
     def test_zero_multiplier_keeps_signed_zero_in_panel_column(self):
-        # the panel's own update skips row 1 at step 0 too: subtracting
-        # 0 * a[0, 2] (= -0.0) from its -0.0 in column 2 would give +0.0,
-        # and x[1] = (-0.0 - a[1, 2] * x[2]) / 2 shows that sign
+        # the panel's own update takes row 1 at step 0 too: subtracting
+        # 0 * a[0, 2] (= -0.0) from its -0.0 in column 2 gives +0.0, and
+        # x[1] = (-0.0 - a[1, 2] * x[2]) / 2 shows that sign as -0.0
         a = 2.0 * np.eye(3)
         a[0, 2] = -1.0
         a[1, 2] = -0.0
         a[2, 0] = 0.5
         b = np.array([0.0, -0.0, 2.0])
         x = solve(a, b)
-        assert x[1] == 0.0 and not np.signbit(x[1])
+        assert x[1] == 0.0 and np.signbit(x[1])
         assert_same_as_row_loop(a, b)
 
     def test_zero_multiplier_keeps_signed_zero_in_trailing_column(self):
-        # Row 128 has a zero multiplier at step 5, so the deferred update
-        # of its trailing columns must skip it.  Subtracting 0 * a[5, 129]
-        # (= 0 * -1.0 = -0.0) from its -0.0 in column 129 would give +0.0,
-        # and x[128] = (-0.0 - a[128, 129] * x[129]) / 2 shows that sign.
-        # Row 129 shares its row tile and has a nonzero multiplier.
+        # Row 128 has a zero multiplier at step 5, and the deferred update
+        # of its trailing columns takes it like any other row.  Subtracting
+        # 0 * a[5, 129] (= 0 * -1.0 = -0.0) from its -0.0 in column 129
+        # gives +0.0, and x[128] = (-0.0 - a[128, 129] * x[129]) / 2 shows
+        # that sign as -0.0.  Row 129 shares its row tile and has a
+        # nonzero multiplier.
         a, b = trailing_signed_zero_system(130)
         x = solve(a, b)
-        assert x[128] == 0.0 and not np.signbit(x[128])
+        assert x[128] == 0.0 and np.signbit(x[128])
         assert_same_as_row_loop(a, b)
 
     def test_lssvm_saddle_system(self):
@@ -245,13 +245,13 @@ class TestRowLoopReference:
         assert_same_as_row_loop(a, b)
 
     def test_zero_multipliers_keep_signed_zeros(self):
-        # row 1 has a zero multiplier, so it is skipped and its -0.0
-        # right-hand side survives into the solution; subtracting
-        # 0 * -1.0 from it would turn it into +0.0
+        # row 1 has a zero multiplier and still takes step 0: subtracting
+        # 0 * -1.0 (= -0.0) from its -0.0 right-hand side gives +0.0,
+        # which reaches the solution
         a = np.array([[2.0, 1.0], [0.0, 1.0]])
         b = np.array([-1.0, -0.0])
         x = solve(a, b)
-        assert np.signbit(x[1])
+        assert x[1] == 0.0 and not np.signbit(x[1])
         assert_same_as_row_loop(a, b)
 
 
@@ -273,13 +273,8 @@ def interleaved_eliminate(a: np.ndarray, b: np.ndarray) -> int:
                 b[[k, p]] = b[[p, k]]
             lam = a[k + 1 :, k] / a[k, k]
             a[k + 1 :, k] = lam  # column k below the pivot is never read again
-            rows = slice(k + 1, n)
-            if not lam.all():
-                keep = np.flatnonzero(lam)
-                rows = k + 1 + keep
-                lam = lam[keep]
-            a[rows, k + 1 : p1] -= lam[:, None] * a[k, k + 1 : p1]
-            b[rows] -= lam * b[k]
+            a[k + 1 :, k + 1 : p1] -= lam[:, None] * a[k, k + 1 : p1]
+            b[k + 1 :] -= lam * b[k]
         if p1 == n:
             break
         trailing = slice(p1, n)
@@ -347,9 +342,13 @@ class TestInterleavedReference:
         assert_same_as_interleaved(a, rhs)
 
     def test_zero_multipliers_keep_signed_zeros(self):
+        # row 1's zero multiplier still applies: its -0.0 right-hand side
+        # less 0 * -1.0 (= -0.0) is +0.0, less 0 * 3.0 (= +0.0) stays -0.0
         a = np.array([[2.0, 1.0], [0.0, 1.0]])
         x = solve(a, np.array([-1.0, -0.0]))
-        assert np.signbit(x[1])
+        assert x[1] == 0.0 and not np.signbit(x[1])
+        x = solve(a, np.array([3.0, -0.0]))
+        assert x[1] == 0.0 and np.signbit(x[1])
         assert_same_as_interleaved(a, [np.array([-1.0, -0.0]), np.array([3.0, -0.0])])
 
     def test_rhs_is_checked(self):

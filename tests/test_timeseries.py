@@ -270,6 +270,8 @@ class TestSettingRules:
         # an int past float64's range is not finite there
         with pytest.raises(DomainError, match=r"^eta must be finite and >= 0, got 1000"):
             as_real(10**400, "eta")
+        with pytest.raises(DomainError, match=r"^eta must be finite and >= 0, got -1000"):
+            as_real(-(10**400), "eta")
         for bad in ("0.5", None, 1j, np.array([0.5])):
             with pytest.raises(DomainError, match=r"^eta must be a real number, got "):
                 as_real(bad, "eta")
