@@ -100,15 +100,17 @@ def new_network(layer_sizes, seeds) -> BpNetwork:
     on (-0.5, 0.5) from its seed's generator, drawn layer by layer, and
     biases zero."""
     sizes = _check_sizes(layer_sizes)
-    rngs = [np.random.default_rng(as_count(seed, "seed", 0)) for seed in seeds]
     try:
-        params = np.zeros((len(rngs), parameter_count(sizes)))
-        for w in _layers(params, sizes)[0]:
-            for row, rng in zip(w, rngs):
-                row[...] = rng.uniform(-0.5, 0.5, row.shape)
-    except (ValueError, MemoryError) as exc:
-        # numpy refuses a shape past its index range or an allocation that fails
+        params = np.zeros((len(seeds), parameter_count(sizes)))
+    except (OverflowError, ValueError, MemoryError) as exc:
+        # len() refuses a count past ssize_t, numpy a shape past its index
+        # range, and an allocation can fail
         raise DomainError(f"cannot allocate layers of sizes {sizes}: {exc}") from exc
+    # the generators come only once the block exists: a stack too big lists none
+    rngs = [np.random.default_rng(as_count(seed, "seed", 0)) for seed in seeds]
+    for w in _layers(params, sizes)[0]:
+        for row, rng in zip(w, rngs):
+            row[...] = rng.uniform(-0.5, 0.5, row.shape)
     return BpNetwork(sizes, params)
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from . import svr
 from .errors import DomainError, FivecastError, ShapeError
 from .kernels import KernelSpec, median_pairwise_distance
-from .timeseries import MinMaxScaler, WindowedDataset, as_count, as_real, as_vector, fit_scaler
+from .timeseries import MinMaxScaler, WindowedDataset, as_count, as_real, as_vector, check_real, fit_scaler
 
 
 def mse(actual, predicted) -> float:
@@ -203,24 +203,20 @@ MAX_BP_WORK = 10**10
 def check_bp_work(ds: WindowedDataset, cfg: HarnessConfig, runs: int) -> None:
     """Raise DomainError when training runs backprop networks on ds would
     take more than MAX_BP_WORK sample-parameter updates, counting at least
-    one epoch.
-
-    A stack whose parameters numpy cannot shape is left to
-    bpnn.new_network, whose error names its layers.
+    one epoch.  This is the one gate of an oversized stack, whatever its
+    runs, epochs or width: one that numpy cannot shape has far more work.
     """
     from . import bpnn
 
     # Python integers, so no product wraps
     runs, epochs, rows = int(runs), int(cfg.bp_epochs), ds.train_inputs.shape[0]
     params = bpnn.parameter_count(_bp_sizes(ds, cfg))
-    if runs * params > np.iinfo(np.intp).max // 8:
-        return
     work = runs * max(epochs, 1) * rows * params
     if work > MAX_BP_WORK:
         counted = "1 (0 epochs count as 1)" if epochs == 0 else epochs
         raise DomainError(
-            f"backprop work of {work:.3g} updates (runs x epochs x training rows x parameters: "
-            f"{runs} x {counted} x {rows} x {params}) is above the cap of {MAX_BP_WORK:.0e}"
+            f"backprop work of {check_real(work, 'backprop work'):.3g} updates (runs x epochs x training "
+            f"rows x parameters: {runs} x {counted} x {rows} x {params}) is above the cap of {MAX_BP_WORK:.0e}"
         )
 
 
@@ -344,23 +340,13 @@ def stability(ds: WindowedDataset, cfg: HarnessConfig | None = None, runs: int =
 
     All runs train together as one stacked network, each exactly as it
     would alone.  Spreads are sample standard deviations.  A sweep whose
-    parameters cannot be allocated, or whose work is above MAX_BP_WORK,
-    is a DomainError before any network is built.
+    work is above MAX_BP_WORK is a DomainError from check_bp_work before
+    any network is built.
     """
     cfg = cfg or HarnessConfig()
     runs = as_count(runs, "runs")
     if runs < 2:
         raise DomainError(f"need at least 2 runs, got {runs}")
-    from . import bpnn
-
-    # Ask once for the stack's parameter block, and release it untouched:
-    # a sweep numpy cannot shape or memory cannot hold fails here, before
-    # any network is built.
-    sizes = _bp_sizes(ds, cfg)
-    try:
-        np.empty((runs, bpnn.parameter_count(sizes)))
-    except (ValueError, MemoryError) as exc:
-        raise DomainError(f"cannot allocate layers of sizes {sizes} for {runs} networks: {exc}") from exc
     scaler = _train_scaler(ds)
     y_test = ds.test_targets
     preds = _run_model(_bp_predictions, ds, scaler, cfg, runs)

@@ -42,7 +42,10 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise DomainError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "poly":
-            as_count(self.degree, "polynomial degree", 1)
+            degree = as_count(self.degree, "polynomial degree", 1)
+            if not check_real(degree, "polynomial degree") < math.inf:
+                # the kernels raise float64 values to it, so it must convert to one
+                raise DomainError(f"polynomial degree must be finite as a float64, got {self.degree}")
             as_real(self.poly_c, "polynomial offset", positive=True)
         if self.kind == "rbf":
             sigma = check_real(self.sigma, "rbf width")

@@ -297,6 +297,14 @@ class TestNewNetwork:
         with pytest.raises(DomainError, match=r"^seed must be an integer, got 2\.5$"):
             new_network((3, 3, 1), [2.5])
 
+    @pytest.mark.parametrize("runs", [10**20, 10**18], ids=["past-ssize_t", "past-numpy-shape"])
+    def test_stack_that_cannot_be_held_lists_no_generators(self, runs, monkeypatch):
+        # the parameter block is asked for first, so no generator is built
+        built = mock.Mock(side_effect=AssertionError("a generator was built"))
+        monkeypatch.setattr(np.random, "default_rng", built)
+        with pytest.raises(DomainError, match=r"^cannot allocate layers of sizes \(3, 3, 1\): "):
+            new_network((3, 3, 1), range(runs))
+
     def test_layer_size_that_is_not_an_integer(self):
         # not rounded down to a (3, 2, 1) network
         with pytest.raises(DomainError, match=r"^layer size must be an integer, got 2\.5$"):

@@ -387,11 +387,12 @@ class TestBadFlagValues:
             (["kernels", "--poly-c", "inf"], 2, "data error: polynomial offset must be finite"),
             (["kernels", "--mlp-theta", "inf"], 2, "data error: tanh kernel slope and offset must be finite"),
             (["benchmark", "--models", "svr,lssvm", "--rbf-sigma", "inf"], 2, "data error: rbf width"),
-            # numpy cannot even shape these layers, so nothing is allocated
+            # layers numpy cannot even shape are far above the backprop work cap
             (["stability", "--runs", "2", "--hidden", str(10**20)], 2,
-             "data error: cannot allocate layers of sizes (3, 100000000000000000000, 1)"),
+             "data error: backprop work of 5.8e+23 updates (runs x epochs x training rows x parameters: "
+             "2 x 20 x 29 x 500000000000000000001)"),
             (["lag", "--models", "bp", "--hidden", str(10**20)], 2,
-             "data error: cannot allocate layers of sizes (3, 100000000000000000000, 1)"),
+             "data error: backprop work of 2.9e+23 updates"),
             # a repeated model would train twice and write two identical rows
             (["benchmark", "--models", "grnn,grnn"], 1,
              "error: model 'grnn' is named more than once in --models"),
@@ -417,6 +418,21 @@ class TestBadFlagValues:
              "data error: backprop work of 4.64e+22 updates"),
             (["lag", "--models", "grnn,bp", "--epochs", str(10**20)], 2,
              "data error: backprop work of 4.64e+22 updates"),
+            (["benchmark", "--models", "bp,rbf", "--hidden", str(10**20)], 2,
+             "data error: backprop work of 2.9e+23 updates"),
+            # an int past float64's range counts as inf
+            (["stability", "--runs", "2", "--epochs", str(10**400)], 2,
+             "data error: backprop work of inf updates (runs x epochs x training rows x parameters: 2 x 1000"),
+            (["lag", "--models", "bp", "--epochs", str(10**400)], 2, "data error: backprop work of inf updates"),
+            (["benchmark", "--epochs", str(10**400)], 2, "data error: backprop work of inf updates"),
+            (["stability", "--runs", str(10**400)], 2, "data error: backprop work of inf updates"),
+            (["lag", "--models", "bp", "--hidden", str(10**400)], 2, "data error: backprop work of inf updates"),
+            (["kernels", "--poly-d", str(10**400)], 2,
+             "data error: polynomial degree must be finite as a float64, got 1000"),
+            (["benchmark", "--kernel", "poly", "--poly-d", str(10**400)], 2,
+             "data error: polynomial degree must be finite as a float64"),
+            (["stability", "--runs", "2", "--kernel", "poly", "--poly-d", str(10**400)], 2,
+             "data error: polynomial degree must be finite as a float64"),
         ],
     )
     def test_rejected_up_front(self, price_csv, tmp_path, argv, code, message):
@@ -433,7 +449,7 @@ class TestBadFlagValues:
         "model, flags, message",
         [
             # only what depends on the data or on memory is left to the fit
-            ("bp", ["--hidden", str(10**20)], "DomainError: cannot allocate layers of sizes"),
+            ("bp", ["--eta", "1e9"], "DivergenceError: training cost became non-finite"),
             ("rbf", ["--rbf-centers", "1000"], "DomainError: n_centers must be in [1, 29], got 1000"),
         ],
     )
@@ -582,28 +598,32 @@ class TestOutOfMemory:
 
     def test_runs_that_memory_cannot_hold_exit_2_at_once(self, long_csv, tmp_path):
         # numpy can shape 10**12 networks of sizes (3, 3, 1), but their
-        # parameters alone need 116 TiB: the sweep fails before building
-        # one network per run, which would fill the address space first
+        # parameters alone need 116 TiB: the work cap refuses the sweep
+        # before one network or generator per run would fill the address space
         out = tmp_path / "out"
         proc = self.run_limited(["stability", "--runs", str(10**12)], long_csv, out, bp_flags=())
         assert proc.returncode == 2
         assert proc.stderr == (
-            "data error: cannot allocate layers of sizes (3, 3, 1) for 1000000000000 "
-            "networks: Unable to allocate 116. TiB for an array with shape (1000000000000, 16) "
-            "and data type float64\n"
+            "data error: backprop work of 2.71e+18 updates (runs x epochs x training rows x parameters: "
+            "1000000000000 x 500 x 339 x 16) is above the cap of 1e+10\n"
         )
         assert not out.exists()
 
-    def test_too_many_runs_exit_2_at_once(self, price_csv, tmp_path, capsys):
+    def test_too_many_runs_exit_2_at_once(self, price_csv, tmp_path, capsys, monkeypatch):
         # in process: numpy cannot shape these networks' parameters, and
-        # building one network per run would exhaust memory
+        # building one generator per run would exhaust memory
+        def build(*args):
+            raise AssertionError("a network or a generator was built")
+
+        monkeypatch.setattr(bpnn, "new_network", build)
+        monkeypatch.setattr(np.random, "default_rng", build)
         out = tmp_path / "out"
         argv = ["stability", "--runs", str(10**20), "--data", str(price_csv), "--out", str(out)]
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err == (
-            "data error: cannot allocate layers of sizes (3, 3, 1) for 100000000000000000000 "
-            "networks: Maximum allowed dimension exceeded\n"
+            "data error: backprop work of 2.32e+25 updates (runs x epochs x training rows x parameters: "
+            "100000000000000000000 x 500 x 29 x 16) is above the cap of 1e+10\n"
         )
         assert not out.exists()
 
@@ -859,7 +879,7 @@ class TestImports:
 
 # Values for the setting flags: out of every range, at the float64 limits,
 # and ordinary.  Each int flag also meets the float spellings, a usage error.
-_ODD_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e-320", "1e308", "1", "3", str(10**20))
+_ODD_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e-320", "1e308", "1", "3", str(10**20), str(10**400))
 _SETTING_FLAGS = tuple(
     flag for flag, dest, options in cli._FLAGS if "type" in options and dest not in ("models", "runs")
 )

@@ -373,28 +373,34 @@ class TestStability:
             stability(ds, runs=1)
 
     def test_too_many_runs_fail_before_the_seeds_are_listed(self, monkeypatch):
-        # numpy cannot shape 10**20 rows of 16 parameters
+        # 10**20 runs of 16 parameters are far above the work cap
+        def no_training(*args, **kwargs):
+            raise AssertionError("a network or a generator was built")
+
+        monkeypatch.setattr(bpnn, "new_network", no_training)
+        monkeypatch.setattr(np.random, "default_rng", no_training)
+        message = (
+            "backprop work of 1.68e+25 updates (runs x epochs x training rows x parameters: "
+            "100000000000000000000 x 500 x 21 x 16) is above the cap of 1e+10"
+        )
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            stability(constant_dataset(), runs=10**20)
+
+    def test_most_runs_numpy_can_shape(self, monkeypatch):
+        # 5h + 1 parameters a network: at this width numpy can shape two
+        # networks' parameters but not three, and the work cap refuses
+        # both before either is asked for
         def no_training(*args, **kwargs):
             raise AssertionError("a network was built")
 
         monkeypatch.setattr(bpnn, "new_network", no_training)
-        message = (
-            r"^cannot allocate layers of sizes \(3, 3, 1\) for 100000000000000000000 networks: "
-            r"Maximum allowed dimension exceeded$"
-        )
-        with pytest.raises(DomainError, match=message):
-            stability(constant_dataset(), runs=10**20)
-
-    def test_most_runs_numpy_can_shape(self):
-        # 5h + 1 parameters a network: at this width numpy can shape two
-        # networks' parameters but not three, and memory holds neither
         hidden = np.iinfo(np.intp).max // 80 - 1
         cfg = HarnessConfig(bp_hidden=hidden)
-        sizes = re.escape(f"cannot allocate layers of sizes (3, {hidden}, 1)")
-        with pytest.raises(DomainError, match=sizes + " for 3 networks: array is too big"):
-            stability(constant_dataset(), cfg, runs=3)
-        with pytest.raises(DomainError, match=sizes + " for 2 networks: Unable to allocate"):
-            stability(constant_dataset(), cfg, runs=2)
+        for runs, work in ((3, "1.82e+22"), (2, "1.21e+22")):
+            message = f"backprop work of {work} updates (runs x epochs x training rows x parameters: "
+            message += f"{runs} x 500 x 21 x {5 * hidden + 1})"
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+                stability(constant_dataset(), cfg, runs=runs)
 
 
 class TestBpWorkCap:
@@ -406,9 +412,10 @@ class TestBpWorkCap:
     @pytest.fixture(autouse=True)
     def no_networks(self, monkeypatch):
         def build(*args):
-            raise AssertionError("a network was built")
+            raise AssertionError("a network or a generator was built")
 
         monkeypatch.setattr(bpnn, "new_network", build)
+        monkeypatch.setattr(np.random, "default_rng", build)
 
     def test_message_names_the_work_and_the_cap(self):
         # the constant series has 21 training rows; (3, 3, 1) layers have 16 parameters
@@ -418,6 +425,10 @@ class TestBpWorkCap:
         )
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             check_bp_work(constant_dataset(), self.HUGE, 2)
+        # work past float64's range reads inf
+        message = "backprop work of inf updates (runs x epochs x training rows x parameters: 2 x 1000"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+            check_bp_work(constant_dataset(), HarnessConfig(bp_epochs=10**400), 2)
 
     def test_work_at_the_cap_passes(self, monkeypatch):
         monkeypatch.setattr(evaluate, "MAX_BP_WORK", 3 * 7 * 21 * 16)
@@ -437,16 +448,33 @@ class TestBpWorkCap:
             check_bp_work(ds, cfg, 2)
 
     @pytest.mark.parametrize(
-        "call",
+        "entry, cfg, runs",
         [
-            lambda cfg: stability(constant_dataset(), cfg, runs=2),
-            lambda cfg: model_predictions(constant_dataset(), "bp", cfg),
+            ("stability", HUGE, 2),
+            ("model_predictions", HUGE, 1),
+            ("stability", HarnessConfig(), 10**20),
+            ("stability", HarnessConfig(), 10**400),
+            ("stability", HarnessConfig(bp_epochs=10**400), 2),
+            ("model_predictions", HarnessConfig(bp_epochs=10**400), 1),
+            ("stability", HarnessConfig(bp_hidden=10**20), 2),
+            ("model_predictions", HarnessConfig(bp_hidden=10**20), 1),
+            ("stability", HarnessConfig(bp_hidden=10**400), 2),
+            ("model_predictions", HarnessConfig(bp_hidden=10**400), 1),
         ],
-        ids=["stability", "model_predictions"],
+        ids=[
+            "stability", "model_predictions",
+            "stability-runs", "stability-runs-past-float",
+            "stability-epochs-past-float", "model_predictions-epochs-past-float",
+            "stability-hidden", "model_predictions-hidden",
+            "stability-hidden-past-float", "model_predictions-hidden-past-float",
+        ],
     )
-    def test_every_entry_point_checks(self, call):
-        with pytest.raises(DomainError, match="^backprop work of .* is above the cap of 1e\\+10$"):
-            call(self.HUGE)
+    def test_every_entry_point_checks(self, entry, cfg, runs):
+        with pytest.raises(DomainError, match=r"^backprop work of \S+ updates \(.*\) is above the cap of 1e\+10$"):
+            if entry == "stability":
+                stability(constant_dataset(), cfg, runs=runs)
+            else:
+                model_predictions(constant_dataset(), "bp", cfg)
 
     def test_benchmark_gives_an_error_row(self):
         # the command line fails the whole command before any model runs
@@ -454,9 +482,11 @@ class TestBpWorkCap:
         assert bp.error.startswith("DomainError: backprop work of ")
         assert grnn.error is None
 
-    def test_layers_numpy_cannot_shape_are_left_to_new_network(self):
-        # their work is above the cap, but new_network's error names the layers
-        check_bp_work(constant_dataset(), HarnessConfig(bp_hidden=10**20), 1)
+    def test_layers_numpy_cannot_shape_are_above_the_cap(self):
+        # (3, 10**20, 1) layers have 5 x 10**20 + 1 parameters
+        message = "(runs x epochs x training rows x parameters: 1 x 500 x 21 x 500000000000000000001)"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            check_bp_work(constant_dataset(), HarnessConfig(bp_hidden=10**20), 1)
 
     def test_other_models_are_not_counted(self):
         (report,) = benchmark(constant_dataset(), ["grnn"], self.HUGE)

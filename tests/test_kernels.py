@@ -271,6 +271,12 @@ class TestKernelSpec:
         with pytest.raises(DomainError, match=r"^rbf width must be > 0 with a nonzero square, got -1000"):
             KernelSpec("rbf", sigma=-(10**400))
 
+    def test_poly_degree_past_float_range(self):
+        # the kernels raise a float64 to the degree, which no float64 holds
+        with pytest.raises(DomainError, match=r"^polynomial degree must be finite as a float64, got 1000"):
+            KernelSpec("poly", degree=10**400)
+        assert KernelSpec("poly", degree=10**308).degree == 10**308
+
 
 class TestMedianPairwiseDistance:
     def test_by_hand(self):
