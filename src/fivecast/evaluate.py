@@ -9,8 +9,8 @@ requested model on the chronological training block, predicts the test
 block, and scores mean squared error and mean absolute percentage error
 in original price units.  It returns reports and leaves their text to
 :mod:`fivecast.cli`.  An allocation that fails while a model runs is a
-DomainError, and so is backprop work above ``MAX_BP_WORK``, found
-before any network is built.
+DomainError, and so is backprop work above ``MAX_BP_WORK`` or memory
+above ``MAX_BP_VALUES``, found before any network is built.
 
 Scaling policy: inputs and targets are min-max scaled to [0, 1] on
 statistics from the training block only, and predictions are inverse
@@ -180,15 +180,11 @@ def _scaled_blocks(ds: WindowedDataset, scaler: MinMaxScaler):
     )
 
 
-def _bp_sizes(ds: WindowedDataset, cfg: HarnessConfig) -> tuple[int, int, int]:
-    """Layer sizes of the backprop network: one hidden layer, one output."""
+def _bp_hidden(ds: WindowedDataset, cfg: HarnessConfig) -> int:
+    """Hidden width of the backprop network: cfg.bp_hidden, else the rule."""
     from . import bpnn
 
-    n_in = ds.inputs.shape[1]
-    hidden = cfg.bp_hidden
-    if hidden is None:
-        hidden = bpnn.hidden_size_rule(1, n_in)
-    return n_in, hidden, 1
+    return bpnn.hidden_size_rule(ds.inputs.shape[1]) if cfg.bp_hidden is None else cfg.bp_hidden
 
 
 # The most backprop work a command may ask for, in sample-parameter
@@ -199,24 +195,47 @@ def _bp_sizes(ds: WindowedDataset, cfg: HarnessConfig) -> tuple[int, int, int]:
 # batch of 16, so the cap is about two minutes there.
 MAX_BP_WORK = 10**10
 
+# The most float64 values a backprop sweep may hold at once, 16 GiB.  Each
+# run holds four copies of its parameters (the network, its training copy,
+# its gradients and the bound's absolute values) and, for each row of the
+# larger block one pass takes whole (the test block, or the training block
+# when an epoch trains), its inputs, at most four arrays of hidden
+# activations and at most eight of outputs, targets and shuffle order.
+# tracemalloc puts the CLI's 427-week series at about three activation
+# arrays: 24 bytes a run, training row and hidden unit.  The cap is a
+# count, so it is the same on every host; one with less memory can still
+# run out below it, which is the out-of-memory DomainError.
+MAX_BP_VALUES = 2**31
+
 
 def check_bp_work(ds: WindowedDataset, cfg: HarnessConfig, runs: int) -> None:
     """Raise DomainError when training runs backprop networks on ds would
     take more than MAX_BP_WORK sample-parameter updates, counting at least
-    one epoch.  This is the one gate of an oversized stack, whatever its
-    runs, epochs or width: one that numpy cannot shape has far more work.
+    one epoch, or hold more than MAX_BP_VALUES float64 values.  This is
+    the one gate of an oversized stack, whatever its runs, epochs or
+    width: one that numpy cannot shape has far more work.
     """
     from . import bpnn
 
     # Python integers, so no product wraps
     runs, epochs, rows = int(runs), int(cfg.bp_epochs), ds.train_inputs.shape[0]
-    params = bpnn.parameter_count(_bp_sizes(ds, cfg))
+    inputs, hidden = ds.inputs.shape[1], _bp_hidden(ds, cfg)
+    params = bpnn.parameter_count(inputs, hidden)
     work = runs * max(epochs, 1) * rows * params
     if work > MAX_BP_WORK:
         counted = "1 (0 epochs count as 1)" if epochs == 0 else epochs
         raise DomainError(
             f"backprop work of {check_real(work, 'backprop work'):.3g} updates (runs x epochs x training "
             f"rows x parameters: {runs} x {counted} x {rows} x {params}) is above the cap of {MAX_BP_WORK:.0e}"
+        )
+    # the work cap bounds runs and width, so this count stays far inside float64's range
+    rows = max(ds.test_inputs.shape[0], rows if epochs else 0)
+    values = runs * (rows * (4 * hidden + inputs + 8) + 4 * params)
+    if values > MAX_BP_VALUES:
+        raise DomainError(
+            f"backprop memory of {values:.3g} float64 values (runs x (rows x (4 x hidden + inputs + 8) + "
+            f"4 x parameters): {runs} x ({rows} x (4 x {hidden} + {inputs} + 8) + 4 x {params})) "
+            f"is above the cap of {MAX_BP_VALUES:.3g}"
         )
 
 
@@ -231,7 +250,7 @@ def _bp_predictions(ds: WindowedDataset, scaler: MinMaxScaler, cfg: HarnessConfi
 
     check_bp_work(ds, cfg, runs)
     seeds = range(cfg.seed, cfg.seed + runs)
-    net = bpnn.new_network(_bp_sizes(ds, cfg), seeds)
+    net = bpnn.new_network(ds.inputs.shape[1], _bp_hidden(ds, cfg), seeds)
     sgd = bpnn.SgdConfig(eta=cfg.bp_eta, batch_size=cfg.bp_batch, epochs=cfg.bp_epochs)
     xs_tr, ys_tr, xs_te = _scaled_blocks(ds, scaler)
     bpnn.train(net, xs_tr, ys_tr, sgd, seeds)
@@ -340,8 +359,8 @@ def stability(ds: WindowedDataset, cfg: HarnessConfig | None = None, runs: int =
 
     All runs train together as one stacked network, each exactly as it
     would alone.  Spreads are sample standard deviations.  A sweep whose
-    work is above MAX_BP_WORK is a DomainError from check_bp_work before
-    any network is built.
+    work is above MAX_BP_WORK, or whose memory is above MAX_BP_VALUES, is
+    a DomainError from check_bp_work before any network is built.
     """
     cfg = cfg or HarnessConfig()
     runs = as_count(runs, "runs")

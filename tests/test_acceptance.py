@@ -52,27 +52,26 @@ class TestAcceptance:
         start = time.perf_counter()
         rng = np.random.default_rng(100)
         h = 1e-5
-        sizes = (3, 3, 1)
         worst = 0.0
         for trial in range(20):
-            net = bpnn.new_network(sizes, [2 * trial, 2 * trial + 1])
-            grad = bpnn.BpNetwork(sizes, np.empty_like(net.params))
+            net = bpnn.new_network(3, 3, [2 * trial, 2 * trial + 1])
+            grad = np.empty_like(net.params)
             x = rng.uniform(-1.0, 1.0, (2, 4, 3))
             y = rng.uniform(-1.0, 1.0, (2, 4, 1))
-            bpnn._batch_gradients(net.weights, net.biases, x, y, grad.weights, grad.biases)
+            bpnn._batch_gradients(bpnn._layers(net.params, 3, 3), x, y, bpnn._layers(grad, 3, 3))
             params = net.params
             for k in range(2):
-                view = bpnn.BpNetwork(sizes, params[k : k + 1])
+                view = bpnn.BpNetwork(3, 3, params[k : k + 1])
                 for idx in range(params.shape[1]):
                     orig = params[k, idx]
                     params[k, idx] = orig + h
                     # training_cost is the batch mean, the gradient's the sum
-                    up = x.shape[1] * bpnn.training_cost(view, x[k], y[k])[0]
+                    up = x.shape[1] * bpnn.training_cost(view, x[k], y[k, :, 0])[0]
                     params[k, idx] = orig - h
-                    dn = x.shape[1] * bpnn.training_cost(view, x[k], y[k])[0]
+                    dn = x.shape[1] * bpnn.training_cost(view, x[k], y[k, :, 0])[0]
                     params[k, idx] = orig
                     fd = (up - dn) / (2.0 * h)
-                    g = grad.params[k, idx]
+                    g = grad[k, idx]
                     denom = max(abs(g), abs(fd), 1e-6)
                     worst = max(worst, abs(g - fd) / denom)
         elapsed = time.perf_counter() - start

@@ -25,56 +25,51 @@ from fivecast.bpnn import (
 from fivecast.errors import DivergenceError, DomainError, ShapeError
 
 
+def views(net):
+    """The hidden weights and biases, then the output weights and bias, of
+    a stack: views of its parameter block."""
+    return bpnn._layers(net.params, net.inputs, net.hidden)
+
+
 def row(net, k):
     """Network k of a stack, as a stack of one viewing its row."""
-    return BpNetwork(net.layer_sizes, net.params[k : k + 1])
+    return BpNetwork(net.inputs, net.hidden, net.params[k : k + 1])
 
 
 def batch_gradients(net, xs, ys):
     """Gradients of the half squared error summed over the rows of xs, from
-    the per-batch function training calls, shaped like the parameters of
-    net, a stack of one."""
+    the per-batch function training calls, as a parameter row of net, a
+    stack of one."""
     x = np.asarray(xs, dtype=np.float64)[None]
-    t = np.asarray(ys, dtype=np.float64).reshape(1, x.shape[1], -1)
-    grads = BpNetwork(net.layer_sizes, np.empty_like(net.params))
-    bpnn._batch_gradients(net.weights, net.biases, x, t, grads.weights, grads.biases)
-    return grads.weights, grads.biases
+    t = np.asarray(ys, dtype=np.float64).reshape(1, x.shape[1], 1)
+    grads = np.empty_like(net.params)
+    bpnn._batch_gradients(views(net), x, t, bpnn._layers(grads, net.inputs, net.hidden))
+    return grads[0]
 
 
 def fd_gradients(net, x, y, h=1e-5):
-    """Central finite differences over every parameter.
+    """Central finite differences over every parameter of net, a stack of
+    one, as a parameter row.
 
-    Perturbs the live arrays one entry at a time and restores them; the
-    cost comes from training_cost's forward pass, not the gradient's.
+    Perturbs the live row one entry at a time and restores it; the cost
+    comes from training_cost's forward pass, not the gradient's.
     """
-
-    def cost():
-        return training_cost(net, [x], [np.atleast_1d(y)])[0]
-
-    grads = []
-    for params in (net.weights, net.biases):
-        block = []
-        for arr in params:
-            g = np.zeros_like(arr)
-            for idx in np.ndindex(arr.shape):
-                orig = arr[idx]
-                arr[idx] = orig + h
-                up = cost()
-                arr[idx] = orig - h
-                dn = cost()
-                arr[idx] = orig
-                g[idx] = (up - dn) / (2.0 * h)
-            block.append(g)
-        grads.append(block)
-    return grads[0], grads[1]
+    p = net.params[0]
+    grads = np.zeros_like(p)
+    for idx in range(p.shape[0]):
+        orig = p[idx]
+        p[idx] = orig + h
+        up = training_cost(net, [x], np.atleast_1d(y))[0]
+        p[idx] = orig - h
+        dn = training_cost(net, [x], np.atleast_1d(y))[0]
+        p[idx] = orig
+        grads[idx] = (up - dn) / (2.0 * h)
+    return grads
 
 
 def max_relative_error(analytic, numeric):
-    worst = 0.0
-    for a, f in zip(analytic, numeric):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-6)
-        worst = max(worst, float(np.max(np.abs(a - f) / denom)))
-    return worst
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 def scaled_ar_dataset():
@@ -84,31 +79,23 @@ def scaled_ar_dataset():
 
 
 def full_batch_backprop_step(net, xs, ys, eta):
-    """Weights and biases after one mean-gradient step built from
+    """The parameter row after one mean-gradient step built from
     single-sample gradients."""
-    acc_w = [np.zeros_like(w) for w in net.weights]
-    acc_b = [np.zeros_like(b) for b in net.biases]
+    acc = np.zeros(net.params.shape[1])
     for x, y in zip(xs, ys):
-        gw, gb = batch_gradients(net, [x], [y])
-        for l in range(len(acc_w)):
-            acc_w[l] += gw[l]
-            acc_b[l] += gb[l]
-    n = len(xs)
-    return (
-        [w - eta * g / n for w, g in zip(net.weights, acc_w)],
-        [b - eta * g / n for b, g in zip(net.biases, acc_b)],
-    )
+        acc += batch_gradients(net, [x], [y])
+    return net.params[0] - eta * acc / len(xs)
 
 
 def one_hidden_layer_reference(net, xs, ys, cfg, seed):
-    """Per-network mini-batch SGD for input->hidden->output nets, shuffled
-    by seed, written as plain 2-D products batch by batch, on a copy of
-    net, a stack of one; training must equal it exactly."""
-    trained = BpNetwork(net.layer_sizes, net.params.copy())
-    wh, wo = (w[0] for w in trained.weights)
-    bh, bo = (b[0, 0] for b in trained.biases)
+    """Per-network mini-batch SGD, shuffled by seed, written as plain 2-D
+    products batch by batch, on a copy of net, a stack of one; training
+    must equal it exactly."""
+    trained = BpNetwork(net.inputs, net.hidden, net.params.copy())
+    w_h, b_h, w_o, b_o = views(trained)
+    wh, bh, wo, bo = w_h[0], b_h[0, 0], w_o[0], b_o[0, 0]
     x = np.ascontiguousarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64).reshape(x.shape[0], -1)
+    y = np.asarray(ys, dtype=np.float64).reshape(x.shape[0], 1)
     rng = np.random.default_rng(seed)
     for _ in range(cfg.epochs):
         order = rng.permutation(x.shape[0])
@@ -123,7 +110,7 @@ def one_hidden_layer_reference(net, xs, ys, cfg, seed):
             bo -= s * np.sum(d2, axis=0)
             wh -= s * np.dot(np.ascontiguousarray(d1.T), xb)
             bh -= s * np.sum(d1, axis=0)
-    return trained.weights, trained.biases
+    return trained
 
 
 def _reference_stacked_epoch(weights, biases, xs, ts, batch_size, eta):
@@ -154,21 +141,19 @@ def reference_train(net, inputs, targets, cfg, seeds):
     stack trains on a copy, written back at the end."""
     if len(seeds) != net.params.shape[0]:
         raise ShapeError(f"need one seed per network: {net.params.shape[0]}, {len(seeds)}")
-    x, t = bpnn._samples(net, inputs, targets)
-    if x.shape[0] == 0:
-        raise DomainError("no training samples")
-    trained = BpNetwork(net.layer_sizes, net.params.copy())
-    weights, biases = trained.weights, trained.biases
+    x, t = timeseries.as_samples(timeseries.as_rows(inputs, net.inputs), targets)
+    trained = BpNetwork(net.inputs, net.hidden, net.params.copy())
+    w_h, b_h, w_o, b_o = views(trained)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     live, failure = len(seeds), None  # only networks below a diverged one still matter
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
             order = np.stack([rng.permutation(x.shape[0]) for rng in rngs[:live]])
             _reference_stacked_epoch(
-                [w[:live] for w in weights], [b[:live] for b in biases],
-                x[order], t[order], cfg.batch_size, cfg.eta,
+                [w_h[:live], w_o[:live]], [b_h[:live], b_o[:live]],
+                x[order], t[order][:, :, None], cfg.batch_size, cfg.eta,
             )
-            costs = training_cost(BpNetwork(net.layer_sizes, trained.params[:live]), x, t)
+            costs = training_cost(BpNetwork(net.inputs, net.hidden, trained.params[:live]), x, t)
             bad = np.flatnonzero(~np.isfinite(costs))
             if bad.size:
                 live = int(bad[0])
@@ -181,19 +166,20 @@ def reference_train(net, inputs, targets, cfg, seeds):
 
 
 def assert_same_params(a, b):
-    for pa, pb in zip(a.weights + a.biases, b.weights + b.biases):
-        assert np.array_equal(pa, pb)
+    assert np.array_equal(a.params, b.params)
 
 
 def unit_chain():
-    """(1, 1, 1) network whose output is the hidden sigmoid of its input."""
-    net = BpNetwork((1, 1, 1), np.zeros((1, 4)))
-    net.weights[0][0, 0, 0] = net.weights[1][0, 0, 0] = 1.0
+    """1-input, 1-hidden-unit network whose output is the hidden sigmoid
+    of its input."""
+    net = BpNetwork(1, 1, np.zeros((1, 4)))
+    w_h, _, w_o, _ = views(net)
+    w_h[...] = w_o[...] = 1.0
     return net
 
 
 class TestSigmoid:
-    """The hidden layers' logistic sigmoid, read through a unit chain."""
+    """The hidden units' logistic sigmoid, read through a unit chain."""
 
     def test_quarter_points(self):
         net = unit_chain()
@@ -210,7 +196,7 @@ class TestSigmoid:
 
     def test_training_cost_saturates_without_warning(self):
         net = unit_chain()
-        pair = BpNetwork((1, 1, 1), np.repeat(net.params, 2, axis=0))
+        pair = BpNetwork(1, 1, np.repeat(net.params, 2, axis=0))
         xs = [[1000.0], [-1000.0], [1000.0], [-1000.0]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -222,126 +208,128 @@ class TestSigmoid:
 
 class TestHiddenSizeRule:
     def test_frozen_values(self):
-        assert hidden_size_rule(1, 3) == 3
-        assert hidden_size_rule(1, 1) == 2
-        assert hidden_size_rule(2, 4) == 4
+        assert hidden_size_rule(3) == 3
+        assert hidden_size_rule(1) == 2
 
     def test_matches_formula(self):
-        for l in range(1, 4):
-            for n in range(1, 7):
-                raw = math.sqrt(
-                    0.43 * l * n + 0.12 * l * l + 2.54 * n + 0.77 * l + 0.35
-                )
-                assert hidden_size_rule(l, n) == math.floor(raw + 0.51)
+        # the rule for l outputs, at the one output the network has
+        l = 1
+        for n in range(1, 200):
+            raw = math.sqrt(
+                0.43 * l * n + 0.12 * l * l + 2.54 * n + 0.77 * l + 0.35
+            )
+            assert hidden_size_rule(n) == math.floor(raw + 0.51)
 
     def test_bad_widths(self):
         with pytest.raises(DomainError):
-            hidden_size_rule(0, 3)
-        with pytest.raises(DomainError):
-            hidden_size_rule(1, 0)
+            hidden_size_rule(0)
 
 
 class TestNewNetwork:
     def test_shapes_and_init(self):
-        net = new_network((3, 4, 1), [5, 6])
-        assert net.layer_sizes == (3, 4, 1)
-        assert [w.shape for w in net.weights] == [(2, 4, 3), (2, 1, 4)]
-        assert [b.shape for b in net.biases] == [(2, 1, 4), (2, 1, 1)]
-        for w in net.weights:
+        net = new_network(3, 4, [5, 6])
+        assert (net.inputs, net.hidden) == (3, 4)
+        w_h, b_h, w_o, b_o = views(net)
+        assert [v.shape for v in (w_h, b_h, w_o, b_o)] == [(2, 4, 3), (2, 1, 4), (2, 1, 4), (2, 1, 1)]
+        for w in (w_h, w_o):
             assert np.all(np.abs(w) < 0.5)
-        for b in net.biases:
+        for b in (b_h, b_o):
             npt.assert_array_equal(b, 0.0)
 
     def test_seed_determinism(self):
-        a = new_network((3, 3, 1), [9])
-        b = new_network((3, 3, 1), [9])
-        for wa, wb in zip(a.weights, b.weights):
-            npt.assert_array_equal(wa, wb)
+        a = new_network(3, 3, [9])
+        b = new_network(3, 3, [9])
+        npt.assert_array_equal(a.params, b.params)
 
     def test_draws_each_layer_in_order(self):
-        # each row holds its seed's draws of per-layer networks, layer by
-        # layer, whatever the other rows' seeds
+        # each row holds its seed's draws, the hidden weights first, then
+        # the output weights, whatever the other rows' seeds
         rng = np.random.default_rng(4)
-        drawn = [rng.uniform(-0.5, 0.5, shape) for shape in [(5, 2), (3, 5), (1, 3)]]
-        net = new_network((2, 5, 3, 1), [0, 4, 4])
+        drawn = [rng.uniform(-0.5, 0.5, shape) for shape in [(5, 2), (1, 5)]]
+        net = new_network(2, 5, [0, 4, 4])
+        w_h, _, w_o, _ = views(net)
         for k in (1, 2):
-            for got, want in zip(net.weights, drawn):
+            for got, want in zip((w_h, w_o), drawn):
                 assert got[k].tobytes() == want.tobytes()
-        assert net.params[0].tobytes() == new_network((2, 5, 3, 1), [0]).params.tobytes()
-        assert net.params.shape == (3, bpnn.parameter_count((2, 5, 3, 1))) == (3, 37)
+        assert net.params[0].tobytes() == new_network(2, 5, [0]).params.tobytes()
+        assert net.params.shape == (3, bpnn.parameter_count(2, 5)) == (3, 21)
 
     def test_layers_are_views_of_the_row(self):
-        net = new_network((3, 2, 1), [1, 2])
-        net.weights[0][1, 1, 2] = 7.0
-        net.biases[1][1, 0, 0] = -3.0
+        net = new_network(3, 2, [1, 2])
+        w_h, _, _, b_o = views(net)
+        w_h[1, 1, 2] = 7.0
+        b_o[1, 0, 0] = -3.0
         assert net.params[1, 5] == 7.0
         assert net.params[1, -1] == -3.0
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            new_network((3,), [0])
+            new_network(0, 3, [0])
         with pytest.raises(DomainError):
-            new_network((3, 0, 1), [0])
+            new_network(3, 0, [0])
         with pytest.raises(DomainError):  # checked before drawing weights
-            new_network((3, -3, 1), [0])
+            new_network(3, -3, [0])
         with pytest.raises(ShapeError):
-            BpNetwork((2, 1), np.ones((1, 4)))
+            BpNetwork(2, 1, np.ones((1, 4)))
         with pytest.raises(ShapeError):  # a row is not a stack
-            BpNetwork((2, 1), np.ones(3))
+            BpNetwork(2, 1, np.ones(5))
         with pytest.raises(ShapeError):  # nor is an empty block
-            new_network((2, 1), [])
+            new_network(2, 1, [])
 
     def test_seeds_numpy_refuses(self):
         with pytest.raises(DomainError, match=r"^seed must be >= 0, got -1$"):
-            new_network((3, 3, 1), [0, -1])
+            new_network(3, 3, [0, -1])
         with pytest.raises(DomainError, match=r"^seed must be an integer, got 2\.5$"):
-            new_network((3, 3, 1), [2.5])
+            new_network(3, 3, [2.5])
 
     @pytest.mark.parametrize("runs", [10**20, 10**18], ids=["past-ssize_t", "past-numpy-shape"])
     def test_stack_that_cannot_be_held_lists_no_generators(self, runs, monkeypatch):
         # the parameter block is asked for first, so no generator is built
         built = mock.Mock(side_effect=AssertionError("a generator was built"))
         monkeypatch.setattr(np.random, "default_rng", built)
-        with pytest.raises(DomainError, match=r"^cannot allocate layers of sizes \(3, 3, 1\): "):
-            new_network((3, 3, 1), range(runs))
+        with pytest.raises(DomainError, match=r"^cannot allocate networks of 3 inputs and 3 hidden units: "):
+            new_network(3, 3, range(runs))
 
     def test_layer_size_that_is_not_an_integer(self):
-        # not rounded down to a (3, 2, 1) network
-        with pytest.raises(DomainError, match=r"^layer size must be an integer, got 2\.5$"):
-            new_network((3, 2.5, 1), [0])
+        # not rounded down to 2 hidden units
+        with pytest.raises(DomainError, match=r"^hidden width must be an integer, got 2\.5$"):
+            new_network(3, 2.5, [0])
+        with pytest.raises(DomainError, match=r"^input width must be an integer, got 3\.0$"):
+            BpNetwork(3.0, 2, np.zeros((1, 11)))
 
 
 class TestForward:
     def test_zero_net(self):
-        net = BpNetwork((1, 1, 1), np.zeros((1, 4)))
+        net = BpNetwork(1, 1, np.zeros((1, 4)))
         assert predict_batch(net, [[0.7]])[0, 0] == 0.0
         # a unit output weight reads the hidden sigmoid of 0
-        net.weights[1][0, 0, 0] = 1.0
+        views(net)[2][0, 0, 0] = 1.0
         assert predict_batch(net, [[0.7]])[0, 0] == 0.5
 
     def test_matches_manual_chain(self):
-        net = new_network((3, 3, 1), [2])
+        net = new_network(3, 3, [2])
+        w_h, b_h, w_o, b_o = views(net)
         x = np.array([0.2, -0.5, 0.9])
-        z1 = net.weights[0][0] @ x + net.biases[0][0, 0]
+        z1 = w_h[0] @ x + b_h[0, 0]
         a1 = 1.0 / (1.0 + np.exp(-z1))
-        out = net.weights[1][0] @ a1 + net.biases[1][0, 0]
+        out = w_o[0] @ a1 + b_o[0, 0]
         npt.assert_allclose(predict_batch(net, [x])[0], out, rtol=1e-15)
 
     def test_output_is_not_squashed(self):
         # identity output layer can leave (0, 1)
-        net = BpNetwork((1, 1, 1), np.zeros((1, 4)))
-        net.weights[1][0, 0, 0] = 10.0
+        net = BpNetwork(1, 1, np.zeros((1, 4)))
+        views(net)[2][0, 0, 0] = 10.0
         assert predict_batch(net, [[0.0]])[0, 0] == 5.0
 
     def test_input_shape(self):
-        net = new_network((3, 3, 1), [0])
+        net = new_network(3, 3, [0])
         with pytest.raises(ShapeError):
             predict_batch(net, [[1.0, 2.0]])
         with pytest.raises(ShapeError):
             predict_batch(net, np.ones(3))
 
     def test_predict_batch_matches_loop(self):
-        net = new_network((3, 3, 1), [4])
+        net = new_network(3, 3, [4])
         rng = np.random.default_rng(0)
         xs = rng.uniform(0.0, 1.0, (12, 3))
         batch = predict_batch(net, xs)
@@ -358,9 +346,10 @@ def reference_sigmoid(z):
 def reference_forward(net, inputs):
     """The former _forward_batch, verbatim: products with transposed views
     of the weights, then the sigmoid; outputs (S, n, out)."""
-    a = timeseries.as_rows(inputs, net.layer_sizes[0])
-    last = len(net.weights) - 1
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+    a = timeseries.as_rows(inputs, net.inputs)
+    w_h, b_h, w_o, b_o = views(net)
+    last = 1
+    for l, (w, b) in enumerate(zip((w_h, w_o), (b_h, b_o))):
         z = np.matmul(a, w.transpose(0, 2, 1)) + b
         a = z if l == last else reference_sigmoid(z)
     return a
@@ -373,7 +362,7 @@ def cli_forward_cases(draw, widths, stacks=st.just(1)):
     them, and 2 to 400 input rows around the scaled range [0, 1]."""
     h = draw(widths)
     count = draw(stacks)
-    net = new_network((3, h, 1), draw(st.lists(st.integers(0, 2**16), min_size=count, max_size=count)))
+    net = new_network(3, h, draw(st.lists(st.integers(0, 2**16), min_size=count, max_size=count)))
     net.params *= draw(st.sampled_from([1.0, 4.0, 30.0]))
     n = draw(st.integers(2, 400))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -415,11 +404,11 @@ class TestOneForwardPass:
 
     def test_training_runs_the_same_forward(self):
         # the activations the gradient differentiates end in the prediction
-        net = new_network((3, 4, 1), [3])
+        net = new_network(3, 4, [3])
         xs = np.random.default_rng(3).uniform(0.0, 1.0, (6, 3))
-        acts = bpnn._forward(net.weights, net.biases, xs[None])
-        assert [a.shape for a in acts] == [(1, 6, 3), (1, 6, 4), (1, 6, 1)]
-        assert acts[-1][0, :, 0].tobytes() == predict_batch(net, xs)[0].tobytes()
+        hidden, out = bpnn._forward(views(net), xs[None])
+        assert [hidden.shape, out.shape] == [(1, 6, 4), (1, 6, 1)]
+        assert out[0, :, 0].tobytes() == predict_batch(net, xs)[0].tobytes()
 
 
 class TestBackprop:
@@ -432,35 +421,21 @@ class TestBackprop:
         )
 
     def test_zero_error_sample(self):
-        net = new_network((3, 3, 1), [3])
+        net = new_network(3, 3, [3])
         x = np.array([0.1, 0.4, 0.8])
         y = predict_batch(net, [x])[0]
-        gw, gb = batch_gradients(net, [x], [y])
-        for g in gw + gb:
-            npt.assert_array_equal(g, np.zeros_like(g))
+        npt.assert_array_equal(batch_gradients(net, [x], y), 0.0)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(15)
         for seed in range(3):
-            net = new_network((3, 3, 1), [seed])
+            net = new_network(3, 3, [seed])
             x = rng.uniform(-1.0, 1.0, 3)
             y = rng.uniform(-1.0, 1.0, 1)
-            gw, gb = batch_gradients(net, [x], [y])
-            fw, fb = fd_gradients(net, x, y)
-            assert max_relative_error(gw, fw) < 1e-6
-            assert max_relative_error(gb, fb) < 1e-6
-
-    def test_deep_net_finite_differences(self):
-        net = new_network((2, 3, 3, 1), [8])
-        x = np.array([0.3, -0.7])
-        y = np.array([0.25])
-        gw, gb = batch_gradients(net, [x], [y])
-        fw, fb = fd_gradients(net, x, y)
-        assert max_relative_error(gw, fw) < 1e-6
-        assert max_relative_error(gb, fb) < 1e-6
+            assert max_relative_error(batch_gradients(net, [x], y), fd_gradients(net, x, y)) < 1e-6
 
     def test_target_shape(self):
-        net = new_network((3, 3, 1), [0])
+        net = new_network(3, 3, [0])
         with pytest.raises(ShapeError):
             train(net, np.ones((1, 3)), np.ones((1, 2)), SgdConfig(epochs=1), [0])
 
@@ -468,12 +443,12 @@ class TestBackprop:
 class TestTrainingCost:
     def test_by_hand(self):
         # prediction 5.0 vs target 4.0 on a one-sample set: 0.5 * 1
-        net = BpNetwork((1, 1, 1), np.zeros((1, 4)))
-        net.weights[1][0, 0, 0] = 10.0
+        net = BpNetwork(1, 1, np.zeros((1, 4)))
+        views(net)[2][0, 0, 0] = 10.0
         assert training_cost(net, [[0.0]], [4.0])[0] == 0.5
 
     def test_zero_at_fit(self):
-        net = new_network((2, 2, 1), [1])
+        net = new_network(2, 2, [1])
         xs = np.array([[0.1, 0.2], [0.3, 0.4]])
         ys = predict_batch(net, xs)[0]
         assert training_cost(net, xs, ys)[0] == 0.0
@@ -481,9 +456,8 @@ class TestTrainingCost:
 
 class TestTrain:
     def test_eta_zero_is_identity(self):
-        net = new_network((3, 3, 1), [6])
-        before_w = [w.copy() for w in net.weights]
-        before_b = [b.copy() for b in net.biases]
+        net = new_network(3, 3, [6])
+        before = net.params.copy()
         rng = np.random.default_rng(1)
         train(
             net,
@@ -492,23 +466,17 @@ class TestTrain:
             SgdConfig(eta=0.0, batch_size=10, epochs=1),
             [0],
         )
-        for w, orig in zip(net.weights, before_w):
-            npt.assert_array_equal(w, orig)
-        for b, orig in zip(net.biases, before_b):
-            npt.assert_array_equal(b, orig)
+        npt.assert_array_equal(net.params, before)
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(2)
         xs = rng.uniform(0, 1, (20, 3))
         ys = rng.uniform(0, 1, 20)
         cfg = SgdConfig(eta=0.05, batch_size=4, epochs=10)
-        a, b = new_network((3, 3, 1), [7]), new_network((3, 3, 1), [7])
+        a, b = new_network(3, 3, [7]), new_network(3, 3, [7])
         train(a, xs, ys, cfg, [3])
         train(b, xs, ys, cfg, [3])
-        for wa, wb in zip(a.weights, b.weights):
-            npt.assert_array_equal(wa, wb)
-        for ba, bb in zip(a.biases, b.biases):
-            npt.assert_array_equal(ba, bb)
+        npt.assert_array_equal(a.params, b.params)
 
     def test_single_sample_manual_step(self):
         # scalar chain computed with plain math, no arrays
@@ -524,40 +492,22 @@ class TestTrain:
             wo - eta * d2 * a1,
             bo - eta * d2,
         )
-        net = BpNetwork((1, 1, 1), np.array([[wh, bh, wo, bo]]))  # each layer's weight, then bias
+        net = BpNetwork(1, 1, np.array([[wh, bh, wo, bo]]))  # the hidden weight and bias, then the output's
         train(net, [[x]], [y], SgdConfig(eta=eta, batch_size=1, epochs=1), [0])
-        got = (
-            net.weights[0][0, 0, 0],
-            net.biases[0][0, 0, 0],
-            net.weights[1][0, 0, 0],
-            net.biases[1][0, 0, 0],
-        )
-        npt.assert_allclose(got, expected, rtol=1e-12)
+        npt.assert_allclose(net.params[0], expected, rtol=1e-12)
 
     def test_full_batch_step_is_mean_gradient(self):
         rng = np.random.default_rng(5)
         xs = rng.uniform(-1, 1, (8, 3))
         ys = rng.uniform(-1, 1, 8)
-        net = new_network((3, 4, 1), [11])
-        expected_w, expected_b = full_batch_backprop_step(net, xs, ys, 0.5)
+        net = new_network(3, 4, [11])
+        expected = full_batch_backprop_step(net, xs, ys, 0.5)
         train(net, xs, ys, SgdConfig(eta=0.5, batch_size=8, epochs=1), [0])
-        for got, exp in zip(net.weights + net.biases, expected_w + expected_b):
-            npt.assert_allclose(got, exp, atol=1e-12)
-
-    def test_deep_net_full_batch_step(self):
-        # the batched update against the per-sample gradient oracle
-        rng = np.random.default_rng(6)
-        xs = rng.uniform(-1, 1, (5, 2))
-        ys = rng.uniform(-1, 1, 5)
-        net = new_network((2, 3, 3, 1), [12])
-        expected_w, expected_b = full_batch_backprop_step(net, xs, ys, 0.2)
-        train(net, xs, ys, SgdConfig(eta=0.2, batch_size=5, epochs=1), [0])
-        for got, exp in zip(net.weights + net.biases, expected_w + expected_b):
-            npt.assert_allclose(got, exp, atol=1e-12)
+        npt.assert_allclose(net.params[0], expected, atol=1e-12)
 
     def test_cost_decreases_on_scaled_data(self):
         xs, ys = scaled_ar_dataset()
-        net = new_network((3, 3, 1), [0])
+        net = new_network(3, 3, [0])
         start = training_cost(net, xs, ys)[0]
         train(net, xs, ys, SgdConfig(eta=0.01, batch_size=16, epochs=200), [0])
         assert training_cost(net, xs, ys)[0] < start
@@ -566,12 +516,12 @@ class TestTrain:
         rng = np.random.default_rng(0)
         xs = rng.uniform(0, 1, (30, 3))
         ys = rng.uniform(0, 1, 30)
-        net = new_network((3, 3, 1), [1])
+        net = new_network(3, 3, [1])
         with pytest.raises(DivergenceError):
             train(net, xs, ys, SgdConfig(eta=1e6, batch_size=4, epochs=50), [0])
 
     def test_validation(self):
-        net = new_network((3, 3, 1), [0])
+        net = new_network(3, 3, [0])
         cfg = SgdConfig()
         with pytest.raises(DomainError):
             train(net, np.empty((0, 3)), np.empty(0), cfg, [0])
@@ -581,7 +531,7 @@ class TestTrain:
             train(net, np.ones((4, 3)), np.ones(5), cfg, [0])
 
     def test_shuffle_seeds_numpy_refuses(self):
-        net = new_network((3, 3, 1), [0, 1])
+        net = new_network(3, 3, [0, 1])
         before = net.params.copy()
         xs, ys, cfg = np.ones((4, 3)), np.ones(4), SgdConfig(epochs=1)
         with pytest.raises(DomainError, match=r"^seed must be >= 0, got -1$"):
@@ -596,60 +546,38 @@ class TestStackedTrain:
         xs, ys = scaled_ar_dataset()
         seeds = [3, 7, 7, 0, 11, 2, 5]  # a duplicate pair trains identically
         cfg = SgdConfig(eta=0.05, batch_size=16, epochs=40)
-        stacked = new_network((3, 3, 1), seeds)
+        stacked = new_network(3, 3, seeds)
         train(stacked, xs, ys, cfg, seeds)
         for k, seed in enumerate(seeds):
-            alone = new_network((3, 3, 1), [seed])
+            alone = new_network(3, 3, [seed])
             train(alone, xs, ys, cfg, [seed])
             assert_same_params(row(stacked, k), alone)
         assert_same_params(row(stacked, 1), row(stacked, 2))
 
     @pytest.mark.parametrize(
         "sizes, n, batch",
-        [((3, 3, 1), 93, 16), ((3, 1, 1), 17, 8), ((1, 3, 1), 9, 4), ((3, 4, 2), 33, 7), ((2, 5, 3), 5, 2)],
+        [((3, 3), 93, 16), ((3, 1), 17, 8), ((1, 3), 9, 4), ((3, 4), 33, 7), ((2, 5), 5, 2)],
     )
     def test_stack_equals_plain_2d_reference(self, sizes, n, batch):
+        # sizes are the input and hidden widths
         rng = np.random.default_rng(n)
         xs = rng.uniform(0, 1, (n, sizes[0]))
-        ys = rng.uniform(0, 1, (n, sizes[-1]))
+        ys = rng.uniform(0, 1, n)
         seeds = [0, 5]
         cfg = SgdConfig(eta=0.3, batch_size=batch, epochs=4)
-        nets = new_network(sizes, seeds)
+        nets = new_network(*sizes, seeds)
         train(nets, xs, ys, cfg, seeds)
         for k, seed in enumerate(seeds):
-            exp_w, exp_b = one_hidden_layer_reference(new_network(sizes, [seed]), xs, ys, cfg, seed)
-            net = row(nets, k)
-            for got, exp in zip(net.weights + net.biases, exp_w + exp_b):
-                assert np.array_equal(got, exp)
-
-    def test_four_layer_stack_equals_single_and_backprop(self):
-        rng = np.random.default_rng(6)
-        xs = rng.uniform(-1, 1, (11, 2))
-        ys = rng.uniform(-1, 1, 11)
-        seeds = [12, 4, 9]
-        cfg = SgdConfig(eta=0.2, batch_size=4, epochs=6)
-        stacked = new_network((2, 3, 3, 1), seeds)
-        train(stacked, xs, ys, cfg, seeds)
-        for k, seed in enumerate(seeds):
-            alone = new_network((2, 3, 3, 1), [seed])
-            train(alone, xs, ys, cfg, [seed])
-            assert_same_params(row(stacked, k), alone)
-        # one full-batch epoch of the stack is each net's backprop mean step
-        nets = new_network((2, 3, 3, 1), seeds)
-        expected = [full_batch_backprop_step(row(nets, k), xs, ys, 0.2) for k in range(len(seeds))]
-        train(nets, xs, ys, SgdConfig(eta=0.2, batch_size=11, epochs=1), seeds)
-        for k, (exp_w, exp_b) in enumerate(expected):
-            net = row(nets, k)
-            for got, exp in zip(net.weights + net.biases, exp_w + exp_b):
-                npt.assert_allclose(got, exp, atol=1e-12)
+            expected = one_hidden_layer_reference(new_network(*sizes, [seed]), xs, ys, cfg, seed)
+            assert_same_params(row(nets, k), expected)
 
     def test_one_shuffle_seed_for_two_networks(self):
         xs, ys = scaled_ar_dataset()
         cfg = SgdConfig(eta=0.05, batch_size=16, epochs=5)
-        pair = new_network((3, 3, 1), [1, 2])
+        pair = new_network(3, 3, [1, 2])
         train(pair, xs, ys, cfg, [4, 4])
         for k, seed in enumerate((1, 2)):
-            alone = new_network((3, 3, 1), [seed])
+            alone = new_network(3, 3, [seed])
             train(alone, xs, ys, cfg, [4])
             assert_same_params(row(pair, k), alone)
 
@@ -666,13 +594,13 @@ class TestStackedTrain:
     def divergence_message(self, seeds):
         xs, ys, cfg = self.divergence_case()
         with pytest.raises(DivergenceError) as info:
-            train(new_network((3, 3, 1), seeds), xs, ys, cfg, seeds)
+            train(new_network(3, 3, seeds), xs, ys, cfg, seeds)
         return str(info.value)
 
     def test_divergence_of_a_later_seed_raises(self):
         xs, ys, cfg = self.divergence_case()
         for seed in (3, 5):
-            train(new_network((3, 3, 1), [seed]), xs, ys, cfg, [seed])  # trains alone
+            train(new_network(3, 3, [seed]), xs, ys, cfg, [seed])  # trains alone
         assert self.divergence_message([11]) == "training cost became non-finite (inf)"
         assert self.divergence_message([3, 5, 11]) == "training cost became non-finite (inf)"
 
@@ -683,32 +611,33 @@ class TestStackedTrain:
 
     def test_networks_unchanged_after_divergence(self):
         xs, ys, cfg = self.divergence_case()
-        nets = new_network((3, 3, 1), [3, 11])
+        nets = new_network(3, 3, [3, 11])
         with pytest.raises(DivergenceError):
             train(nets, xs, ys, cfg, seeds=[3, 11])
         for k, seed in enumerate((3, 11)):
-            assert_same_params(row(nets, k), new_network((3, 3, 1), [seed]))
+            assert_same_params(row(nets, k), new_network(3, 3, [seed]))
 
     def test_stack_validation(self):
         xs, ys = np.ones((4, 3)), np.ones(4)
         cfg = SgdConfig(epochs=1)
         with pytest.raises(ShapeError):
-            train(new_network((3, 3, 1), [0]), xs, ys, cfg, [])
+            train(new_network(3, 3, [0]), xs, ys, cfg, [])
         with pytest.raises(ShapeError):
-            train(new_network((3, 3, 1), [0, 0]), xs, ys, cfg, seeds=[1])
+            train(new_network(3, 3, [0, 0]), xs, ys, cfg, seeds=[1])
         with pytest.raises(ShapeError):
-            train(new_network((3, 3, 1), [0]), xs, ys, cfg, seeds=[1, 2])
+            train(new_network(3, 3, [0]), xs, ys, cfg, seeds=[1, 2])
 
 
 @st.composite
 def training_cases(draw):
-    """Layer shapes, seeds, data and a config for one stacked training.
+    """Input and hidden widths, seeds, data and a config for one stacked
+    training.
 
     Batches never divide n.  Inputs and targets are scaled apart up to
     1e160: near 1e150 the bound fails while the cost stays finite, higher
     up the cost itself overflows.  Some inputs hold a NaN.
     """
-    sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
+    inputs, hidden = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     seeds = draw(st.lists(st.integers(0, 40), min_size=1, max_size=7))
     n = draw(st.integers(3, 40))
     batch = draw(st.integers(2, n - 1).filter(lambda b: n % b))
@@ -716,12 +645,12 @@ def training_cases(draw):
     scales = st.sampled_from([1.0, 1e3, 1e80, 1e150, 1e160])
     x_scale, t_scale = draw(scales), draw(scales)
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    xs = x_scale * rng.uniform(0.0, 1.0, (n, sizes[0]))
+    xs = x_scale * rng.uniform(0.0, 1.0, (n, inputs))
     if draw(st.integers(0, 4)) == 0:
-        xs[rng.integers(n), rng.integers(sizes[0])] = np.nan
-    ys = t_scale * rng.uniform(0.0, 1.0, (n, sizes[-1]))
+        xs[rng.integers(n), rng.integers(inputs)] = np.nan
+    ys = t_scale * rng.uniform(0.0, 1.0, n)
     cfg = SgdConfig(eta=eta, batch_size=batch, epochs=draw(st.integers(1, 30)))
-    return sizes, seeds, xs, ys, cfg
+    return inputs, hidden, seeds, xs, ys, cfg
 
 
 # each trainer's epoch function, by owner and name, and its samples argument
@@ -731,11 +660,11 @@ EPOCH_FUNCTIONS = {
 }
 
 
-def trained_or_error(train_fn, sizes, seeds, xs, ys, cfg):
+def trained_or_error(train_fn, inputs, hidden, seeds, xs, ys, cfg):
     """The number of networks still training in each epoch, then the
     stack's parameter bytes after training or the error text."""
     owner, name, samples = EPOCH_FUNCTIONS[train_fn]
-    net = new_network(sizes, seeds)
+    net = new_network(inputs, hidden, seeds)
     with mock.patch.object(owner, name, wraps=getattr(owner, name)) as epoch:
         try:
             train_fn(net, xs, ys, cfg, seeds)
@@ -782,19 +711,18 @@ class TestGatedCostCheck:
         xs, ys, cfg = TestStackedTrain().divergence_case()
         with mock.patch.object(bpnn, "_stacked_epoch", wraps=bpnn._stacked_epoch) as epoch:
             with pytest.raises(DivergenceError):
-                train(new_network((3, 3, 1), [11]), xs, ys, cfg, [11])
+                train(new_network(3, 3, [11]), xs, ys, cfg, [11])
         assert len(calls) >= 1
         assert epoch.call_count < cfg.epochs
 
-    def test_bound_counts_every_output(self):
-        # saturated hidden units and equal outputs 2 against targets -1:
-        # every one of the 3 outputs of every sample misses by the bound 3
-        net = BpNetwork((1, 1, 3), np.ones((1, 8)))
-        net.weights[0][0, 0, 0], net.biases[0][0, 0, 0] = 40.0, 0.0
-        xs, ys = np.ones((5, 1)), -np.ones((5, 3))
-        bound = bpnn._squared_error_bound(net.params, net.layer_sizes, 1.0, 1.0, 5)
+    def test_bound_is_reached_at_saturation(self):
+        # a saturated hidden unit and output 2 against targets -1: every
+        # sample misses by the bound 3
+        net = BpNetwork(1, 1, np.array([[40.0, 0.0, 1.0, 1.0]]))
+        xs, ys = np.ones((5, 1)), -np.ones(5)
+        bound = bpnn._squared_error_bound(net.params, 1, 1, 1.0, 1.0, 5)
         summed = 2 * 5 * training_cost(net, xs, ys)[0]
-        assert summed == 5 * 3 * 9.0
+        assert summed == 5 * 9.0
         assert summed <= bound
 
 

@@ -541,6 +541,30 @@ class TestBpWorkCap:
         argv = ["benchmark", "--models", "grnn", "--data", str(price_csv), "--out", str(tmp_path)]
         assert run([*argv, "--epochs", str(10**20)]) == 0
 
+    @pytest.mark.parametrize(
+        "flags, values, counted",
+        [
+            # about 24 and 30 GB, extrapolated: one epoch on this series
+            # peaks at about 24 bytes a run, training row and hidden unit,
+            # and 89 bytes a run and row at 3 hidden units
+            (["--runs", "2", "--hidden", "1500000"], "4.13e+09", "2 x (339 x (4 x 1500000 + 3 + 8) + 4 x 7500001)"),
+            (["--runs", "1000000"], "7.86e+09", "1000000 x (339 x (4 x 3 + 3 + 8) + 4 x 16)"),
+        ],
+        ids=["hidden", "runs"],
+    )
+    def test_memory_above_the_cap(self, flags, values, counted, tmp_path, monkeypatch, capsys):
+        # below the work cap, but above the memory cap: no network is built
+        built = []
+        monkeypatch.setattr(bpnn, "new_network", lambda *args: built.append(args))
+        data = write_price_csv(tmp_path / "prices.csv", make_ar_series(11))
+        out = tmp_path / "out"
+        assert run(["stability", *flags, "--epochs", "1", "--data", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: backprop memory of {values} float64 values (runs x (rows x (4 x hidden + inputs + 8) "
+            f"+ 4 x parameters): {counted}) is above the cap of 2.15e+09\n"
+        )
+        assert built == [] and not out.exists()
+
 
 class TestOutOfMemory:
     """Arrays that do not fit in memory are a data error, not a traceback.
@@ -597,7 +621,7 @@ class TestOutOfMemory:
         assert not out.exists()
 
     def test_runs_that_memory_cannot_hold_exit_2_at_once(self, long_csv, tmp_path):
-        # numpy can shape 10**12 networks of sizes (3, 3, 1), but their
+        # numpy can shape 10**12 networks of 3 inputs and 3 hidden units, but their
         # parameters alone need 116 TiB: the work cap refuses the sweep
         # before one network or generator per run would fill the address space
         out = tmp_path / "out"

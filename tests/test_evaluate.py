@@ -41,7 +41,7 @@ def constant_dataset(value=5.0, n=30):
 
 # Fit and batch predict of each model on a sample block with 3 lags.
 _FIT = {
-    "bp": lambda x, y: bpnn.new_network((3, 2, 1), [0]),
+    "bp": lambda x, y: bpnn.new_network(3, 2, [0]),
     "rbf": rbfnn.fit,
     "grnn": lambda x, y: grnn.fit(x, y, beta=1.0),
     "svr": lambda x, y: svr.fit(x, y, KernelSpec("linear")),
@@ -418,7 +418,7 @@ class TestBpWorkCap:
         monkeypatch.setattr(np.random, "default_rng", build)
 
     def test_message_names_the_work_and_the_cap(self):
-        # the constant series has 21 training rows; (3, 3, 1) layers have 16 parameters
+        # the constant series has 21 training rows; 3 inputs and 3 hidden units have 16 parameters
         message = (
             "backprop work of 6.72e+22 updates (runs x epochs x training rows x parameters: "
             "2 x 100000000000000000000 x 21 x 16) is above the cap of 1e+10"
@@ -439,7 +439,7 @@ class TestBpWorkCap:
                 check_bp_work(ds, cfg, runs)
 
     def test_wider_layers_count(self, monkeypatch):
-        # (3, 10, 1) layers have 51 parameters
+        # 3 inputs and 10 hidden units have 51 parameters
         monkeypatch.setattr(evaluate, "MAX_BP_WORK", 51 * 21)
         ds = constant_dataset()
         cfg = HarnessConfig(bp_epochs=1, bp_hidden=10)
@@ -483,7 +483,7 @@ class TestBpWorkCap:
         assert grnn.error is None
 
     def test_layers_numpy_cannot_shape_are_above_the_cap(self):
-        # (3, 10**20, 1) layers have 5 x 10**20 + 1 parameters
+        # 3 inputs and 10**20 hidden units have 5 x 10**20 + 1 parameters
         message = "(runs x epochs x training rows x parameters: 1 x 500 x 21 x 500000000000000000001)"
         with pytest.raises(DomainError, match=re.escape(message)):
             check_bp_work(constant_dataset(), HarnessConfig(bp_hidden=10**20), 1)
@@ -491,6 +491,36 @@ class TestBpWorkCap:
     def test_other_models_are_not_counted(self):
         (report,) = benchmark(constant_dataset(), ["grnn"], self.HUGE)
         assert report.error is None
+
+    def test_memory_names_the_values_and_the_cap(self, monkeypatch):
+        # 21 training rows at 3 inputs and 10 hidden units, whose networks
+        # have 51 parameters: 2 x (21 x 51 + 4 x 51) = 2550 values
+        monkeypatch.setattr(evaluate, "MAX_BP_VALUES", 2549)
+        message = (
+            "backprop memory of 2.55e+03 float64 values (runs x (rows x (4 x hidden + inputs + 8) + "
+            "4 x parameters): 2 x (21 x (4 x 10 + 3 + 8) + 4 x 51)) is above the cap of 2.55e+03"
+        )
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            check_bp_work(constant_dataset(), HarnessConfig(bp_hidden=10), 2)
+
+    def test_memory_at_the_cap_passes(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "MAX_BP_VALUES", 2550)
+        ds = constant_dataset()
+        check_bp_work(ds, HarnessConfig(bp_hidden=10), 2)
+        for cfg, runs in ((HarnessConfig(bp_hidden=11), 2), (HarnessConfig(bp_hidden=10), 3)):
+            with pytest.raises(DomainError, match="is above the cap of 2.55e"):
+                check_bp_work(ds, cfg, runs)
+
+    def test_zero_epochs_count_the_test_block(self, monkeypatch):
+        # with no epoch, the largest pass is the prediction of the 6 test rows
+        monkeypatch.setattr(evaluate, "MAX_BP_VALUES", 0)
+        with pytest.raises(DomainError, match=re.escape(": 2 x (6 x (4 x 10 + 3 + 8) + 4 x 51))")):
+            check_bp_work(constant_dataset(), HarnessConfig(bp_hidden=10, bp_epochs=0), 2)
+
+    def test_work_is_checked_first(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "MAX_BP_VALUES", 0)
+        with pytest.raises(DomainError, match="^backprop work of "):
+            check_bp_work(constant_dataset(), self.HUGE, 2)
 
 
 class TestOutOfMemory:

@@ -3,14 +3,18 @@
 numpy reports its array buffers to ``tracemalloc``, so the traced peak of
 one call, above what was held before it, counts every temporary the call
 makes.  The sizes are long-lag's, 1117 training rows of 3 lags, but for
-svr's: its count is the same at 200 rows, where a fit is quick.
+svr's: its count is the same at 200 rows, where a fit is quick, and for
+backprop's, which are the stability sweep's 427-week series.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
+from conftest import make_ar_series
 
-from fivecast import grnn, lssvm, svr
+from fivecast import evaluate, grnn, lssvm, svr, timeseries
+from fivecast.errors import DomainError
 from fivecast.kernels import KernelSpec, expansion, gram_sq_dists, median_pairwise_distance
 
 N = 1117
@@ -68,3 +72,17 @@ def test_svr_fit_holds_the_kernel_matrix_and_the_pair_curvatures():
     y = np.sin(x.sum(axis=1))
     peak = peak_bytes(lambda: svr.fit(x, y, KernelSpec("rbf", sigma=0.5)))
     assert peak <= 3.25 * 8 * n * n
+
+
+@pytest.mark.parametrize("epochs, batch", [(1, 16), (1, 10**6), (0, 16)], ids=["epoch", "full-batch", "no-epoch"])
+def test_bp_sweep_holds_no_more_than_the_gate_counts(epochs, batch, monkeypatch):
+    # with the memory cap one value below the traced peak, the backprop
+    # gate refuses the sweep: its count is not below what the sweep holds
+    ds = timeseries.split(timeseries.make_windows(make_ar_series(11), 3), 0.8)
+    cfg = evaluate.HarnessConfig(bp_hidden=500, bp_epochs=epochs, bp_batch=batch)
+    evaluate.check_bp_work(ds, cfg, 4)
+    peak = peak_bytes(lambda: evaluate.stability(ds, cfg, runs=4))
+    assert peak > 8 * 4 * 85 * 500  # at least one activation array over the test block
+    monkeypatch.setattr(evaluate, "MAX_BP_VALUES", -(-peak // 8) - 1)
+    with pytest.raises(DomainError, match="^backprop memory of "):
+        evaluate.check_bp_work(ds, cfg, 4)
