@@ -91,31 +91,23 @@ def _rbf_block(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def expansion(spec: KernelSpec, rows: np.ndarray, coefs: np.ndarray, bias: float, inputs) -> np.ndarray:
     """The kernel expansion sum_i coefs[i] K(rows[i], x) plus the bias, for
-    each row x of inputs, one ``coefs @ column + bias`` per input row.
+    each row x of inputs, one ``coefs @ kernel_column(...) + bias`` per row.
 
-    The rbf kernel builds the columns of _SQ_BLOCK input rows at once (a
-    _SQ_BLOCK x n block, never n x n); the other kernels build one column
-    per row.  Raises DomainError, naming the kernel, when a column entry or
-    a sum overflows or is otherwise not finite; rows are checked in order,
-    the column before its sum.
+    Raises DomainError, naming the kernel, when a column entry or a sum
+    overflows or is otherwise not finite; rows are checked in order, the
+    column before its sum.
     """
     rows = as_rows(rows)
     inputs = as_rows(inputs, rows.shape[1])
     values = np.empty(inputs.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, inputs.shape[0], _SQ_BLOCK):
-            chunk = inputs[start : start + _SQ_BLOCK]
-            if spec.kind == "rbf":
-                cols = _rbf_block(spec, chunk, rows)
-            else:
-                cols = (kernel_column(spec, rows, x) for x in chunk)
-            for i, col in enumerate(cols, start):
-                if not np.all(np.isfinite(col)):
-                    raise DomainError(f"{spec.kind} kernel column has non-finite entries")
-                values[i] = coefs @ col + bias
-                if not math.isfinite(values[i]):
-                    raise DomainError(f"{spec.kind} kernel expansion overflows float64")
-            del cols, col  # free this block before the next is built
+        for i, x in enumerate(inputs):
+            col = kernel_column(spec, rows, x)
+            if not np.all(np.isfinite(col)):
+                raise DomainError(f"{spec.kind} kernel column has non-finite entries")
+            values[i] = coefs @ col + bias
+            if not math.isfinite(values[i]):
+                raise DomainError(f"{spec.kind} kernel expansion overflows float64")
     return values
 
 

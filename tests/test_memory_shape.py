@@ -15,7 +15,7 @@ from conftest import make_ar_series
 
 from fivecast import evaluate, grnn, lssvm, svr, timeseries
 from fivecast.errors import DomainError
-from fivecast.kernels import KernelSpec, expansion, gram_sq_dists, median_pairwise_distance
+from fivecast.kernels import KERNEL_KINDS, KernelSpec, expansion, gram_sq_dists, median_pairwise_distance
 
 N = 1117
 
@@ -54,14 +54,15 @@ def test_pairwise_distances_hold_one_matrix():
     assert peak_bytes(lambda: median_pairwise_distance(x)) <= 1.15 * 8 * N * N
 
 
-def test_rbf_expansion_holds_two_blocks_of_64_rows():
-    # the block of kernel columns being built and one scratch block, plus
-    # numpy's ufunc buffers: about 0.13 n^2 here, against 1 n^2 for a
-    # kernel matrix over every input row at once
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_expansion_holds_a_few_columns(kind):
+    # one input row's kernel column and its temporaries, plus the n
+    # predictions: about 3-4.5 n values, against 1 n^2 for a kernel matrix
+    # over every input row at once
     x = rows()
     coefs = np.sin(x[:, 0])
-    peak = peak_bytes(lambda: expansion(KernelSpec("rbf", sigma=0.5), x, coefs, 0.1, x))
-    assert peak <= 0.15 * 8 * N * N
+    peak = peak_bytes(lambda: expansion(KernelSpec(kind, sigma=0.5), x, coefs, 0.1, x))
+    assert peak <= 8 * 8 * N
 
 
 def test_svr_fit_holds_the_kernel_matrix_and_the_pair_curvatures():
